@@ -15,9 +15,10 @@ Quick start::
     texts = [preprocess(ex.comment.text) for ex in examples]
     tfidf = features.fit_tfidf(texts)
     model = regress.fit_ridge(
-        features.transform_many(tfidf, texts),
+        features.transform(tfidf, texts),
         [ex.score for ex in examples],
     )
+    scores = regress.predict(model, features.transform(tfidf, texts))
 
 The `sevrank` console script exposes the same pipelines as subcommands
 (transform, train, score, evaluate, ensemble, search, explain).
@@ -40,15 +41,16 @@ from .corpus import (
 from .ensemble import EnsembleWeights, ScoreMatrix, blend, fit_weights
 from .evaluate import EvalReport, RankedError, pairwise_accuracy, rank_errors
 from .explain import ExplainConfig, Explanation, lime_explain
-from .features import SparseVector, TfidfConfig, TfidfModel, fit_tfidf, transform
+from .features import CsrBatch, TfidfConfig, TfidfModel, fit_tfidf, transform
 from .optim import LbfgsConfig, OptimResult, check_gradient, lbfgs_minimize
 from .regress import RidgeModel, fit_ridge, predict
-from .textproc import PreprocessConfig, char_wb_ngrams, porter_stem, preprocess, tokenize_words
+from .textproc import PreprocessConfig, char_wb_ngrams, porter_stem, preprocess
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Comment",
+    "CsrBatch",
     "DavidsonCounts",
     "EnsembleWeights",
     "EvalReport",
@@ -63,7 +65,6 @@ __all__ = [
     "RankedError",
     "RidgeModel",
     "ScoreMatrix",
-    "SparseVector",
     "TfidfConfig",
     "TfidfModel",
     "blend",
@@ -81,7 +82,6 @@ __all__ = [
     "predict",
     "preprocess",
     "rank_errors",
-    "tokenize_words",
     "transform",
     "transform_davidson",
     "transform_founta",

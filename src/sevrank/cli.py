@@ -1,17 +1,20 @@
 """Command-line pipelines: sevrank <transform|train|score|evaluate|ensemble|search|explain>.
 
-Every command is deterministic given its flags and seed; rerunning with
-identical inputs produces byte-identical outputs.  Exit codes: 0 on
-success, 1 on runtime failure, 2 on usage errors.
+Every command is deterministic given its flags (and --seed, for search
+and explain); rerunning with identical inputs produces byte-identical
+outputs.  Every command that scores text goes through `score_texts`.
+Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ _SEARCH_NGRAM_RANGES = ((2, 4), (3, 5), (3, 6))
 _SEARCH_MAX_FEATURES = (10000, 30000, 50000)
 
 
-def write_scores_csv(path: str | Path, scores: Sequence[tuple[str, float]]) -> None:
+def write_scores_csv(path: str | Path, scores: Iterable[tuple[str, float]]) -> None:
     """Scores CSV (comment_id,score) in the given order; repr floats."""
     lines = ["comment_id,score"]
     for cid, score in scores:
@@ -46,13 +49,12 @@ def _csv_quote(value: str) -> str:
 
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
-    import csv as _csv
-
+    """comment_id -> score; every score must be a finite number."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["comment_id", "score"]:
             raise ValueError(f"{path}: expected header comment_id,score")
@@ -64,8 +66,36 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
                 raise ValueError(
                     f"{path}: duplicate comment id {fields[0]!r} at row {record}"
                 )
-            out[fields[0]] = float(fields[1])
+            score = _parse_score(path, record, fields[1])
+            if not math.isfinite(score):
+                raise ValueError(
+                    f"{path}: non-finite score {fields[1]!r} at row {record}"
+                )
+            out[fields[0]] = score
     return out
+
+
+def _parse_score(path: Path, record: int, value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric score {value!r} at row {record}") from None
+
+
+def read_lookup_csv(path: str | Path) -> dict[str, float]:
+    """text -> score table for `explain --scores-lookup`."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:2] != ["text", "score"]:
+            raise ValueError(f"{path}: expected header text,score")
+        lookup: dict[str, float] = {}
+        for record, fields in enumerate(reader, start=2):
+            if len(fields) != 2:
+                raise ValueError(f"{path}: malformed CSV row {record}")
+            lookup[fields[0]] = _parse_score(path, record, fields[1])
+    return lookup
 
 
 def _preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
@@ -96,27 +126,53 @@ def _load_models(prefix: str) -> tuple[features.TfidfModel, regress.RidgeModel]:
     return tfidf, ridge
 
 
-def _pipeline_scorer(prefix: str, pp: PreprocessConfig):
-    tfidf, ridge = _load_models(prefix)
+def score_texts(
+    tfidf: features.TfidfModel,
+    ridge: regress.RidgeModel,
+    pp: PreprocessConfig | None,
+    texts: Sequence[str],
+) -> np.ndarray:
+    """Scores of `texts`, in input order.
 
-    def scorer(text: str) -> float:
-        return regress.predict(ridge, features.transform(tfidf, preprocess(text, pp)))
+    Each distinct text is preprocessed with `pp` (texts already
+    preprocessed pass pp=None) and scored once, features.CHUNK_ROWS texts
+    at a time, so no matrix of the whole input is ever held.
+    """
+    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    distinct = list(slot)
+    if pp is not None:
+        distinct = [preprocess(text, pp) for text in distinct]
+    scores = np.empty(len(distinct))
+    for start in range(0, len(distinct), features.CHUNK_ROWS):
+        X = features.transform(tfidf, distinct[start : start + features.CHUNK_ROWS])
+        scores[start : start + X.shape[0]] = regress.predict(ridge, X)
+    return scores[np.fromiter(map(slot.__getitem__, texts), dtype=np.int64,
+                              count=len(texts))]
 
-    return scorer
+
+def _score_sides(
+    tfidf: features.TfidfModel,
+    ridge: regress.RidgeModel,
+    pp: PreprocessConfig | None,
+    sides: Sequence[corpus.Comment],
+) -> dict[str, float]:
+    """comment id -> score for every pair side; a repeated id keeps the
+    score of its last side."""
+    scores = score_texts(tfidf, ridge, pp, [side.text for side in sides])
+    return dict(zip((side.id for side in sides), scores.tolist()))
 
 
 def _train_on(
-    examples: Sequence[corpus.LabeledExample],
-    pp: PreprocessConfig,
+    texts: Sequence[str],
+    y: Sequence[float],
     tfidf_config: features.TfidfConfig,
     alpha: float,
     tol: float,
     max_iter: int,
-) -> tuple[features.TfidfModel, regress.RidgeModel, list]:
-    texts = [preprocess(ex.comment.text, pp) for ex in examples]
+) -> tuple[features.TfidfModel, regress.RidgeModel, features.CsrBatch]:
+    """Fit the vectorizer and the regressor on preprocessed texts."""
     tfidf = features.fit_tfidf(texts, tfidf_config)
-    X = features.transform_many(tfidf, texts)
-    y = [ex.score for ex in examples]
+    X = features.transform(tfidf, texts)
     ridge = regress.fit_ridge(X, y, alpha=alpha, tol=tol, max_iter=max_iter)
     return tfidf, ridge, X
 
@@ -147,13 +203,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         n_min=args.n_min, n_max=args.n_max,
         max_features=args.max_features, min_df=args.min_df,
     )
-    tfidf, ridge, X = _train_on(
-        examples, pp, config, args.alpha, args.tol, args.max_iter
-    )
+    texts = [preprocess(ex.comment.text, pp) for ex in examples]
+    y = [ex.score for ex in examples]
+    tfidf, ridge, X = _train_on(texts, y, config, args.alpha, args.tol, args.max_iter)
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     features.save_tfidf(tfidf, f"{args.out_prefix}.tfidf")
     regress.save_ridge(ridge, f"{args.out_prefix}.ridge")
-    objective = regress.ridge_objective(ridge, X, [ex.score for ex in examples])
+    objective = regress.ridge_objective(ridge, X, y)
     print(f"training objective: {objective!r}")
     return 0
 
@@ -165,23 +221,18 @@ def cmd_score(args: argparse.Namespace) -> int:
         comments = corpus.load_comments(args.comments)
     else:
         comments = corpus.pairs_to_comments(corpus.load_pairs(args.pairs))
-    scored = []
-    for comment in comments:
-        vec = features.transform(tfidf, preprocess(comment.text, pp))
-        scored.append((comment.id, regress.predict(ridge, vec)))
-    write_scores_csv(args.out, scored)
-    print(f"scored {len(scored)} comments")
+    scores = score_texts(tfidf, ridge, pp, [comment.text for comment in comments])
+    write_scores_csv(args.out, zip((c.id for c in comments), scores.tolist()))
+    print(f"scored {len(comments)} comments")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pairs = corpus.load_pairs(args.pairs)
     if args.model_prefix:
-        scorer = _pipeline_scorer(args.model_prefix, _preprocess_config(args))
-        scores = {}
-        for pair in pairs:
-            for side in (pair.less_toxic, pair.more_toxic):
-                scores[side.id] = scorer(side.text)
+        tfidf, ridge = _load_models(args.model_prefix)
+        scores = _score_sides(tfidf, ridge, _preprocess_config(args),
+                              corpus.pairs_to_comments(pairs))
     else:
         scores = read_scores_csv(args.scores)
         if args.comments:
@@ -221,6 +272,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.labeled}: no training examples")
     pairs = corpus.load_pairs(args.pairs)
     pp = _preprocess_config(args)
+    # preprocess every distinct text once, ahead of the trials
+    texts = [preprocess(ex.comment.text, pp) for ex in examples]
+    y = [ex.score for ex in examples]
+    sides = corpus.pairs_to_comments(pairs)
+    clean = {t: preprocess(t, pp) for t in dict.fromkeys(s.text for s in sides)}
+    sides = [corpus.Comment(id=s.id, text=clean[s.text]) for s in sides]
     rng = np.random.default_rng(args.seed)
     best = None
     for trial in range(args.trials):
@@ -229,12 +286,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
         config = features.TfidfConfig(n_min=n_min, n_max=n_max,
                                       max_features=max_features)
-        tfidf, ridge, _ = _train_on(examples, pp, config, alpha, 1e-8, 1000)
-        scores = {}
-        for pair in pairs:
-            for side in (pair.less_toxic, pair.more_toxic):
-                vec = features.transform(tfidf, preprocess(side.text, pp))
-                scores[side.id] = regress.predict(ridge, vec)
+        tfidf, ridge, _ = _train_on(texts, y, config, alpha, 1e-8, 1000)
+        scores = _score_sides(tfidf, ridge, None, sides)
         accuracy = evaluate.pairwise_accuracy(scores, pairs).accuracy
         record = {
             "trial": trial, "n_min": n_min, "n_max": n_max,
@@ -251,24 +304,19 @@ def cmd_explain(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if not args.text.strip():
         parser.error("--text must be non-empty")
     if args.model_prefix:
-        scorer = _pipeline_scorer(args.model_prefix, _preprocess_config(args))
-    else:
-        lookup = {}
-        import csv as _csv
-        with Path(args.scores_lookup).open("r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["text", "score"]:
-                raise ValueError(
-                    f"{args.scores_lookup}: expected header text,score"
-                )
-            for fields in reader:
-                lookup[fields[0]] = float(fields[1])
+        tfidf, ridge = _load_models(args.model_prefix)
+        pp = _preprocess_config(args)
 
-        def scorer(text: str) -> float:
-            if text not in lookup:
-                raise ValueError(f"no lookup score for variant {text!r}")
-            return lookup[text]
+        def scorer(variants: list[str]) -> np.ndarray:
+            return score_texts(tfidf, ridge, pp, variants)
+    else:
+        lookup = read_lookup_csv(args.scores_lookup)
+
+        def scorer(variants: list[str]) -> np.ndarray:
+            for text in variants:
+                if text not in lookup:
+                    raise ValueError(f"no lookup score for variant {text!r}")
+            return np.array([lookup[text] for text in variants])
 
     config = explain.ExplainConfig(
         num_samples=args.num_samples,
@@ -309,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=sorted(_KIND_LOADERS))
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    seed_flag(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", help="fit the tf-idf + ridge severity pipeline")
@@ -324,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=1000)
     _add_preprocess_flags(p)
-    seed_flag(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score comments with a trained pipeline")
@@ -334,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--pairs", help="pairs CSV; scores both sides of each pair")
     p.add_argument("--out", required=True)
     _add_preprocess_flags(p)
-    seed_flag(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", help="pairwise agreement of scores on judgment pairs")
@@ -349,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the k worst-ranked pairs to --errors-out")
     p.add_argument("--errors-out", default="errors.csv")
     _add_preprocess_flags(p)
-    seed_flag(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ensemble", help="fit blend weights on pairs and blend")
@@ -361,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--out-weights", required=True)
     p.add_argument("--out-blend", required=True)
-    seed_flag(p)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("search", help="random hyperparameter search for the pipeline")

@@ -1,7 +1,9 @@
 """Local explanations of a scorer's prediction on one comment.
 
 The comment is perturbed by dropping random subsets of its words, the
-(black-box) scorer rates every perturbed variant, and a locally weighted
+(black-box) scorer rates all perturbed variants in one batched call
+(`list[str] -> ndarray`, the `classifier_fn` contract of Ribeiro, Singh
+and Guestrin's reference LIME, arXiv:1602.04938), and a locally weighted
 ridge fit on the keep/drop indicators attributes the prediction to
 individual words.  Samples closer to the intact comment (cosine
 similarity of the keep-mask to the all-ones mask) get larger fit weight
@@ -15,11 +17,9 @@ import html
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
-
-from .textproc import tokenize_words
 
 __all__ = ["ExplainConfig", "Explanation", "lime_explain",
            "explanation_json", "explanation_html"]
@@ -57,22 +57,25 @@ class Explanation:
 
 
 def lime_explain(
-    scorer: Callable[[str], float],
+    scorer: Callable[[Sequence[str]], np.ndarray],
     text: str,
     config: ExplainConfig = ExplainConfig(),
 ) -> Explanation:
-    """Explain scorer(text) via word-drop perturbations.
+    """Explain the score of `text` via word-drop perturbations.
 
-    Draws num_samples binary keep-masks (each word kept with probability
-    0.5; sample 0 is always the intact text), scores the reconstructed
-    variants, weights samples by exp(-d^2 / kernel_width^2) with d the
-    cosine distance between the mask and the all-ones mask, and fits a
-    weighted ridge (alpha=1) of the scores on the mask indicators.  The
+    Tokens are the whitespace-separated words of `text`, punctuation
+    kept.  Draws num_samples binary keep-masks (each word kept with
+    probability 0.5; sample 0 is always the intact text) and calls
+    `scorer` once with the list of all reconstructed variants, in sample
+    order; it must return one finite score per variant.  Then weights
+    samples by exp(-d^2 / kernel_width^2) with d the cosine distance
+    between the mask and the all-ones mask, and fits a weighted ridge
+    (alpha=1) of the scores on the mask indicators.  The
     num_features words with the largest absolute coefficients are
     reported, most important first.  A constant scorer yields all-zero
     importances with local_r2 = 1.0.
     """
-    tokens = tokenize_words(text)
+    tokens = text.split()
     n_words = len(tokens)
     if n_words == 0:
         raise ValueError("text must contain at least one word")
@@ -84,13 +87,18 @@ def lime_explain(
     masks = np.ones((config.num_samples, n_words), dtype=np.int8)
     masks[1:] = rng.integers(0, 2, size=(config.num_samples - 1, n_words), dtype=np.int8)
 
-    y = np.empty(config.num_samples)
-    for i, mask in enumerate(masks):
-        variant = " ".join(tok for tok, keep in zip(tokens, mask) if keep)
-        value = float(scorer(variant))
-        if not math.isfinite(value):
-            raise ValueError(f"scorer returned a non-finite value at sample {i}")
-        y[i] = value
+    variants = [
+        " ".join(tok for tok, keep in zip(tokens, mask) if keep)
+        for mask in masks.tolist()
+    ]
+    y = np.asarray(scorer(variants), dtype=np.float64)
+    if y.shape != (config.num_samples,):
+        raise ValueError(
+            f"scorer returned {y.shape} scores for {config.num_samples} variants"
+        )
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"scorer returned a non-finite value at sample {bad[0]}")
 
     kept = masks.sum(axis=1)
     # cosine similarity of a binary mask to the all-ones mask

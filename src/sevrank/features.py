@@ -1,16 +1,24 @@
-"""Char-wb TF-IDF features: fit a vocabulary, map text to sparse vectors.
+"""Char-wb TF-IDF features: fit a vocabulary, map text batches to CSR rows.
 
 The vectorizer counts within-word character n-grams, weights raw counts by
 smoothed inverse document frequency, and L2-normalizes each row.  Fitting
 is fully deterministic: vocabulary selection breaks count ties
 lexicographically and column indices follow lexicographic gram order, so
 the model is independent of corpus order.
+
+`transform` maps a whole batch of texts to one `CsrBatch`.  Because a
+char-wb gram never crosses a word boundary, a document's gram counts are
+the sum of its words' gram counts, so each distinct word's in-vocabulary
+columns are computed once per model and expanded per document with array
+operations.  Each row's values are the same float64 numbers, bit for bit,
+as vectorizing that text on its own.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -19,52 +27,75 @@ import numpy as np
 from .textproc import char_wb_ngrams
 
 __all__ = [
-    "SparseVector",
+    "CHUNK_ROWS",
+    "CsrBatch",
     "TfidfConfig",
     "TfidfModel",
     "fit_tfidf",
     "transform",
-    "transform_many",
     "save_tfidf",
     "load_tfidf",
 ]
 
+# Documents counted together in one array pass of `transform`; bounds the
+# size of the per-chunk gram arrays, whatever the batch size.
+CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sparse real vector: parallel index/value arrays plus dimensionality.
+class CsrBatch:
+    """Rows of sparse real vectors in compressed sparse row layout.
 
-    Indices are strictly increasing and no stored value is zero.
+    Row i holds columns indices[indptr[i]:indptr[i + 1]] with the values
+    at the same positions of data.  Within a row the column indices are
+    strictly increasing and no stored value is zero; construction checks
+    this, and the shape, with whole-array operations.
     """
 
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
+    indptr: np.ndarray   # int64, n_rows + 1 offsets into indices/data
+    indices: np.ndarray  # int32 column indices
+    data: np.ndarray     # float64 values
+    shape: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int32)
+        data = np.asarray(self.data, dtype=np.float64)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "data", data)
+        n_rows, dim = self.shape
+        nnz = len(indices)
+        if n_rows < 0 or dim < 0:
+            raise ValueError(f"invalid shape {self.shape}")
+        if indptr.shape != (n_rows + 1,):
+            raise ValueError(f"indptr needs {n_rows + 1} entries, got {len(indptr)}")
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must rise from 0 to the number of entries")
+        if len(data) != nnz:
             raise ValueError("index/value length mismatch")
-        if len(self.indices) > 0:
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise ValueError("index out of range")
-            if np.any(self.values == 0.0):
-                raise ValueError("explicit zeros are not stored")
+        if nnz == 0:
+            return
+        if indices.min() < 0 or indices.max() >= dim:
+            raise ValueError("index out of range")
+        increasing = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        increasing[starts[(starts > 0) & (starts < nnz)] - 1] = True
+        if not increasing.all():
+            raise ValueError("indices must be strictly increasing within a row")
+        if np.any(data == 0.0):
+            raise ValueError("explicit zeros are not stored")
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
+        n_rows, dim = self.shape
+        dense = np.zeros((n_rows, dim))
+        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
+        dense[rows, self.indices] = self.data
         return dense
-
-
-def sparse_vector(indices: Sequence[int], values: Sequence[float], dim: int) -> SparseVector:
-    """Build a SparseVector from python sequences (copies into numpy)."""
-    return SparseVector(
-        indices=np.asarray(indices, dtype=np.int32),
-        values=np.asarray(values, dtype=np.float64),
-        dim=dim,
-    )
 
 
 @dataclass(frozen=True)
@@ -77,11 +108,19 @@ class TfidfConfig:
 
 @dataclass(eq=False)
 class TfidfModel:
-    """Fitted vectorizer: gram -> column index, per-column idf weights."""
+    """Fitted vectorizer: gram -> column index, per-column idf weights.
+
+    `transform` remembers each word's in-vocabulary columns here, so a
+    word is split into grams once per model, however many batches it
+    appears in.  The memo grows with the distinct words seen.
+    """
 
     vocabulary: dict[str, int]
     idf: np.ndarray
     config: TfidfConfig
+    _word_columns: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
@@ -119,34 +158,82 @@ def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 
-def transform(model: TfidfModel, text: str) -> SparseVector:
-    """Vectorize one preprocessed document.
+def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
+    """Vectorize a batch of preprocessed documents, one row per text.
 
-    Raw in-vocabulary gram counts are scaled by idf and the result is
-    L2-normalized; text with no in-vocabulary gram maps to the zero
-    vector.
+    Raw in-vocabulary gram counts are scaled by idf and each row is
+    L2-normalized; a text with no in-vocabulary gram maps to an empty
+    row.  Documents are counted CHUNK_ROWS at a time.
     """
-    counts = Counter(
-        char_wb_ngrams(text, model.config.n_min, model.config.n_max)
+    if isinstance(texts, str):
+        raise TypeError("transform takes a sequence of texts, not one str")
+    row_nnz, indices, data = [], [], []
+    for start in range(0, len(texts), CHUNK_ROWS):
+        nnz, cols, values = _transform_chunk(model, texts[start : start + CHUNK_ROWS])
+        row_nnz.append(nnz)
+        indices.append(cols)
+        data.append(values)
+    if not row_nnz:
+        return CsrBatch(indptr=[0], indices=[], data=[], shape=(0, model.dim))
+    return CsrBatch(
+        indptr=np.concatenate(([0], np.cumsum(np.concatenate(row_nnz)))),
+        indices=np.concatenate(indices),
+        data=np.concatenate(data),
+        shape=(len(texts), model.dim),
     )
-    entries = sorted(
-        (model.vocabulary[g], c) for g, c in counts.items() if g in model.vocabulary
-    )
-    if not entries:
-        return SparseVector(
-            indices=np.empty(0, dtype=np.int32),
-            values=np.empty(0, dtype=np.float64),
-            dim=model.dim,
-        )
-    indices = np.array([i for i, _ in entries], dtype=np.int32)
-    values = np.array([c for _, c in entries], dtype=np.float64)
-    values *= model.idf[indices]
-    values /= np.linalg.norm(values)
-    return SparseVector(indices=indices, values=values, dim=model.dim)
 
 
-def transform_many(model: TfidfModel, texts: Sequence[str]) -> list[SparseVector]:
-    return [transform(model, t) for t in texts]
+def _columns_of_word(model: TfidfModel, word: str) -> np.ndarray:
+    """In-vocabulary column of every gram of one word, repeats kept."""
+    cfg = model.config
+    found = map(model.vocabulary.get, char_wb_ngrams(word, cfg.n_min, cfg.n_max))
+    return np.array([c for c in found if c is not None], dtype=np.int64)
+
+
+def _transform_chunk(
+    model: TfidfModel, texts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entries per row, columns, values) of a few documents' rows."""
+    words: list[str] = []
+    doc_words = np.empty(len(texts), dtype=np.int64)
+    for d, text in enumerate(texts):
+        split = text.split()
+        doc_words[d] = len(split)
+        words.extend(split)
+    # this chunk's distinct words, their concatenated columns and offsets
+    slot = {w: i for i, w in enumerate(dict.fromkeys(words))}
+    known = model._word_columns
+    table = []
+    for w in slot:
+        cols = known.get(w)
+        if cols is None:
+            cols = known[w] = _columns_of_word(model, w)
+        table.append(cols)
+    width = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
+    flat = np.concatenate(table) if table else np.empty(0, dtype=np.int64)
+    offset = np.cumsum(width) - width
+
+    # every token's columns, in order, tagged with its document
+    token = np.fromiter(map(slot.__getitem__, words), dtype=np.int64, count=len(words))
+    per_token = width[token]
+    first = np.cumsum(per_token) - per_token
+    pos = np.arange(int(per_token.sum())) + np.repeat(offset[token] - first, per_token)
+    doc = np.repeat(np.repeat(np.arange(len(texts)), doc_words), per_token)
+
+    dim = max(model.dim, 1)
+    keys, counts = np.unique(doc * dim + flat[pos], return_counts=True)
+    rows = keys // dim
+    cols = (keys - rows * dim).astype(np.int32)
+    nnz = np.bincount(rows, minlength=len(texts))
+    values = counts.astype(np.float64)
+    values *= model.idf[cols]
+    # per-row norms, each taken exactly as for a lone row vector
+    bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
+    norms = np.ones(len(texts))
+    for i in np.flatnonzero(nnz).tolist():
+        norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
+    values /= np.repeat(norms, nnz)
+    return nnz, cols, values
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
@@ -168,28 +255,53 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
+    """Read a tfidf-v1 file written by save_tfidf.
+
+    The config line must give the four integer settings, and vocabulary
+    indices must run 0, 1, 2, ... in file order.  Any defect raises
+    ValueError naming the file and line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line, it opens none
+
+    def fail(lineno: int, message: str) -> ValueError:
+        return ValueError(f"{path}: line {lineno}: {message}")
+
     if not lines or lines[0] != "tfidf-v1":
-        raise ValueError(f"{path}: not a tfidf-v1 model file")
-    config_fields = lines[1].split("\t")
+        raise fail(1, "not a tfidf-v1 model file")
+    config_fields = lines[1].split("\t") if len(lines) > 1 else [""]
     if config_fields[0] != "config":
-        raise ValueError(f"{path}: missing config line")
-    params = dict(field.split("=", 1) for field in config_fields[1:])
-    config = TfidfConfig(
-        n_min=int(params["n_min"]),
-        n_max=int(params["n_max"]),
-        max_features=int(params["max_features"]),
-        min_df=int(params["min_df"]),
-    )
+        raise fail(2, "missing config line")
+    params = dict(field.partition("=")[::2] for field in config_fields[1:])
+    names = ("n_min", "n_max", "max_features", "min_df")
+    if len(config_fields) != len(names) + 1 or sorted(params) != sorted(names):
+        raise fail(2, f"config line must set exactly {', '.join(names)}")
+    try:
+        config = TfidfConfig(**{name: int(params[name]) for name in names})
+    except ValueError:
+        raise fail(2, "config values must be integers") from None
+    if not 1 <= config.n_min <= config.n_max:
+        raise fail(2, f"invalid n-gram range ({config.n_min}, {config.n_max})")
+
     vocabulary: dict[str, int] = {}
-    idf_by_index: dict[int, float] = {}
-    for line in lines[2:]:
-        if not line:
-            continue
-        gram, index_str, idf_str = line.split("\t")
-        index = int(index_str)
+    idf: list[float] = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise fail(lineno, "expected gram<TAB>index<TAB>idf")
+        gram, index_str, idf_str = fields
+        try:
+            index, weight = int(index_str), float(idf_str)
+        except ValueError:
+            raise fail(lineno, "index must be an integer and idf a number") from None
+        if not math.isfinite(weight):
+            raise fail(lineno, f"non-finite idf {idf_str!r}")
+        if gram in vocabulary:
+            raise fail(lineno, f"duplicate gram {gram!r}")
+        if index != len(vocabulary):
+            problem = "duplicate" if 0 <= index < len(vocabulary) else "non-contiguous"
+            raise fail(lineno, f"{problem} index {index}, expected {len(vocabulary)}")
         vocabulary[gram] = index
-        idf_by_index[index] = float(idf_str)
-    idf = np.array([idf_by_index[i] for i in range(len(vocabulary))])
-    return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
+        idf.append(weight)
+    return TfidfModel(vocabulary=vocabulary, idf=np.array(idf), config=config)

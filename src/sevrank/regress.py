@@ -1,4 +1,4 @@
-"""Ridge regression on sparse feature vectors.
+"""Ridge regression on a CSR batch of sparse feature rows.
 
 The intercept is the target mean and the weights solve the L2-penalized
 least squares problem on the centered targets,
@@ -9,6 +9,10 @@ by conjugate gradient.  Only y is centered; X is left as-is to preserve
 sparsity, so the solution differs from implementations that also center
 the design matrix (see fit_ridge).  Matrix products are formed as
 X^T (X p) on the fly; X^T X is never materialized.
+
+`predict` scores a whole `CsrBatch` at once.  Each row's score is the
+same dot product, in the same summation order, as scoring that row on
+its own, so batch size never changes a prediction's bits.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import SparseVector
+from .features import CsrBatch
 
-__all__ = ["RidgeModel", "fit_ridge", "predict", "predict_many",
+__all__ = ["RidgeModel", "fit_ridge", "predict",
            "save_ridge", "load_ridge", "ridge_objective"]
 
 _MAGIC = b"ridge-v1\n"
@@ -39,22 +43,8 @@ class RidgeModel:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
-def _stack(X: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Flatten sparse rows into COO-style (row, col, value) arrays."""
-    dim = X[0].dim
-    rows = []
-    for i, vec in enumerate(X):
-        if vec.dim != dim:
-            raise ValueError(f"row {i} has dim {vec.dim}, expected {dim}")
-        rows.append(np.full(len(vec.indices), i, dtype=np.int64))
-    row = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    col = np.concatenate([vec.indices for vec in X]).astype(np.int64)
-    val = np.concatenate([vec.values for vec in X])
-    return row, col, val, dim
-
-
 def fit_ridge(
-    X: Sequence[SparseVector],
+    X: CsrBatch,
     y: Sequence[float],
     alpha: float = 1.0,
     tol: float = 1e-8,
@@ -68,18 +58,21 @@ def fit_ridge(
     alpha = 1 the single weight is sum(x*(y - 2)) / (sum(x^2) + 1) = 2/15,
     because X itself is not centered.
     """
-    if len(X) != len(y):
-        raise ValueError(f"got {len(X)} rows but {len(y)} targets")
-    if len(X) == 0:
+    n, dim = X.shape
+    y_arr = np.asarray(y, dtype=np.float64)
+    if y_arr.shape != (n,):
+        raise ValueError(f"got {n} rows but targets of shape {y_arr.shape}")
+    if n == 0:
         raise ValueError("need at least one training example")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
 
-    y_arr = np.asarray(y, dtype=np.float64)
     intercept = float(y_arr.mean())
     yc = y_arr - intercept
-    row, col, val, dim = _stack(X)
-    n = len(X)
+    # COO view of X: (row, col, value) per stored entry
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(X.indptr))
+    col = X.indices.astype(np.int64)
+    val = X.data
 
     def matvec(p: np.ndarray) -> np.ndarray:
         # (X^T X + alpha I) p without forming X^T X
@@ -109,26 +102,27 @@ def fit_ridge(
     return RidgeModel(weights=w, intercept=intercept, alpha=alpha)
 
 
-def predict(model: RidgeModel, x: SparseVector) -> float:
-    """Raw severity prediction; deliberately not clamped to [0, 1]."""
-    if x.dim != len(model.weights):
+def predict(model: RidgeModel, X: CsrBatch) -> np.ndarray:
+    """Raw severity prediction per row; deliberately not clamped to [0, 1]."""
+    if X.shape[1] != len(model.weights):
         raise ValueError(
-            f"vector dim {x.dim} does not match model dim {len(model.weights)}"
+            f"batch dim {X.shape[1]} does not match model dim {len(model.weights)}"
         )
-    return float(model.weights[x.indices] @ x.values) + model.intercept
+    picked = model.weights[X.indices]
+    bounds = X.indptr.tolist()
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        lo, hi = bounds[i], bounds[i + 1]
+        out[i] = picked[lo:hi] @ X.data[lo:hi]
+    out += model.intercept
+    return out
 
 
-def predict_many(model: RidgeModel, xs: Sequence[SparseVector]) -> np.ndarray:
-    return np.array([predict(model, x) for x in xs])
-
-
-def ridge_objective(
-    model: RidgeModel, X: Sequence[SparseVector], y: Sequence[float]
-) -> float:
+def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float:
     """||X w - (y - mean(y))||^2 + alpha ||w||^2 at the model's weights."""
     y_arr = np.asarray(y, dtype=np.float64)
     yc = y_arr - model.intercept
-    resid = predict_many(model, X) - model.intercept - yc
+    resid = predict(model, X) - model.intercept - yc
     return float(resid @ resid) + model.alpha * float(model.weights @ model.weights)
 
 

@@ -16,7 +16,6 @@ from importlib import resources
 __all__ = [
     "PreprocessConfig",
     "preprocess",
-    "tokenize_words",
     "char_wb_ngrams",
     "porter_stem",
 ]
@@ -85,11 +84,6 @@ def preprocess(text: str, config: PreprocessConfig = PreprocessConfig()) -> str:
     if config.stem:
         out = " ".join(porter_stem(tok) for tok in out.split())
     return out
-
-
-def tokenize_words(text: str) -> list[str]:
-    """Split on Unicode whitespace, keeping punctuation inside tokens."""
-    return text.split()
 
 
 def char_wb_ngrams(text: str, n_min: int, n_max: int) -> list[str]:

@@ -1,17 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sevrank.features import (
-    SparseVector,
+    CHUNK_ROWS,
+    CsrBatch,
     TfidfConfig,
     fit_tfidf,
     load_tfidf,
     save_tfidf,
     transform,
-    transform_many,
 )
+from sevrank.textproc import char_wb_ngrams
 
 
 def brute_force_tfidf(corpus, config):
@@ -56,6 +58,26 @@ def brute_force_tfidf(corpus, config):
         if norm > 0:
             matrix[r] /= norm
     return vocab, np.array(idf), matrix
+
+
+def reference_row(model, text):
+    """One text vectorized on its own: Counter of its grams, sorted by
+    column, scaled by idf, divided by its norm."""
+    counts = Counter(char_wb_ngrams(text, model.config.n_min, model.config.n_max))
+    entries = sorted(
+        (model.vocabulary[g], c) for g, c in counts.items() if g in model.vocabulary
+    )
+    indices = np.array([i for i, _ in entries], dtype=np.int32)
+    values = np.array([c for _, c in entries], dtype=np.float64)
+    if len(values):
+        values *= model.idf[indices]
+        values /= np.linalg.norm(values)
+    return indices, values
+
+
+def row(batch, i):
+    lo, hi = batch.indptr[i], batch.indptr[i + 1]
+    return batch.indices[lo:hi], batch.data[lo:hi]
 
 
 class TestFitTfidf:
@@ -113,20 +135,20 @@ class TestFitTfidf:
 class TestTransform:
     def test_out_of_vocabulary_text_is_zero_vector(self):
         model = fit_tfidf(["ab"], TfidfConfig(n_min=3, n_max=3))
-        vec = transform(model, "zq")
-        assert len(vec.indices) == 0
-        assert vec.dim == len(model.vocabulary)
+        batch = transform(model, ["zq"])
+        assert batch.nnz == 0
+        assert batch.shape == (1, len(model.vocabulary))
 
     def test_single_gram_normalizes_to_one(self):
         model = fit_tfidf(["ab cd"], TfidfConfig(n_min=4, n_max=4))
-        vec = transform(model, "ab")
-        assert len(vec.indices) == 1
-        np.testing.assert_allclose(vec.values, [1.0])
+        batch = transform(model, ["ab"])
+        assert batch.nnz == 1
+        np.testing.assert_allclose(batch.data, [1.0])
 
     def test_counts_scale_values(self):
         # vocabulary of 2-grams with equal idf; "abab" has counts ab:2, ba:1
         model = fit_tfidf(["abab"], TfidfConfig(n_min=2, n_max=2))
-        vec = transform(model, "abab").to_dense()
+        vec = transform(model, ["abab"]).to_dense()[0]
         expected = np.zeros(len(model.vocabulary))
         expected[model.vocabulary["ab"]] = 2.0
         expected[model.vocabulary["ba"]] = 1.0
@@ -145,10 +167,11 @@ class TestTransform:
             for _ in range(10)
         ]
         model = fit_tfidf(docs)
-        for doc in docs:
-            vec = transform(model, doc)
-            if len(vec.indices):
-                assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-9
+        batch = transform(model, docs)
+        for i in range(len(docs)):
+            _, values = row(batch, i)
+            if len(values):
+                assert abs(np.linalg.norm(values) - 1.0) < 1e-9
 
     def test_matches_brute_force_oracle_on_toy_corpora(self):
         rng = np.random.default_rng(42)
@@ -170,26 +193,121 @@ class TestTransform:
             vocab, idf, expected = brute_force_tfidf(docs, config)
             assert model.vocabulary == vocab
             np.testing.assert_allclose(model.idf, idf, atol=1e-12)
-            got = np.vstack([v.to_dense() for v in transform_many(model, docs)])
+            got = transform(model, docs).to_dense()
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
-class TestSparseVector:
+class TestBatchTransform:
+    """Every row of a batch equals the text vectorized on its own, bit for bit."""
+
+    VOCAB_DOCS = ["the cat sat on the mat", "café naïve über", "aaa aaaa bb",
+                  "it's a dog's life, isn't it?", "日本 привет 😀"]
+
+    @pytest.fixture
+    def model(self):
+        return fit_tfidf(self.VOCAB_DOCS, TfidfConfig(n_min=2, n_max=4))
+
+    def assert_rows_exact(self, model, texts):
+        batch = transform(model, texts)
+        assert batch.shape == (len(texts), model.dim)
+        for i, text in enumerate(texts):
+            got_idx, got_val = row(batch, i)
+            ref_idx, ref_val = reference_row(model, text)
+            assert np.array_equal(got_idx, ref_idx), text
+            assert np.array_equal(got_val, ref_val), text
+
+    def test_edge_texts(self, model):
+        self.assert_rows_exact(model, [
+            "",                          # empty
+            "   ",                       # whitespace only
+            "zzz qqq xxx",               # out-of-vocabulary only
+            "the the the cat the",       # repeated words
+            "café café über",            # non-ASCII, repeated
+            "日本 😀 привет the",
+            "a",
+        ])
+
+    def test_batch_longer_than_one_chunk(self, model):
+        rng = np.random.default_rng(17)
+        pool = ("the cat sat on mat café naïve über aaa bb it's dog's "
+                "life, 日本 привет 😀 zz qq").split()
+        texts = [
+            " ".join(rng.choice(pool, size=rng.integers(0, 12)))
+            for _ in range(2 * CHUNK_ROWS + 17)
+        ]
+        self.assert_rows_exact(model, texts)
+
+    def test_row_does_not_depend_on_batch(self, model):
+        texts = ["the cat", "café the", "", "zzz", "the cat"]
+        whole = transform(model, texts)
+        for i, text in enumerate(texts):
+            alone = transform(model, [text])
+            assert np.array_equal(row(whole, i)[0], alone.indices)
+            assert np.array_equal(row(whole, i)[1], alone.data)
+
+    def test_rows_sorted_without_stored_zeros(self, model):
+        batch = transform(model, ["the cat sat", "", "mat the", "aaaa bb aaa"])
+        assert batch.indices.dtype == np.int32
+        assert batch.nnz == len(batch.data) == batch.indptr[-1]
+        for i in range(batch.shape[0]):
+            indices, values = row(batch, i)
+            assert np.all(np.diff(indices) > 0)
+            assert np.all(values != 0.0)
+
+    def test_empty_batch(self, model):
+        batch = transform(model, [])
+        assert batch.shape == (0, model.dim)
+        assert batch.nnz == 0
+        assert list(batch.indptr) == [0]
+
+    def test_rejects_single_string(self, model):
+        with pytest.raises(TypeError):
+            transform(model, "the cat")
+
+    def test_scipy_accepts_the_layout(self, model):
+        sparse = pytest.importorskip("scipy.sparse")
+        batch = transform(model, ["the cat sat", "", "café the the"])
+        csr = sparse.csr_matrix((batch.data, batch.indices, batch.indptr),
+                                shape=batch.shape)
+        csr.check_format(full_check=True)
+        assert csr.has_canonical_format
+        np.testing.assert_array_equal(csr.toarray(), batch.to_dense())
+
+
+class TestCsrBatch:
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
-            SparseVector(np.array([3, 1]), np.array([1.0, 2.0]), 5)
+            CsrBatch(indptr=[0, 2], indices=[3, 1], data=[1.0, 2.0], shape=(1, 5))
+
+    def test_indices_may_fall_across_rows(self):
+        batch = CsrBatch(indptr=[0, 1, 1, 2], indices=[3, 1], data=[1.0, 2.0],
+                         shape=(3, 5))
+        assert batch.nnz == 2
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            SparseVector(np.array([0, 7]), np.array([1.0, 2.0]), 5)
+            CsrBatch(indptr=[0, 2], indices=[0, 7], data=[1.0, 2.0], shape=(1, 5))
 
     def test_rejects_stored_zero(self):
         with pytest.raises(ValueError):
-            SparseVector(np.array([0, 1]), np.array([1.0, 0.0]), 5)
+            CsrBatch(indptr=[0, 2], indices=[0, 1], data=[1.0, 0.0], shape=(1, 5))
+
+    def test_rejects_inconsistent_indptr(self):
+        with pytest.raises(ValueError):
+            CsrBatch(indptr=[0, 1], indices=[0, 1], data=[1.0, 2.0], shape=(1, 5))
+        with pytest.raises(ValueError):
+            CsrBatch(indptr=[0, 2, 1, 2], indices=[0, 1], data=[1.0, 2.0],
+                     shape=(3, 5))
+        with pytest.raises(ValueError):
+            CsrBatch(indptr=[0, 2], indices=[0, 1], data=[1.0, 2.0], shape=(2, 5))
 
     def test_to_dense(self):
-        vec = SparseVector(np.array([1, 3]), np.array([2.0, -1.0]), 4)
-        np.testing.assert_array_equal(vec.to_dense(), [0.0, 2.0, 0.0, -1.0])
+        batch = CsrBatch(indptr=[0, 2, 2, 3], indices=[1, 3, 0],
+                         data=[2.0, -1.0, 5.0], shape=(3, 4))
+        np.testing.assert_array_equal(
+            batch.to_dense(),
+            [[0.0, 2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]],
+        )
 
 
 class TestSerialization:

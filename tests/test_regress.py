@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
 
-from sevrank.features import SparseVector, sparse_vector
+from sevrank.features import CsrBatch
 from sevrank.regress import (
     RidgeModel,
     fit_ridge,
     load_ridge,
     predict,
-    predict_many,
     ridge_objective,
     save_ridge,
 )
 
 
 def dense_rows(matrix):
-    """Turn a dense array into the sparse row vectors fit_ridge consumes."""
-    rows = []
-    dim = matrix.shape[1]
-    for row in matrix:
-        idx = np.flatnonzero(row)
-        rows.append(sparse_vector(idx, row[idx], dim))
-    return rows
+    """Turn a dense array into the CSR batch fit_ridge consumes."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    rows, cols = np.nonzero(matrix)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(matrix)))))
+    return CsrBatch(indptr=indptr, indices=cols, data=matrix[rows, cols],
+                    shape=matrix.shape)
 
 
 def oracle_solve(matrix, y, alpha):
@@ -44,7 +42,7 @@ class TestFitRidge:
     def test_large_alpha_limit(self):
         model = fit_ridge(dense_rows(SINGLE_FEATURE), [1.0, 2.0, 3.0], alpha=1e12)
         assert model.weights[0] == pytest.approx(0.0, abs=1e-9)
-        preds = predict_many(model, dense_rows(SINGLE_FEATURE))
+        preds = predict(model, dense_rows(SINGLE_FEATURE))
         np.testing.assert_allclose(preds, 2.0, atol=1e-9)
 
     def test_alpha_one_closed_form(self):
@@ -104,9 +102,12 @@ class TestFitRidge:
         assert np.linalg.norm(residual) <= tol * np.linalg.norm(b)
 
     def test_dimension_mismatch_rejected(self):
-        rows = [sparse_vector([0], [1.0], 3), sparse_vector([0], [1.0], 4)]
+        # a column past the batch width cannot even be stored
         with pytest.raises(ValueError):
-            fit_ridge(rows, [1.0, 2.0])
+            CsrBatch(indptr=[0, 1, 2], indices=[0, 3], data=[1.0, 1.0], shape=(2, 3))
+        # targets must be one value per row, not a column of them
+        with pytest.raises(ValueError):
+            fit_ridge(dense_rows(SINGLE_FEATURE), [[1.0], [2.0], [3.0]])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +119,7 @@ class TestFitRidge:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fit_ridge([], [])
+            fit_ridge(dense_rows(np.zeros((0, 2))), [])
 
     def test_constant_target_gives_zero_weights(self):
         model = fit_ridge(dense_rows(SINGLE_FEATURE), [5.0, 5.0, 5.0], alpha=1.0)
@@ -129,27 +130,57 @@ class TestFitRidge:
 class TestPredict:
     def test_zero_vector_gives_intercept(self):
         model = RidgeModel(weights=np.array([1.0, -2.0]), intercept=0.7, alpha=1.0)
-        empty = SparseVector(np.empty(0, dtype=np.int32), np.empty(0), 2)
-        assert predict(model, empty) == pytest.approx(0.7)
+        empty = dense_rows(np.zeros((1, 2)))
+        assert empty.nnz == 0
+        np.testing.assert_allclose(predict(model, empty), [0.7])
 
     def test_zero_weights_give_intercept(self):
         model = RidgeModel(weights=np.zeros(3), intercept=-1.5, alpha=1.0)
-        x = sparse_vector([0, 2], [4.0, 9.0], 3)
-        assert predict(model, x) == pytest.approx(-1.5)
+        X = dense_rows([[4.0, 0.0, 9.0], [0.0, 1.0, 0.0]])
+        np.testing.assert_allclose(predict(model, X), [-1.5, -1.5])
 
     def test_hand_built_dot_product(self):
         model = RidgeModel(weights=np.array([0.5, -0.25]), intercept=0.1, alpha=1.0)
-        x = sparse_vector([0, 1], [1.0, 2.0], 2)
-        assert predict(model, x) == pytest.approx(0.1)
+        X = dense_rows([[1.0, 2.0], [0.0, 4.0], [2.0, 0.0]])
+        np.testing.assert_allclose(predict(model, X), [0.1, -0.9, 1.1])
 
     def test_dimension_mismatch(self):
         model = RidgeModel(weights=np.zeros(3), intercept=0.0, alpha=1.0)
         with pytest.raises(ValueError):
-            predict(model, sparse_vector([0], [1.0], 4))
+            predict(model, dense_rows([[1.0, 0.0, 0.0, 0.0]]))
 
     def test_predictions_not_clamped(self):
         model = RidgeModel(weights=np.array([10.0]), intercept=0.0, alpha=1.0)
-        assert predict(model, sparse_vector([0], [1.0], 1)) == 10.0
+        assert predict(model, dense_rows([[1.0]])).tolist() == [10.0]
+
+    def test_returns_one_float_per_row(self):
+        model = RidgeModel(weights=np.ones(2), intercept=0.0, alpha=1.0)
+        out = predict(model, dense_rows(np.zeros((0, 2))))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_equals_per_row_dot_exactly(self):
+        rng = np.random.default_rng(8)
+        dense = rng.normal(size=(40, 30))
+        dense[rng.random(size=dense.shape) < 0.7] = 0.0
+        dense[5] = 0.0
+        X = dense_rows(dense)
+        model = RidgeModel(weights=rng.normal(size=30), intercept=0.37, alpha=1.0)
+        got = predict(model, X)
+        for i, values in enumerate(dense):
+            idx = np.flatnonzero(values).astype(np.int32)
+            expected = float(model.weights[idx] @ values[idx]) + model.intercept
+            assert got[i] == expected
+
+    def test_matches_scipy_product(self):
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(4)
+        dense = rng.normal(size=(25, 12))
+        dense[rng.random(size=dense.shape) < 0.6] = 0.0
+        X = dense_rows(dense)
+        model = RidgeModel(weights=rng.normal(size=12), intercept=-0.2, alpha=1.0)
+        csr = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        np.testing.assert_allclose(predict(model, X), csr @ model.weights - 0.2,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestSerialization:

@@ -8,7 +8,6 @@ from sevrank.textproc import (
     char_wb_ngrams,
     porter_stem,
     preprocess,
-    tokenize_words,
 )
 
 
@@ -62,17 +61,6 @@ class TestPreprocess:
             text = "".join(parts)
             once = preprocess(text)
             assert preprocess(once) == once
-
-
-class TestTokenizeWords:
-    def test_whitespace_split(self):
-        assert tokenize_words("a  b") == ["a", "b"]
-
-    def test_empty(self):
-        assert tokenize_words("") == []
-
-    def test_punctuation_retained(self):
-        assert tokenize_words("f*** you!") == ["f***", "you!"]
 
 
 class TestCharWbNgrams:
