@@ -126,7 +126,14 @@ def lime_explain(
 def _weighted_ridge(
     Z: np.ndarray, y: np.ndarray, sw: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, float, float]:
-    """Weighted ridge with unpenalized intercept; returns (coef, intercept, R^2)."""
+    """Weighted ridge with unpenalized intercept; returns (coef, intercept, R^2).
+
+    A constant y is fitted exactly by the intercept alone: all-zero
+    coefficients and R^2 = 1.0.  (Its weighted mean need not round to the
+    constant, which would leave tiny coefficients and R^2 = 0.)
+    """
+    if np.all(y == y[0]):
+        return np.zeros(Z.shape[1]), float(y[0]), 1.0
     total = sw.sum()
     z_mean = sw @ Z / total
     y_mean = float(sw @ y) / total

@@ -6,18 +6,22 @@ is fully deterministic: vocabulary selection breaks count ties
 lexicographically and column indices follow lexicographic gram order, so
 the model is independent of corpus order.
 
-`transform` maps a whole batch of texts to one `CsrBatch`.  Because a
-char-wb gram never crosses a word boundary, a document's gram counts are
-the sum of its words' gram counts, so each distinct word's in-vocabulary
-columns are computed once per model and expanded per document with array
-operations.  Each row's values are the same float64 numbers, bit for bit,
-as vectorizing that text on its own.
+A char-wb gram never crosses a word boundary, so a document's gram counts
+are the sum of its words' gram counts.  Both passes work per distinct
+word: `fit_tfidf` splits each distinct word into grams once and counts
+(document, word) pairs with array operations, CHUNK_ROWS documents at a
+time; `transform` expands each document's words to their in-vocabulary
+columns the same way.  A fitted model already holds the columns of every
+training word, so transforming the training corpus splits no word again.
+The vocabulary, the idf weights and each row's values are the same
+float64 numbers, bit for bit, as counting each document's grams on its
+own.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -37,9 +41,10 @@ __all__ = [
     "load_tfidf",
 ]
 
-# Documents counted together in one array pass of `transform`; bounds the
-# size of the per-chunk gram arrays, whatever the batch size.
-CHUNK_ROWS = 256
+# Documents counted together in one array pass of `fit_tfidf` and
+# `transform`; bounds the size of the per-chunk gram arrays, whatever the
+# corpus or batch size.
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +115,8 @@ class TfidfConfig:
 class TfidfModel:
     """Fitted vectorizer: gram -> column index, per-column idf weights.
 
-    `transform` remembers each word's in-vocabulary columns here, so a
+    `fit_tfidf` fills this memo with the in-vocabulary columns of every
+    training word, and `transform` adds each new word it meets, so a
     word is split into grams once per model, however many batches it
     appears in.  The memo grows with the distinct words seen.
     """
@@ -135,27 +141,103 @@ def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     (ties broken by lexicographic order, ascending).  Column indices are
     assigned in lexicographic gram order and
     idf(g) = ln((1 + N) / (1 + df(g))) + 1 with N the corpus size.
+    The returned model knows the columns of every word of the corpus.
     """
+    if isinstance(corpus, str):
+        raise TypeError("fit_tfidf takes a sequence of documents, not one str")
     if len(corpus) == 0:
         raise ValueError("cannot fit tf-idf on an empty corpus")
-    total_counts: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    for doc in corpus:
-        grams = char_wb_ngrams(doc, config.n_min, config.n_max)
-        counts = Counter(grams)
-        total_counts.update(counts)
-        doc_freq.update(counts.keys())
+    if not 1 <= config.n_min <= config.n_max:
+        raise ValueError(f"invalid n-gram range ({config.n_min}, {config.n_max})")
+    words, names, flat, width, total, df = _count_grams(corpus, config)
+    kept = _select_grams(names, total, df, config)
 
-    candidates = [g for g in total_counts if doc_freq[g] >= config.min_df]
-    candidates.sort(key=lambda g: (-total_counts[g], g))
-    kept = sorted(candidates[: config.max_features])
-
-    vocabulary = {gram: i for i, gram in enumerate(kept)}
     n_docs = len(corpus)
-    idf = np.array(
-        [np.log((1.0 + n_docs) / (1.0 + doc_freq[g])) + 1.0 for g in kept]
+    kept_df = df[kept].tolist()
+    idf_of = {d: np.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in set(kept_df)}
+    model = TfidfModel(
+        vocabulary={names[g]: i for i, g in enumerate(kept)},
+        idf=np.array([idf_of[d] for d in kept_df]),
+        config=config,
     )
-    return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
+
+    # every corpus word's in-vocabulary columns, in gram order, for transform
+    column = np.full(len(names), -1, dtype=np.int64)
+    column[kept] = np.arange(len(kept))
+    cols = column[flat]
+    inside = np.concatenate(([0], np.cumsum(cols >= 0)))
+    cuts = inside[np.concatenate(([0], np.cumsum(width)))].tolist()
+    cols = cols[cols >= 0]
+    model._word_columns.update(
+        zip(words, (cols[a:b] for a, b in zip(cuts, cuts[1:])))
+    )
+    return model
+
+
+def _count_grams(corpus: Sequence[str], config: TfidfConfig) -> tuple[
+    dict[str, int], list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray
+]:
+    """Gram counts of a corpus, each distinct word split into grams once.
+
+    Returns (word -> word id, gram of each gram id, every distinct word's
+    gram ids concatenated in word-id order, gram ids per word, total count
+    per gram id, document frequency per gram id).
+    """
+    word_ids: dict[str, int] = {}
+    gram_ids: dict[str, int] = {}
+    word_grams = array("q")
+    width = array("q")
+    tokens = array("q")   # word id of every token, in corpus order
+    doc_len = array("q")  # tokens per document
+    for doc in corpus:
+        words = doc.split()
+        doc_len.append(len(words))
+        for word in words:
+            w = word_ids.get(word)
+            if w is None:
+                w = word_ids[word] = len(word_ids)
+                grams = char_wb_ngrams(word, config.n_min, config.n_max)
+                width.append(len(grams))
+                word_grams.extend(gram_ids.setdefault(g, len(gram_ids)) for g in grams)
+            tokens.append(w)
+    flat = np.frombuffer(word_grams, dtype=np.int64)
+    width = np.frombuffer(width, dtype=np.int64)
+    tokens = np.frombuffer(tokens, dtype=np.int64)
+    doc_len = np.frombuffer(doc_len, dtype=np.int64)
+
+    n_docs, n_words, n_grams = len(corpus), len(word_ids), len(gram_ids)
+    total = np.zeros(n_grams)
+    df = np.zeros(n_grams, dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(doc_len))).tolist()
+    for start in range(0, n_docs, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n_docs)
+        doc = np.repeat(np.arange(stop - start), doc_len[start:stop])
+        # distinct (document, word) pairs and how often each occurs
+        pairs, times = _count_keys(doc * n_words + tokens[bounds[start] : bounds[stop]])
+        pair_doc, pair_word = np.divmod(pairs, n_words)
+        doc, grams, per_pair = _expand(flat, width, pair_word, pair_doc)
+        total += np.bincount(grams, weights=np.repeat(times, per_pair), minlength=n_grams)
+        doc_grams, _ = _count_keys(doc * n_grams + grams)
+        df += np.bincount(doc_grams % n_grams, minlength=n_grams)
+    return word_ids, list(gram_ids), flat, width, total, df
+
+
+def _select_grams(
+    names: list[str], total: np.ndarray, df: np.ndarray, config: TfidfConfig
+) -> list[int]:
+    """Ids of the kept grams, in lexicographic gram order."""
+    candidates = np.flatnonzero(df >= config.min_df)
+    chosen = candidates.tolist()
+    # as many as candidates[:max_features] holds, max_features < 0 included
+    n_keep = len(range(len(chosen))[: config.max_features])
+    if n_keep < len(chosen):
+        # the n_keep highest totals; a tie at the cut goes to the smallest grams
+        counts = total[candidates]
+        cut = -np.partition(-counts, n_keep - 1)[n_keep - 1] if n_keep else np.inf
+        above = candidates[counts > cut].tolist()
+        tied = sorted(candidates[counts == cut].tolist(), key=names.__getitem__)
+        chosen = above + tied[: n_keep - len(above)]
+    return sorted(chosen, key=names.__getitem__)
 
 
 def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
@@ -183,6 +265,32 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     )
 
 
+def _count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and how often each occurs."""
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(np.append(starts, len(keys)))
+
+
+def _expand(
+    flat: np.ndarray, width: np.ndarray, ids: np.ndarray, doc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every entry of each id in `ids`, in order, tagged with its document.
+
+    Id i owns the width[i] entries of `flat` that follow those of ids
+    0..i-1; doc[k] is the document of ids[k].  Returns (document of each
+    entry, entries, entries per id).
+    """
+    offset = np.cumsum(width) - width
+    per_id = width[ids]
+    first = np.cumsum(per_id) - per_id
+    pos = np.arange(int(per_id.sum())) + np.repeat(offset[ids] - first, per_id)
+    return np.repeat(doc, per_id), flat[pos], per_id
+
+
 def _columns_of_word(model: TfidfModel, word: str) -> np.ndarray:
     """In-vocabulary column of every gram of one word, repeats kept."""
     cfg = model.config
@@ -200,7 +308,7 @@ def _transform_chunk(
         split = text.split()
         doc_words[d] = len(split)
         words.extend(split)
-    # this chunk's distinct words, their concatenated columns and offsets
+    # this chunk's distinct words and their columns
     slot = {w: i for i, w in enumerate(dict.fromkeys(words))}
     known = model._word_columns
     table = []
@@ -211,17 +319,13 @@ def _transform_chunk(
         table.append(cols)
     width = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
     flat = np.concatenate(table) if table else np.empty(0, dtype=np.int64)
-    offset = np.cumsum(width) - width
 
     # every token's columns, in order, tagged with its document
     token = np.fromiter(map(slot.__getitem__, words), dtype=np.int64, count=len(words))
-    per_token = width[token]
-    first = np.cumsum(per_token) - per_token
-    pos = np.arange(int(per_token.sum())) + np.repeat(offset[token] - first, per_token)
-    doc = np.repeat(np.repeat(np.arange(len(texts)), doc_words), per_token)
+    doc, cols, _ = _expand(flat, width, token, np.repeat(np.arange(len(texts)), doc_words))
 
     dim = max(model.dim, 1)
-    keys, counts = np.unique(doc * dim + flat[pos], return_counts=True)
+    keys, counts = _count_keys(doc * dim + cols)
     rows = keys // dim
     cols = (keys - rows * dim).astype(np.int32)
     nnz = np.bincount(rows, minlength=len(texts))

@@ -4,6 +4,13 @@ Pipeline pieces used ahead of feature extraction: hyperlink removal,
 contraction expansion from a fixed table, lowercasing, whitespace
 collapse, optional Porter stemming, and char-wb n-gram extraction
 (character n-grams that never cross word boundaries).
+
+Every contraction key holds an apostrophe and otherwise only word
+characters, so a key can only match inside a run of word characters and
+apostrophes that holds an apostrophe.  The table's regex runs on those
+runs alone; at a run's edges its word-boundary checks see a non-word
+character, as they would in the whole text, so the result is the same
+as running it over the whole text.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ class PreprocessConfig:
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
 _WS_RE = re.compile(r"\s+")
+# a maximal run of word characters and apostrophes holding an apostrophe;
+# the lookbehind starts a match only at a run's first character, which
+# keeps the scan linear in the text length
+_APOSTROPHE_RUN_RE = re.compile(r"(?<![\w'])[\w']*'[\w']*")
 
 _contraction_map: dict[str, str] | None = None
 _contraction_re: re.Pattern | None = None
@@ -70,20 +81,29 @@ def preprocess(text: str, config: PreprocessConfig = PreprocessConfig()) -> str:
     prefixes, deleted up to the next whitespace), contraction expansion
     (case-insensitive table lookup), lowercasing, whitespace collapse to
     single spaces plus trim, and finally per-token Porter stemming when
-    enabled.  Total function: never raises, empty input stays empty.
+    enabled.  A case-insensitive match whose lowercased form is not a
+    table key (the regex lets "ſ" match "s", lower() keeps it) is left
+    as it is.  Total function: never raises, empty input stays empty.
     """
     out = text
     if config.strip_urls:
         out = _URL_RE.sub("", out)
     if config.expand_contractions:
-        table, pattern = _load_contractions()
-        out = pattern.sub(lambda m: table[m.group(0).lower()], out)
+        out = _APOSTROPHE_RUN_RE.sub(_expand_contractions, out)
     if config.lowercase:
         out = out.lower()
     out = _WS_RE.sub(" ", out).strip()
     if config.stem:
         out = " ".join(porter_stem(tok) for tok in out.split())
     return out
+
+
+def _expand_contractions(run: re.Match) -> str:
+    """One apostrophe run with each contraction in it expanded."""
+    table, pattern = _load_contractions()
+    return pattern.sub(
+        lambda m: table.get(m.group(0).lower(), m.group(0)), run.group(0)
+    )
 
 
 def char_wb_ngrams(text: str, n_min: int, n_max: int) -> list[str]:

@@ -134,6 +134,16 @@ class TestScoring:
             alone = regress.predict(ridge, features.transform(tfidf, [preprocess(text, pp)]))
             assert score == alone[0]
 
+    def test_case_folding_letter_next_to_an_apostrophe(self, files, capsys, tmp_path):
+        # re.IGNORECASE lets "ſ" match "s"; the comment is scored, not rejected
+        comments = write_csv(tmp_path / "odd.csv", ["comment_id", "text"],
+                             [("c0", "ſhe'd go"), ("c1", "İsn't it")])
+        out = tmp_path / "scores.csv"
+        code, _, err = run(capsys, "score", "--model-prefix", files["model"],
+                           "--comments", comments, "--out", out)
+        assert (code, err) == (0, "")
+        assert [r["comment_id"] for r in csv.DictReader(out.open())] == ["c0", "c1"]
+
     def test_seed_is_only_read_where_it_is_used(self, files, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["score", "--model-prefix", files["model"], "--comments",

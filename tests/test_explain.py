@@ -71,3 +71,14 @@ class TestBatchedScorer:
         assert a.importances == b.importances
         assert a.intercept == b.intercept
         assert a.local_r2 == b.local_r2
+
+
+class TestConstantScorer:
+    @pytest.mark.parametrize("value", [0.3, 0.5, 0.0])
+    def test_zero_importances_and_perfect_fit(self, value):
+        result = lime_explain(lambda variants: np.full(len(variants), value),
+                              "a b c", CONFIG)
+        assert [w for w, _ in result.importances] == ["a", "b", "c"]
+        assert all(weight == 0.0 for _, weight in result.importances)
+        assert result.intercept == value
+        assert result.local_r2 == 1.0

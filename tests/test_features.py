@@ -8,6 +8,7 @@ from sevrank.features import (
     CHUNK_ROWS,
     CsrBatch,
     TfidfConfig,
+    TfidfModel,
     fit_tfidf,
     load_tfidf,
     save_tfidf,
@@ -58,6 +59,25 @@ def brute_force_tfidf(corpus, config):
         if norm > 0:
             matrix[r] /= norm
     return vocab, np.array(idf), matrix
+
+
+def reference_fit(corpus, config):
+    """Per-document fit: Counter every document's grams, select and weight
+    them by the declared rules; returns (vocabulary, idf)."""
+    total_counts = Counter()
+    doc_freq = Counter()
+    for doc in corpus:
+        counts = Counter(char_wb_ngrams(doc, config.n_min, config.n_max))
+        total_counts.update(counts)
+        doc_freq.update(counts.keys())
+    candidates = [g for g in total_counts if doc_freq[g] >= config.min_df]
+    candidates.sort(key=lambda g: (-total_counts[g], g))
+    kept = sorted(candidates[: config.max_features])
+    n_docs = len(corpus)
+    idf = np.array(
+        [np.log((1.0 + n_docs) / (1.0 + doc_freq[g])) + 1.0 for g in kept]
+    )
+    return {gram: i for i, gram in enumerate(kept)}, idf
 
 
 def reference_row(model, text):
@@ -130,6 +150,72 @@ class TestFitTfidf:
             cap = int(rng.integers(1, 12))
             model = fit_tfidf(docs, TfidfConfig(n_min=2, n_max=4, max_features=cap))
             assert len(model.vocabulary) <= cap
+
+
+class TestFitMatchesPerDocumentCounts:
+    """The word-level fit equals counting each document's grams, bit for bit."""
+
+    MIXED = ["the cat sat on the mat", "café naïve über café", "aaa aaaa bb a",
+             "it's a dog's life, isn't it?", "日本 привет 😀 the", "", "   ",
+             "x y z", "the the the"]
+
+    @pytest.mark.parametrize("corpus, config", [
+        # four grams of count 1 and two slots: a tie at the max_features cut
+        (["ab", "cd"], TfidfConfig(n_min=3, n_max=3, max_features=2)),
+        (["ab ab cd", "cd ef", "gh"], TfidfConfig(n_min=2, n_max=3, max_features=5)),
+        (MIXED, TfidfConfig(n_min=1, n_max=3, min_df=2)),
+        (MIXED, TfidfConfig(n_min=2, n_max=5, max_features=7)),
+        (["", "  ", "\t\n", "a b"], TfidfConfig(n_min=2, n_max=4)),
+        (["", " ", "\n"], TfidfConfig()),              # no grams at all
+        (["ab", "cd"], TfidfConfig(n_min=3, n_max=3, min_df=2)),  # none kept
+        (MIXED, TfidfConfig(n_min=4, n_max=6)),        # words shorter than n_min
+        (MIXED, TfidfConfig(max_features=0)),
+        (MIXED, TfidfConfig(n_min=2, n_max=3, max_features=-4)),
+    ])
+    def test_vocabulary_and_idf(self, corpus, config):
+        vocabulary, idf = reference_fit(corpus, config)
+        model = fit_tfidf(corpus, config)
+        assert model.vocabulary == vocabulary
+        assert model.idf.dtype == np.float64
+        assert model.idf.tobytes() == idf.tobytes()
+
+    def test_more_than_one_chunk_of_documents(self):
+        rng = np.random.default_rng(11)
+        pool = ("the cat sat on mat café naïve über aaa bb it's dog's "
+                "life, 日本 привет 😀 zz qq a").split()
+        corpus = [" ".join(rng.choice(pool, size=rng.integers(0, 12)))
+                  for _ in range(3 * CHUNK_ROWS + 5)]
+        for config in (TfidfConfig(n_min=2, n_max=4),
+                       TfidfConfig(n_min=1, n_max=5, max_features=40, min_df=3)):
+            vocabulary, idf = reference_fit(corpus, config)
+            model = fit_tfidf(corpus, config)
+            assert model.vocabulary == vocabulary
+            assert model.idf.tobytes() == idf.tobytes()
+
+    def test_primed_model_transforms_like_a_fresh_one(self):
+        corpus = self.MIXED * 20 + ["a new word", "zzz café"]
+        texts = corpus + ["unseen words here", "", "the cat"]
+        for config in (TfidfConfig(n_min=2, n_max=4, max_features=15),
+                       TfidfConfig(n_min=1, n_max=3, min_df=2)):
+            primed = fit_tfidf(corpus, config)
+            fresh = TfidfModel(vocabulary=dict(primed.vocabulary),
+                               idf=primed.idf.copy(), config=config)
+            assert fresh._word_columns == {}
+            assert set(primed._word_columns) == {w for d in corpus for w in d.split()}
+            got, want = transform(primed, texts), transform(fresh, texts)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for word, cols in primed._word_columns.items():
+                assert np.array_equal(cols, fresh._word_columns[word]), word
+
+    def test_rejects_single_string(self):
+        with pytest.raises(TypeError):
+            fit_tfidf("abc")
+
+    def test_rejects_bad_ngram_range_without_any_word(self):
+        with pytest.raises(ValueError, match="invalid n-gram range"):
+            fit_tfidf(["", " "], TfidfConfig(n_min=3, n_max=2))
 
 
 class TestTransform:

@@ -2,12 +2,35 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sevrank import textproc
 from sevrank.textproc import (
     PreprocessConfig,
     char_wb_ngrams,
     porter_stem,
     preprocess,
+)
+
+
+def preprocess_whole_text(text):
+    """Reference: the contraction regex run over the whole text, then the
+    remaining default steps."""
+    table, pattern = textproc._load_contractions()
+    out = textproc._URL_RE.sub("", text)
+    out = pattern.sub(lambda m: table.get(m.group(0).lower(), m.group(0)), out)
+    return " ".join(out.lower().split())
+
+
+_KEYS = sorted(textproc._load_contractions()[0])
+_PIECES = st.one_of(
+    st.sampled_from(_KEYS),
+    st.sampled_from(_KEYS).map(str.upper),
+    st.sampled_from(["'", "’", "ſ", "İ", "K", "_", "3", "é", "😀"]),
+    st.sampled_from(list(".,!?-\"*")),
+    st.sampled_from([" ", "\t", "\n", "\u00a0"]),
+    st.text(alphabet="abdehilnostvw", min_size=1, max_size=3),
 )
 
 
@@ -46,6 +69,27 @@ class TestPreprocess:
         config = PreprocessConfig(lowercase=False, strip_urls=False,
                                   expand_contractions=False)
         assert preprocess("Don't visit www.x.y", config) == "Don't visit www.x.y"
+
+    def test_case_folding_letters(self):
+        # the regex matches each case-insensitively; a match whose lowercased
+        # form is no table key ("ſ".lower() is not "s") stays as it is
+        assert preprocess("ſhe'd go") == "ſhe'd go"
+        assert preprocess("iſn't it") == "iſn't it"
+        assert preprocess("İsn't it") == "i̇sn't it"
+        assert preprocess("O'CLOC\u212a") == preprocess("o'clock") != "o'clock"
+
+    def test_contraction_at_apostrophe_run_edges(self):
+        assert preprocess("'cause (can't) x'can't don't'") == (
+            "because (cannot) x'cannot do not'")
+
+    def test_every_contraction_key_is_an_apostrophe_run(self):
+        # the apostrophe-run fast path relies on this
+        assert all(textproc._APOSTROPHE_RUN_RE.fullmatch(k) for k in _KEYS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    def test_matches_the_regex_over_the_whole_text(self, text):
+        assert preprocess(text) == preprocess_whole_text(text)
 
     def test_idempotent_on_random_strings(self):
         rng = random.Random(42)
