@@ -22,70 +22,39 @@ Quick start::
 
 The `sevrank` console script exposes the same pipelines as subcommands
 (transform, train, score, evaluate, ensemble, search, explain).
+
+Importing the package loads none of its submodules.  The names in
+`__all__` are re-exported lazily (PEP 562): `sevrank.lime_explain`
+imports `sevrank.explain` on first access, so `import sevrank` and the
+numpy-free modules (`corpus`, `evaluate`, `textproc`) start without
+numpy.
 """
 
-from .corpus import (
-    Comment,
-    DavidsonCounts,
-    JtcLabels,
-    LabeledExample,
-    PairJudgment,
-    load_comments,
-    load_pairs,
-    transform_davidson,
-    transform_founta,
-    transform_jtc,
-    transform_ruddit,
-    transform_unintended,
-)
-from .ensemble import EnsembleWeights, ScoreMatrix, blend, fit_weights
-from .evaluate import EvalReport, RankedError, pairwise_accuracy, rank_errors
-from .explain import ExplainConfig, Explanation, lime_explain
-from .features import CsrBatch, TfidfConfig, TfidfModel, fit_tfidf, transform
-from .optim import LbfgsConfig, OptimResult, check_gradient, lbfgs_minimize
-from .regress import RidgeModel, fit_ridge, predict
-from .textproc import PreprocessConfig, char_wb_ngrams, porter_stem, preprocess
+from importlib import import_module
+
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "corpus": ("Comment", "DavidsonCounts", "JtcLabels", "LabeledExample",
+               "PairJudgment", "load_comments", "load_pairs",
+               "transform_davidson", "transform_founta", "transform_jtc",
+               "transform_ruddit", "transform_unintended"),
+    "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),
+    "evaluate": ("EvalReport", "RankedError", "pairwise_accuracy", "rank_errors"),
+    "explain": ("ExplainConfig", "Explanation", "lime_explain"),
+    "features": ("CsrBatch", "TfidfConfig", "TfidfModel", "fit_tfidf", "transform"),
+    "optim": ("LbfgsConfig", "OptimResult", "check_gradient", "lbfgs_minimize"),
+    "regress": ("RidgeModel", "fit_ridge", "predict"),
+    "textproc": ("PreprocessConfig", "char_wb_ngrams", "porter_stem", "preprocess"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Comment",
-    "CsrBatch",
-    "DavidsonCounts",
-    "EnsembleWeights",
-    "EvalReport",
-    "ExplainConfig",
-    "Explanation",
-    "JtcLabels",
-    "LabeledExample",
-    "LbfgsConfig",
-    "OptimResult",
-    "PairJudgment",
-    "PreprocessConfig",
-    "RankedError",
-    "RidgeModel",
-    "ScoreMatrix",
-    "TfidfConfig",
-    "TfidfModel",
-    "blend",
-    "char_wb_ngrams",
-    "check_gradient",
-    "fit_ridge",
-    "fit_tfidf",
-    "fit_weights",
-    "lbfgs_minimize",
-    "lime_explain",
-    "load_comments",
-    "load_pairs",
-    "pairwise_accuracy",
-    "porter_stem",
-    "predict",
-    "preprocess",
-    "rank_errors",
-    "transform",
-    "transform_davidson",
-    "transform_founta",
-    "transform_jtc",
-    "transform_ruddit",
-    "transform_unintended",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its submodule, importing that on use."""
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)

@@ -4,6 +4,13 @@ Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
 outputs.  Every command that scores text goes through `score_texts`.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
+
+Commands import on use.  This module loads only the standard library and
+the numpy-free modules (`corpus`, `evaluate`, `textproc`); a command or
+helper that needs numpy imports it, with `features`, `regress`,
+`ensemble`, `explain` or `optim`, at the top of its body.  So `transform`
+and `evaluate --scores` never import numpy, and each process pays only
+for the modules its command runs.
 """
 
 from __future__ import annotations
@@ -14,13 +21,15 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from . import corpus, ensemble, evaluate, explain, features, regress
-from .optim import LbfgsConfig
+from . import corpus, evaluate
 from .textproc import PreprocessConfig, preprocess
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import features, regress
 
 _KIND_LOADERS = {
     "ruddit": corpus.load_ruddit,
@@ -32,6 +41,10 @@ _KIND_LOADERS = {
 
 _SEARCH_NGRAM_RANGES = ((2, 4), (3, 5), (3, 6))
 _SEARCH_MAX_FEATURES = (10000, 30000, 50000)
+
+# `ensemble --mode` choices; tests pin them to ensemble.NORMALIZATION_MODES
+# (kept apart so that building the parser does not import numpy).
+_BLEND_MODES = ("none", "minmax", "zscore", "rank")
 
 
 def write_scores_csv(path: str | Path, scores: Iterable[tuple[str, float]]) -> None:
@@ -107,6 +120,17 @@ def _preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stem", action="store_true",
                         help="apply Porter stemming during preprocessing")
@@ -116,6 +140,8 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_models(prefix: str) -> tuple[features.TfidfModel, regress.RidgeModel]:
+    from . import features, regress
+
     tfidf = features.load_tfidf(f"{prefix}.tfidf")
     ridge = regress.load_ridge(f"{prefix}.ridge")
     if tfidf.dim != len(ridge.weights):
@@ -138,6 +164,10 @@ def score_texts(
     preprocessed pass pp=None) and scored once, features.CHUNK_ROWS texts
     at a time, so no matrix of the whole input is ever held.
     """
+    import numpy as np
+
+    from . import features, regress
+
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     distinct = list(slot)
     if pp is not None:
@@ -171,10 +201,34 @@ def _train_on(
     max_iter: int,
 ) -> tuple[features.TfidfModel, regress.RidgeModel, features.CsrBatch]:
     """Fit the vectorizer and the regressor on preprocessed texts."""
+    from . import features, regress
+
     tfidf = features.fit_tfidf(texts, tfidf_config)
     X = features.transform(tfidf, texts)
     ridge = regress.fit_ridge(X, y, alpha=alpha, tol=tol, max_iter=max_iter)
     return tfidf, ridge, X
+
+
+def score_histogram(scores: Iterable[float]) -> tuple[list[int], list[float]]:
+    """Counts in ten equal bins over [0, 1], and the eleven bin edges.
+
+    Equal to np.histogram(scores, bins=10, range=(0.0, 1.0)), by numpy's
+    rule for equal bins: values outside [0, 1] (and NaN) are left out,
+    the last bin is closed, and a value goes to bin int(10 * v) moved one
+    down or up if rounding put it on the wrong side of an edge.
+    """
+    edges = [i * 0.1 for i in range(10)] + [1.0]
+    counts = [0] * 10
+    for v in scores:
+        if not 0.0 <= v <= 1.0:
+            continue
+        k = min(int(v * 10), 9)
+        if v < edges[k]:
+            k -= 1
+        elif k != 9 and v >= edges[k + 1]:
+            k += 1
+        counts[k] += 1
+    return counts, edges
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +241,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     scores = [ex.score for ex in examples]
     print(f"rows: {len(examples)}")
     print("score histogram:")
-    counts, edges = np.histogram(scores, bins=10, range=(0.0, 1.0))
+    counts, edges = score_histogram(scores)
     for i, count in enumerate(counts):
         closer = "]" if i == 9 else ")"
         print(f"  [{edges[i]:.1f}, {edges[i + 1]:.1f}{closer}: {count}")
@@ -195,6 +249,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # Import order moves this call's peak RSS by a few MB (glibc keeps freed
+    # heap); of the orders measured, regress first kept it lowest.
+    from . import regress
+    from . import features
+
     examples = corpus.load_labeled(args.labeled)
     if not examples:
         raise ValueError(f"{args.labeled}: no training examples")
@@ -250,6 +309,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    from . import ensemble
+    from .optim import LbfgsConfig
+
     matrix = ensemble.load_score_matrix(args.matrix)
     pairs = corpus.load_pairs(args.pairs)
     weights = ensemble.fit_weights(
@@ -265,6 +327,10 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import features
+
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     examples = corpus.load_labeled(args.labeled)
@@ -301,6 +367,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    import numpy as np
+
+    from . import explain
+
     if not args.text.strip():
         parser.error("--text must be non-empty")
     if args.model_prefix:
@@ -365,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="writes <prefix>.tfidf and <prefix>.ridge")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--max-features", type=int, default=30000)
-    p.add_argument("--min-df", type=int, default=1)
+    p.add_argument("--max-features", type=_positive_int, default=30000)
+    p.add_argument("--min-df", type=_positive_int, default=1)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=1000)
@@ -400,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True,
                    help="score matrix CSV (comment_id,<model>,...)")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--mode", default="minmax", choices=list(ensemble.NORMALIZATION_MODES))
+    p.add_argument("--mode", default="minmax", choices=_BLEND_MODES)
     p.add_argument("--temperature", type=float, default=0.1)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--out-weights", required=True)

@@ -84,15 +84,14 @@ class EnsembleWeights:
 def _average_ranks(column: np.ndarray) -> np.ndarray:
     """Zero-based ranks with ties sharing their average rank."""
     order = np.argsort(column, kind="stable")
-    ranks = np.empty(len(column))
     sorted_vals = column[order]
-    i = 0
-    while i < len(column):
-        j = i
-        while j + 1 < len(column) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0
-        i = j + 1
+    # equal values at sorted positions i..j share the rank (i + j) / 2
+    starts = np.flatnonzero(
+        np.r_[len(column) > 0, np.not_equal(sorted_vals[1:], sorted_vals[:-1])])
+    sizes = np.diff(np.r_[starts, len(column)])
+    ends = starts + sizes - 1
+    ranks = np.empty(len(column))
+    ranks[order] = np.repeat((starts + ends) / 2.0, sizes)
     return ranks
 
 

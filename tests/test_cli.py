@@ -1,9 +1,16 @@
+import ast
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sevrank
 from sevrank import cli, features, regress
 from sevrank.textproc import PreprocessConfig, preprocess
 
@@ -277,3 +284,158 @@ class TestScoresCsv:
                            [("a", "0.5"), ("b", "high")])
         with pytest.raises(ValueError, match="row 3"):
             cli.read_scores_csv(scores)
+
+
+class TestTrainFlags:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-features", "-3", "must be >= 1, got -3"),
+        ("--max-features", "0", "must be >= 1, got 0"),
+        ("--min-df", "-1", "must be >= 1, got -1"),
+        ("--min-df", "0", "must be >= 1, got 0"),
+        ("--min-df", "two", "invalid int value: 'two'"),
+    ])
+    def test_value_below_one_is_a_usage_error(self, files, capsys, tmp_path,
+                                               flag, value, message):
+        prefix = tmp_path / "model"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--labeled", str(files["labeled"]),
+                      "--out-prefix", str(prefix), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_is_accepted(self, files, capsys, tmp_path):
+        prefix = tmp_path / "model"
+        code, out, err = run(capsys, "train", "--labeled", files["labeled"],
+                             "--out-prefix", prefix, "--max-features", "1",
+                             "--min-df", "1")
+        assert code == 0, err
+        assert len((tmp_path / "model.tfidf").read_text().splitlines()) == 3
+
+
+RUDDIT = [("r0", "calm words", "-1"), ("r1", 'a "quoted", text', "-0.8"),
+          ("r2", "you idiot", "-0.4"), ("r3", "plain", "0"),
+          ("r4", "rude words", "0.6"), ("r5", "really rude", "0.98"),
+          ("r6", "worst", "1"), ("r7", "nearly calm", "-0.9")]
+
+
+class TestTransform:
+    def test_golden_stdout_and_labeled_csv(self, capsys, tmp_path):
+        raw = write_csv(tmp_path / "ruddit.csv", ["comment_id", "text", "score"], RUDDIT)
+        out = tmp_path / "labeled.csv"
+        code, stdout, err = run(capsys, "transform", "--kind", "ruddit",
+                                "--in", raw, "--out", out)
+        assert (code, err) == (0, "")
+        # (-0.8 + 1) / 2 falls just below 0.1, and 0.3 below the edge 3 * 0.1
+        assert stdout == (
+            "rows: 8\n"
+            "score histogram:\n"
+            "  [0.0, 0.1): 3\n"
+            "  [0.1, 0.2): 0\n"
+            "  [0.2, 0.3): 1\n"
+            "  [0.3, 0.4): 0\n"
+            "  [0.4, 0.5): 0\n"
+            "  [0.5, 0.6): 1\n"
+            "  [0.6, 0.7): 0\n"
+            "  [0.7, 0.8): 0\n"
+            "  [0.8, 0.9): 1\n"
+            "  [0.9, 1.0]: 2\n"
+        )
+        assert out.read_text(encoding="utf-8") == (
+            "comment_id,text,score\n"
+            "r0,calm words,0.000000\n"
+            'r1,"a ""quoted"", text",0.100000\n'
+            "r2,you idiot,0.300000\n"
+            "r3,plain,0.500000\n"
+            "r4,rude words,0.800000\n"
+            "r5,really rude,0.990000\n"
+            "r6,worst,1.000000\n"
+            "r7,nearly calm,0.050000\n"
+        )
+
+    def test_histogram_matches_numpy(self):
+        rng = np.random.default_rng(7)
+        values = rng.random(20000).tolist()
+        values += [k / 44 for k in range(45)] + [(r + 1.0) / 2.0 for r in
+                                                 np.linspace(-1.0, 1.0, 2001).tolist()]
+        for edge in np.linspace(0.0, 1.0, 11).tolist() + [i * 0.1 for i in range(11)]:
+            for direction in (-math.inf, math.inf):
+                x = edge
+                for _ in range(4):  # the edge and 3 ulps on either side
+                    values.append(x)
+                    x = math.nextafter(x, direction)
+        values += [-0.0, -1e-300, 5e-324, 1.0000000000000002, 1.5, -2.0,
+                   math.nan, math.inf, -math.inf]
+        counts, edges = cli.score_histogram(values)
+        np_counts, np_edges = np.histogram(values, bins=10, range=(0.0, 1.0))
+        assert counts == np_counts.tolist()
+        assert edges == np_edges.tolist()
+
+    def test_empty(self):
+        assert cli.score_histogram([])[0] == [0] * 10
+
+
+SRC = Path(sevrank.__file__).resolve().parents[1]
+
+
+def run_fresh(tmp_path, *argv):
+    """Run `python -m sevrank.cli ARGV` in a new interpreter; return its
+    stdout lines and the sevrank and numpy modules it had loaded."""
+    program = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('sevrank.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'sevrank')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", program, *map(str, argv)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    return lines[:-1], ast.literal_eval(lines[-1])
+
+
+# what `python -m sevrank.cli` may load besides itself (run as __main__)
+NUMPY_FREE = ["sevrank", "sevrank.corpus", "sevrank.evaluate", "sevrank.textproc"]
+
+
+class TestColdStart:
+    def test_transform_loads_no_numpy(self, tmp_path):
+        raw = write_csv(tmp_path / "ruddit.csv", ["comment_id", "text", "score"], RUDDIT)
+        out, modules = run_fresh(tmp_path, "transform", "--kind", "ruddit",
+                                 "--in", raw, "--out", tmp_path / "labeled.csv")
+        assert out[0] == "rows: 8"
+        assert modules == NUMPY_FREE
+
+    def test_evaluate_scores_loads_no_numpy(self, tmp_path):
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],
+                          [("nice", "idiot"), ("idiot", "kind")])
+        comments = write_csv(tmp_path / "comments.csv", ["comment_id", "text"],
+                             [("a", "nice"), ("b", "idiot"), ("c", "kind")])
+        scores = write_csv(tmp_path / "scores.csv", ["comment_id", "score"],
+                           [("a", "0.1"), ("b", "0.9"), ("c", "0.2")])
+        out, modules = run_fresh(tmp_path, "evaluate", "--scores", scores,
+                                 "--pairs", pairs, "--comments", comments)
+        assert json.loads(out[-1])["n_correct"] == 1
+        assert modules == NUMPY_FREE
+
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        exec("from sevrank import *", namespace)
+        for name in sevrank.__all__:
+            value = getattr(sevrank, name)
+            assert namespace[name] is value
+            assert value.__module__.startswith("sevrank.")
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            sevrank.nope
+
+    def test_blend_modes_are_the_ensemble_modes(self):
+        from sevrank import ensemble
+
+        assert cli._BLEND_MODES == ensemble.NORMALIZATION_MODES
+

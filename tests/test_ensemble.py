@@ -1,0 +1,168 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sevrank import ensemble
+from sevrank.corpus import Comment, PairJudgment
+from sevrank.optim import LbfgsConfig, check_gradient
+
+
+def loop_ranks(column):
+    """The per-run Python loop `_average_ranks` replaced, kept as the reference."""
+    order = np.argsort(column, kind="stable")
+    ranks = np.empty(len(column))
+    sorted_vals = column[order]
+    i = 0
+    while i < len(column):
+        j = i
+        while j + 1 < len(column) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most columns hold ties; -0.0 and 0.0 are equal
+VALUES = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.5]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+COLUMNS = st.lists(VALUES, max_size=60).map(lambda v: np.array(v, dtype=np.float64))
+
+
+def matrix_of(values):
+    values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
+    return ensemble.ScoreMatrix(
+        comment_ids=[f"c{i}" for i in range(values.shape[0])],
+        model_names=[f"m{k}" for k in range(values.shape[1])],
+        values=values,
+    )
+
+
+def pair(less, more):
+    return PairJudgment(Comment(less, ""), Comment(more, ""))
+
+
+class TestRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(COLUMNS)
+    def test_equal_to_the_loop_byte_for_byte(self, column):
+        assert ensemble._average_ranks(column).tobytes() == loop_ranks(column).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(VALUES, min_size=1, max_size=60))
+    def test_rank_mode_stays_in_unit_interval_and_ties_share_their_mean(self, values):
+        column = np.array(values)
+        got = ensemble.normalize_scores(matrix_of(column), "rank").values[:, 0]
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        n = len(column)
+        if n == 1:
+            assert got.tolist() == [0.5]
+            return
+        for value in set(values):
+            below = int(np.sum(column < value))
+            same = column == value
+            # the tied entries take sorted positions below .. below + count - 1
+            mean_rank = (2 * below + int(same.sum()) - 1) / 2.0
+            assert np.all(got[same] == mean_rank / (n - 1))
+
+    def test_known_ranks(self):
+        column = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
+        assert ensemble._average_ranks(column).tolist() == [3.5, 0.5, 3.5, 2.0, 0.5]
+
+    def test_empty(self):
+        assert ensemble._average_ranks(np.array([])).shape == (0,)
+
+
+class TestNormalize:
+    def test_degenerate_columns(self):
+        matrix = matrix_of([[2.0, 5.0], [2.0, 5.0], [2.0, 5.0]])
+        assert np.all(ensemble.normalize_scores(matrix, "minmax").values == 0.5)
+        assert np.all(ensemble.normalize_scores(matrix, "zscore").values == 0.0)
+        assert np.all(ensemble.normalize_scores(matrix, "rank").values == 0.5)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown normalization mode"):
+            ensemble.normalize_scores(matrix_of([1.0]), "softmax")
+
+    def test_input_is_not_modified(self):
+        matrix = matrix_of([[1.0, 4.0], [3.0, 2.0]])
+        before = matrix.values.copy()
+        for mode in ensemble.NORMALIZATION_MODES:
+            ensemble.normalize_scores(matrix, mode)
+        assert np.array_equal(matrix.values, before)
+
+
+class TestSurrogate:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(1, 4),
+        st.floats(0.1, 1.0),
+    )
+    def test_gradient_matches_central_differences(self, seed, n, k, temperature):
+        rng = np.random.default_rng(seed)
+        matrix = matrix_of(rng.random((n, k)))
+        pairs = [pair(f"c{a}", f"c{b}")
+                 for a, b in rng.integers(0, n, size=(2 * n, 2))]
+        weights = rng.normal(size=k)
+
+        def objective(w):
+            return ensemble.surrogate_loss(w, matrix, pairs, temperature)
+
+        assert check_gradient(objective, weights) < 1e-6
+
+    def test_unknown_id(self):
+        with pytest.raises(ValueError, match="'zz' not present"):
+            ensemble.surrogate_loss([1.0], matrix_of([0.1, 0.2]),
+                                    [pair("c0", "zz")], 0.1)
+
+
+class TestFitAndBlend:
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        severity = rng.random(40)
+        # m0 tracks severity, m1 is noise
+        self.matrix = matrix_of(np.column_stack([severity + 0.05 * rng.normal(size=40),
+                                                 rng.random(40)]))
+        self.pairs = []
+        for a, b in rng.integers(0, 40, size=(80, 2)):
+            if a != b:
+                less, more = (a, b) if severity[a] < severity[b] else (b, a)
+                self.pairs.append(pair(f"c{less}", f"c{more}"))
+
+    @pytest.mark.parametrize("mode", ensemble.NORMALIZATION_MODES)
+    def test_fitted_loss_at_most_the_uniform_start(self, mode):
+        weights = ensemble.fit_weights(self.matrix, self.pairs, mode=mode,
+                                       lbfgs=LbfgsConfig(max_iter=50))
+        normalized = ensemble.normalize_scores(self.matrix, mode)
+        start, _ = ensemble.surrogate_loss([0.5, 0.5], normalized, self.pairs, 0.1)
+        fitted, _ = ensemble.surrogate_loss(weights.weights, normalized, self.pairs, 0.1)
+        assert fitted <= start
+        assert weights.weights[0] > weights.weights[1]
+
+    def test_blend_is_the_weighted_sum_in_id_order(self):
+        weights = ensemble.EnsembleWeights(["m0", "m1"], [2.0, -1.0], mode="none")
+        blended = ensemble.blend(self.matrix, weights)
+        assert [cid for cid, _ in blended] == self.matrix.comment_ids
+        expected = self.matrix.values @ np.array([2.0, -1.0])
+        assert [score for _, score in blended] == expected.tolist()
+
+    def test_weights_file_round_trip(self, tmp_path):
+        weights = ensemble.fit_weights(self.matrix, self.pairs, mode="rank",
+                                       temperature=0.25)
+        ensemble.save_weights(weights, tmp_path / "w.csv")
+        loaded = ensemble.load_weights(tmp_path / "w.csv")
+        assert loaded.model_names == weights.model_names
+        assert loaded.weights.tobytes() == weights.weights.tobytes()
+        assert (loaded.mode, loaded.temperature) == ("rank", 0.25)
+
+    def test_score_matrix_file_round_trip(self, tmp_path):
+        ensemble.save_score_matrix(self.matrix, tmp_path / "m.csv")
+        loaded = ensemble.load_score_matrix(tmp_path / "m.csv")
+        assert loaded.comment_ids == self.matrix.comment_ids
+        assert loaded.values.tobytes() == self.matrix.values.tobytes()
+
+    def test_non_finite_cell_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_of([0.1, np.nan])

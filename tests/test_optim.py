@@ -1,0 +1,107 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sevrank.optim import LbfgsConfig, check_gradient, lbfgs_minimize
+
+
+def rosenbrock(x):
+    value = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    grad = np.array([
+        -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+        200.0 * (x[1] - x[0] ** 2),
+    ])
+    return value, grad
+
+
+A = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+B = np.array([1.0, -2.0, 0.5])
+
+
+def quadratic(x):
+    return 0.5 * x @ A @ x - B @ x, A @ x - B
+
+
+def logistic(x):
+    """A smooth convex objective with no closed form: sum ln(1 + e^(x_i - i)) + |x|^2 / 2."""
+    z = x - np.arange(len(x))
+    return (float(np.sum(np.logaddexp(0.0, z)) + 0.5 * x @ x),
+            1.0 / (1.0 + np.exp(-z)) + x)
+
+
+OBJECTIVES = {"rosenbrock": (rosenbrock, 2), "quadratic": (quadratic, 3),
+              "logistic": (logistic, 4)}
+
+
+class TestLbfgs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(OBJECTIVES)), st.data(), st.integers(1, 12))
+    def test_accepted_values_never_increase(self, name, data, memory):
+        f, dim = OBJECTIVES[name]
+        x0 = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=dim,
+                                         max_size=dim)))
+        seen = [f(x0)[0]]
+        result = lbfgs_minimize(f, x0, LbfgsConfig(memory=memory, max_iter=60),
+                                callback=lambda it, x, fx: seen.append(fx))
+        assert all(b <= a for a, b in zip(seen, seen[1:]))
+        assert len(seen) == result.iterations + 1
+        assert result.f_value == seen[-1]
+
+    def test_quadratic_minimum(self):
+        result = lbfgs_minimize(quadratic, np.zeros(3), LbfgsConfig(grad_tol=1e-10))
+        assert result.converged
+        assert np.allclose(result.x, np.linalg.solve(A, B), atol=1e-9)
+
+    def test_convex_minimum(self):
+        result = lbfgs_minimize(logistic, np.full(4, 3.0))
+        assert result.converged
+        assert np.max(np.abs(logistic(result.x)[1])) <= 1e-6
+        assert result.iterations < 30
+
+    def test_identical_inputs_give_identical_iterates(self):
+        runs = []
+        for _ in range(2):
+            xs = []
+            lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iter=30),
+                           callback=lambda it, x, fx: xs.append(x.tobytes()))
+            runs.append(xs)
+        assert runs[0] == runs[1]
+
+    def test_max_iter_stops_unconverged(self):
+        result = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]),
+                                LbfgsConfig(max_iter=3))
+        assert (result.iterations, result.converged) == (3, False)
+
+    def test_non_finite_objective_names_the_iteration(self):
+        def f(x):
+            return (np.nan if x[0] < 0.5 else 0.0), np.ones(1)
+
+        with pytest.raises(ValueError, match="non-finite objective or gradient "
+                                             "at iteration 0"):
+            lbfgs_minimize(f, np.zeros(1))
+
+    @pytest.mark.parametrize("field,value", [
+        ("memory", 0), ("armijo_c", 1.0), ("backtrack_factor", 0.0)])
+    def test_config_is_checked(self, field, value):
+        with pytest.raises(ValueError):
+            LbfgsConfig(**{field: value})
+
+
+class TestCheckGradient:
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_exact_gradient(self, name):
+        f, dim = OBJECTIVES[name]
+        x = np.linspace(-0.7, 0.9, dim)
+        assert check_gradient(f, x) < 1e-6
+
+    def test_wrong_gradient_is_caught(self):
+        def f(x):
+            value, grad = quadratic(x)
+            return value, grad * 1.01
+
+        assert check_gradient(f, np.array([1.0, 2.0, 3.0])) > 1e-3
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="h must be positive"):
+            check_gradient(quadratic, np.zeros(3), h=0.0)
