@@ -16,7 +16,6 @@ for the modules its command runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -49,66 +48,30 @@ _BLEND_MODES = ("none", "minmax", "zscore", "rank")
 
 def write_scores_csv(path: str | Path, scores: Iterable[tuple[str, float]]) -> None:
     """Scores CSV (comment_id,score) in the given order; repr floats."""
-    lines = ["comment_id,score"]
-    for cid, score in scores:
-        lines.append(f"{_csv_quote(cid)},{score!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _csv_quote(value: str) -> str:
-    if any(ch in value for ch in ',"\n\r'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+    corpus.write_csv(path, ("comment_id", "score"),
+                     ((cid, repr(score)) for cid, score in scores))
 
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
-    """comment_id -> score; every score must be a finite number."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["comment_id", "score"]:
-            raise ValueError(f"{path}: expected header comment_id,score")
-        out: dict[str, float] = {}
-        for record, fields in enumerate(reader, start=2):
-            if len(fields) != 2:
-                raise ValueError(f"{path}: malformed CSV row {record}")
-            if fields[0] in out:
-                raise ValueError(
-                    f"{path}: duplicate comment id {fields[0]!r} at row {record}"
-                )
-            score = _parse_score(path, record, fields[1])
-            if not math.isfinite(score):
-                raise ValueError(
-                    f"{path}: non-finite score {fields[1]!r} at row {record}"
-                )
-            out[fields[0]] = score
-    return out
-
-
-def _parse_score(path: Path, record: int, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric score {value!r} at row {record}") from None
+    """comment_id -> score; ids must be unique and scores finite numbers."""
+    columns, rows = corpus.read_csv(path, ("comment_id", "score"))
+    id_col, score_col = columns["comment_id"], columns["score"]
+    ids = [fields[id_col] for fields in rows]
+    corpus.unique_ids(path, ids)
+    return {
+        cid: corpus.number(path, record, "score", fields[score_col])
+        for record, (cid, fields) in enumerate(zip(ids, rows), start=2)
+    }
 
 
 def read_lookup_csv(path: str | Path) -> dict[str, float]:
-    """text -> score table for `explain --scores-lookup`."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["text", "score"]:
-            raise ValueError(f"{path}: expected header text,score")
-        lookup: dict[str, float] = {}
-        for record, fields in enumerate(reader, start=2):
-            if len(fields) != 2:
-                raise ValueError(f"{path}: malformed CSV row {record}")
-            lookup[fields[0]] = _parse_score(path, record, fields[1])
-    return lookup
+    """text -> score table for `explain --scores-lookup`; scores must be finite."""
+    columns, rows = corpus.read_csv(path, ("text", "score"))
+    text_col, score_col = columns["text"], columns["score"]
+    return {
+        fields[text_col]: corpus.number(path, record, "score", fields[score_col])
+        for record, fields in enumerate(rows, start=2)
+    }
 
 
 def _preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
@@ -129,6 +92,24 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def _non_blank(text: str) -> str:
+    """argparse type: a string holding a non-whitespace character."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return text
 
 
 def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
@@ -331,8 +312,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     from . import features
 
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     examples = corpus.load_labeled(args.labeled)
     if not examples:
         raise ValueError(f"{args.labeled}: no training examples")
@@ -366,13 +345,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_explain(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_explain(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import explain
 
-    if not args.text.strip():
-        parser.error("--text must be non-empty")
     if args.model_prefix:
         tfidf, ridge = _load_models(args.model_prefix)
         pp = _preprocess_config(args)
@@ -438,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-features", type=_positive_int, default=30000)
     p.add_argument("--min-df", type=_positive_int, default=1)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--max-iter", type=_positive_int, default=1000)
     _add_preprocess_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -472,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--mode", default="minmax", choices=_BLEND_MODES)
     p.add_argument("--temperature", type=float, default=0.1)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=_positive_int, default=200)
     p.add_argument("--out-weights", required=True)
     p.add_argument("--out-blend", required=True)
     p.set_defaults(func=cmd_ensemble)
@@ -480,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="random hyperparameter search for the pipeline")
     p.add_argument("--labeled", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     _add_preprocess_flags(p)
     seed_flag(p)
     p.set_defaults(func=cmd_search)
@@ -490,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model-prefix")
     src.add_argument("--scores-lookup",
                      help="CSV text,score mapping every masked variant to a score")
-    p.add_argument("--text", required=True)
+    p.add_argument("--text", type=_non_blank, required=True)
     p.add_argument("--num-samples", type=int, default=1000)
     p.add_argument("--num-features", type=int, default=10)
     p.add_argument("--kernel-width", type=float, default=None)
@@ -498,20 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--html-out")
     _add_preprocess_flags(p)
     seed_flag(p)
-    p.set_defaults(func=cmd_explain, needs_parser=True)
+    p.set_defaults(func=cmd_explain)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
         return args.func(args)
-    except SystemExit:
-        raise
     except (OSError, ValueError, KeyError) as exc:
         print(f"sevrank: error: {exc}", file=sys.stderr)
         return 1

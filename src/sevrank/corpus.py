@@ -10,6 +10,8 @@ more toxic, so the datasets can train one regressor.
 from __future__ import annotations
 
 import csv
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -196,17 +198,34 @@ def transform_founta(label: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV loading
+# CSV files
 # ---------------------------------------------------------------------------
 #
-# All files are UTF-8, RFC-4180 quoted CSV (LF or CRLF).  Row numbers in
-# diagnostics count CSV records, with the header as row 1, so the first
-# data record is row 2; quoted fields may span physical lines without
-# affecting the count.
+# Every CSV file the program reads or writes goes through `read_csv`,
+# `csv_line`/`write_csv`, `number` and `unique_ids`.  The dialect:
+#   - UTF-8 text; records are written with LF endings, and LF or CRLF
+#     endings are read;
+#   - a field holding a comma, a double quote, CR or LF is written inside
+#     double quotes with each inner quote doubled, so a quoted field may
+#     span physical lines; every other field is written as it is;
+#   - columns are looked up by header name, a name may appear only once,
+#     extra columns are allowed, and every record has as many fields as
+#     the header;
+#   - a number field must parse and be finite (no NaN, no infinity);
+#   - row numbers in diagnostics count CSV records with the header as
+#     row 1, so the first data record is row 2 whatever lines its quoted
+#     fields span.
+# The helpers stay out of `__all__`: they are the file format, not the
+# corpus API.
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
-    """Read a CSV, check required header columns, return (column index map, rows)."""
+def read_csv(path: str | Path, required: Sequence[str]) -> tuple[dict[str, int], list[list[str]]]:
+    """Read a CSV and check its header; return (column index by name, data rows).
+
+    The data row at list index i is row i + 2.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
@@ -217,18 +236,57 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> tuple[dict[str, int
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a CSV header") from None
         columns = {name: i for i, name in enumerate(header)}
+        if len(columns) != len(header):
+            repeated = next(name for name in header if header.count(name) > 1)
+            raise ValueError(f"{path}: column {repeated!r} appears twice in the header")
         for name in required:
             if name not in columns:
                 raise ValueError(f"{path}: missing required column {name!r}")
-        rows = []
-        for record, fields in enumerate(reader, start=2):
-            if len(fields) != len(header):
-                raise ValueError(
-                    f"{path}: malformed CSV row {record}: expected "
-                    f"{len(header)} fields, found {len(fields)}"
-                )
-            rows.append((record, fields))
+        rows = list(reader)
+    for record, fields in enumerate(rows, start=2):
+        if len(fields) != len(header):
+            raise ValueError(
+                f"{path}: malformed CSV row {record}: expected "
+                f"{len(header)} fields, found {len(fields)}"
+            )
     return columns, rows
+
+
+def csv_line(fields: Iterable[str]) -> str:
+    """One LF-terminated CSV record, each field quoted only where it must be."""
+    return ",".join(
+        '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
+        for field in fields
+    ) + "\n"
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of string fields as CSV records."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_line(header))
+        fh.writelines(map(csv_line, rows))
+
+
+def number(path: str | Path, record: int, name: str, text: str, kind: type = float) -> float:
+    """Field `name` of row `record` as a finite `kind` (float or int)."""
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "non-integer" if kind is int else "non-numeric"
+        raise ValueError(f"{path}: {what} {name} {text!r} at row {record}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: non-finite {name} {text!r} at row {record}")
+    return value
+
+
+def unique_ids(path: str | Path, ids: Sequence[str]) -> None:
+    """Reject an id column (ids[i] is row i + 2) that repeats an id, naming its row."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for record, cid in enumerate(ids, start=2):
+            if cid in seen:
+                raise ValueError(f"{path}: duplicate comment id {cid!r} at row {record}")
+            seen.add(cid)
 
 
 def _pick(columns: dict[str, int], *names: str) -> int | None:
@@ -244,17 +302,10 @@ def load_comments(path: str | Path) -> list[Comment]:
     Text is taken verbatim, including embedded newlines inside quoted
     fields.  Duplicate ids abort with the offending row number.
     """
-    columns, rows = _read_rows(path, ("comment_id", "text"))
+    columns, rows = read_csv(path, ("comment_id", "text"))
     id_col, text_col = columns["comment_id"], columns["text"]
-    seen: set[str] = set()
-    comments = []
-    for record, fields in rows:
-        cid = fields[id_col]
-        if cid in seen:
-            raise ValueError(f"{path}: duplicate comment id {cid!r} at row {record}")
-        seen.add(cid)
-        comments.append(Comment(id=cid, text=fields[text_col]))
-    return comments
+    unique_ids(path, [fields[id_col] for fields in rows])
+    return [Comment(id=fields[id_col], text=fields[text_col]) for fields in rows]
 
 
 def load_pairs(path: str | Path) -> list[PairJudgment]:
@@ -263,10 +314,10 @@ def load_pairs(path: str | Path) -> list[PairJudgment]:
     Synthetic ids p<row>_l / p<row>_m are assigned from the CSV row number
     (header is row 1), so reloading the same file reproduces them exactly.
     """
-    columns, rows = _read_rows(path, ("less_toxic", "more_toxic"))
+    columns, rows = read_csv(path, ("less_toxic", "more_toxic"))
     less_col, more_col = columns["less_toxic"], columns["more_toxic"]
     pairs = []
-    for record, fields in rows:
+    for record, fields in enumerate(rows, start=2):
         pairs.append(
             PairJudgment(
                 less_toxic=Comment(id=f"p{record}_l", text=fields[less_col]),
@@ -312,61 +363,32 @@ def resolve_pairs_to_ids(
 
 def save_labeled(path: str | Path, examples: Iterable[LabeledExample]) -> None:
     """Write a labeled CSV (comment_id, text, score), score at 6 decimals."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["comment_id", "text", "score"])
-        for ex in examples:
-            writer.writerow([ex.comment.id, ex.comment.text, f"{ex.score:.6f}"])
+    write_csv(path, ("comment_id", "text", "score"), (
+        (ex.comment.id, ex.comment.text, f"{ex.score:.6f}") for ex in examples))
 
 
 def load_labeled(path: str | Path, source: str | None = None) -> list[LabeledExample]:
     """Read a labeled CSV back (columns comment_id, text, score)."""
-    columns, rows = _read_rows(path, ("comment_id", "text", "score"))
+    columns, rows = read_csv(path, ("comment_id", "text", "score"))
     id_col, text_col = columns["comment_id"], columns["text"]
     score_col = columns["score"]
     name = source if source is not None else Path(path).stem
-    out = []
-    for record, fields in rows:
-        try:
-            score = float(fields[score_col])
-        except ValueError:
-            raise ValueError(
-                f"{path}: non-numeric score at row {record}"
-            ) from None
-        out.append(
-            LabeledExample(
-                comment=Comment(id=fields[id_col], text=fields[text_col]),
-                score=score,
-                source=name,
-            )
+    return [
+        LabeledExample(
+            comment=Comment(id=fields[id_col], text=fields[text_col]),
+            score=number(path, record, "score", fields[score_col]),
+            source=name,
         )
-    return out
-
-
-def _int_field(path: str | Path, record: int, name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"{path}: non-integer {name} value {value!r} at row {record}"
-        ) from None
-
-
-def _float_field(path: str | Path, record: int, name: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(
-            f"{path}: non-numeric {name} value {value!r} at row {record}"
-        ) from None
+        for record, fields in enumerate(rows, start=2)
+    ]
 
 
 def load_ruddit(path: str | Path) -> list[LabeledExample]:
     """Ruddit-style file: comment_id, text, score with score in [-1, 1]."""
-    columns, rows = _read_rows(path, ("comment_id", "text", "score"))
+    columns, rows = read_csv(path, ("comment_id", "text", "score"))
     out = []
-    for record, fields in rows:
-        raw = _float_field(path, record, "score", fields[columns["score"]])
+    for record, fields in enumerate(rows, start=2):
+        raw = number(path, record, "score", fields[columns["score"]])
         out.append(
             LabeledExample(
                 comment=Comment(fields[columns["comment_id"]], fields[columns["text"]]),
@@ -387,15 +409,15 @@ def load_jtc(path: str | Path) -> list[LabeledExample]:
     six binary flags toxic, severe_toxic, obscene, threat, insult,
     identity_hate.
     """
-    columns, rows = _read_rows(path, _JTC_FLAGS)
+    columns, rows = read_csv(path, _JTC_FLAGS)
     id_col = _pick(columns, "id", "comment_id")
     text_col = _pick(columns, "comment_text", "text")
     if id_col is None or text_col is None:
         raise ValueError(f"{path}: missing id/comment_text columns")
     out = []
-    for record, fields in rows:
+    for record, fields in enumerate(rows, start=2):
         flags = {
-            name: _int_field(path, record, name, fields[columns[name]])
+            name: number(path, record, name, fields[columns[name]], int)
             for name in _JTC_FLAGS
         }
         out.append(
@@ -416,37 +438,24 @@ def load_unintended(path: str | Path) -> list[LabeledExample]:
     identity_attack.  Any sexually_explicit column is ignored.
     """
     required = ("severe_toxicity", "obscene", "threat", "insult", "identity_attack")
-    columns, rows = _read_rows(path, required)
+    columns, rows = read_csv(path, required)
     id_col = _pick(columns, "id", "comment_id")
     text_col = _pick(columns, "comment_text", "text")
-    tox_col = _pick(columns, "target", "toxicity")
-    if id_col is None or text_col is None or tox_col is None:
+    toxicity = next((name for name in ("target", "toxicity") if name in columns), None)
+    if id_col is None or text_col is None or toxicity is None:
         raise ValueError(f"{path}: missing id/comment_text/target columns")
+    # transform_unintended keyword -> column name
+    attrs = {"toxicity": toxicity, **{name: name for name in required}}
     out = []
-    for record, fields in rows:
+    for record, fields in enumerate(rows, start=2):
+        values = {
+            key: number(path, record, name, fields[columns[name]])
+            for key, name in attrs.items()
+        }
         out.append(
             LabeledExample(
                 comment=Comment(fields[id_col], fields[text_col]),
-                score=transform_unintended(
-                    toxicity=_float_field(path, record, "target", fields[tox_col]),
-                    severe_toxicity=_float_field(
-                        path, record, "severe_toxicity",
-                        fields[columns["severe_toxicity"]],
-                    ),
-                    obscene=_float_field(
-                        path, record, "obscene", fields[columns["obscene"]]
-                    ),
-                    threat=_float_field(
-                        path, record, "threat", fields[columns["threat"]]
-                    ),
-                    insult=_float_field(
-                        path, record, "insult", fields[columns["insult"]]
-                    ),
-                    identity_attack=_float_field(
-                        path, record, "identity_attack",
-                        fields[columns["identity_attack"]],
-                    ),
-                ),
+                score=transform_unintended(**values),
                 source="unintended",
             )
         )
@@ -457,21 +466,16 @@ def load_davidson(path: str | Path) -> list[LabeledExample]:
     """Coder-count file: columns hate_speech, offensive_language, neither,
     text (or tweet), and optionally comment_id/id (row number otherwise)."""
     required = ("hate_speech", "offensive_language", "neither")
-    columns, rows = _read_rows(path, required)
+    columns, rows = read_csv(path, required)
     text_col = _pick(columns, "text", "tweet")
     if text_col is None:
         raise ValueError(f"{path}: missing text/tweet column")
     id_col = _pick(columns, "comment_id", "id")
     out = []
-    for record, fields in rows:
-        counts = DavidsonCounts(
-            hate=_int_field(path, record, "hate_speech", fields[columns["hate_speech"]]),
-            offensive=_int_field(
-                path, record, "offensive_language",
-                fields[columns["offensive_language"]],
-            ),
-            neither=_int_field(path, record, "neither", fields[columns["neither"]]),
-        )
+    for record, fields in enumerate(rows, start=2):
+        counts = DavidsonCounts(*(
+            number(path, record, name, fields[columns[name]], int) for name in required
+        ))
         cid = fields[id_col] if id_col is not None else str(record - 1)
         out.append(
             LabeledExample(
@@ -485,11 +489,11 @@ def load_davidson(path: str | Path) -> list[LabeledExample]:
 
 def load_founta(path: str | Path) -> list[LabeledExample]:
     """Ordinal-label file: columns comment_id (or id), text, label in {0,1,2}."""
-    columns, rows = _read_rows(path, ("text", "label"))
+    columns, rows = read_csv(path, ("text", "label"))
     id_col = _pick(columns, "comment_id", "id")
     out = []
-    for record, fields in rows:
-        label = _int_field(path, record, "label", fields[columns["label"]])
+    for record, fields in enumerate(rows, start=2):
+        label = number(path, record, "label", fields[columns["label"]], int)
         cid = fields[id_col] if id_col is not None else str(record - 1)
         out.append(
             LabeledExample(

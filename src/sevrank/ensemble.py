@@ -12,14 +12,13 @@ accuracy metric, never the surrogate.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import PairJudgment
+from .corpus import PairJudgment, csv_line, number, read_csv, unique_ids
 from .optim import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "fit_weights",
     "blend",
     "load_score_matrix",
-    "save_score_matrix",
-    "load_weights",
     "save_weights",
 ]
 
@@ -237,79 +234,45 @@ def blend(
 # File formats
 # ---------------------------------------------------------------------------
 
-def save_score_matrix(matrix: ScoreMatrix, path: str | Path) -> None:
-    """CSV with header comment_id,<model_1>,...,<model_k>."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["comment_id", *matrix.model_names])
-        for cid, row in zip(matrix.comment_ids, matrix.values):
-            writer.writerow([cid, *[repr(v) for v in row.tolist()]])
-
-
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty score matrix file") from None
-        if not header or header[0] != "comment_id":
-            raise ValueError(f"{path}: first column must be comment_id")
-        model_names = header[1:]
-        if not model_names:
-            raise ValueError(f"{path}: no model columns")
-        ids = []
-        rows = []
-        for record, fields in enumerate(reader, start=2):
-            if len(fields) != len(header):
-                raise ValueError(
-                    f"{path}: malformed CSV row {record}: expected "
-                    f"{len(header)} fields, found {len(fields)}"
-                )
-            ids.append(fields[0])
-            try:
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric score at row {record}"
-                ) from None
+    """Read a score matrix CSV: header comment_id,<model_1>,...,<model_k>.
+
+    Every cell must be a finite number and every id unique; a bad cell or
+    a repeated id is named with its row.
+    """
+    columns, rows = read_csv(path, ("comment_id",))
+    header = list(columns)
+    if header[0] != "comment_id":
+        raise ValueError(f"{path}: first column must be comment_id")
+    model_names = header[1:]
+    if not model_names:
+        raise ValueError(f"{path}: no model columns")
+    if not rows:
+        raise ValueError(f"{path}: no score rows")
+    ids = [fields[0] for fields in rows]
+    unique_ids(path, ids)
+    try:
+        values = np.array([float(v) for fields in rows for v in fields[1:]])
+        bad = not np.all(np.isfinite(values))
+    except ValueError:
+        bad = True
+    if bad:  # walk the rows again to name the first bad cell
+        for record, fields in enumerate(rows, start=2):
+            for name, text in zip(model_names, fields[1:]):
+                number(path, record, name, text)
     return ScoreMatrix(
         comment_ids=ids,
         model_names=model_names,
-        values=np.array(rows, dtype=np.float64).reshape(len(ids), len(model_names)),
+        values=values.reshape(len(ids), len(model_names)),
     )
 
 
 def save_weights(weights: EnsembleWeights, path: str | Path) -> None:
     """CSV model,weight with a leading #mode=...,temperature=... line."""
-    lines = [f"#mode={weights.mode},temperature={weights.temperature!r}"]
-    lines.append("model,weight")
-    for name, w in zip(weights.model_names, weights.weights.tolist()):
-        lines.append(f"{name},{w!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_weights(path: str | Path) -> EnsembleWeights:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("#mode="):
-        raise ValueError(f"{path}: missing #mode metadata line")
-    meta = dict(part.split("=", 1) for part in lines[0][1:].split(","))
-    if lines[1] != "model,weight":
-        raise ValueError(f"{path}: missing model,weight header")
-    names = []
-    values = []
-    for line in lines[2:]:
-        if not line:
-            continue
-        name, value = line.split(",", 1)
-        names.append(name)
-        values.append(float(value))
-    return EnsembleWeights(
-        model_names=names,
-        weights=np.array(values),
-        mode=meta["mode"],
-        temperature=float(meta["temperature"]),
+    Path(path).write_text(
+        f"#mode={weights.mode},temperature={weights.temperature!r}\n"
+        + csv_line(("model", "weight"))
+        + "".join(csv_line((name, repr(w)))
+                  for name, w in zip(weights.model_names, weights.weights.tolist())),
+        encoding="utf-8",
     )

@@ -8,13 +8,12 @@ were misordered, which is the entry point for manual error audits.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import PairJudgment
+from .corpus import PairJudgment, write_csv
 
 __all__ = [
     "EvalReport",
@@ -122,19 +121,12 @@ def report_json(report: EvalReport) -> str:
 
 def write_errors_csv(path: str | Path, errors: Sequence[RankedError]) -> None:
     """Ranked-error listing: rank,less_text,more_text,score_less,score_more,margin."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["rank", "less_text", "more_text", "score_less", "score_more", "margin"]
-        )
-        for rank, err in enumerate(errors, start=1):
-            writer.writerow(
-                [
-                    rank,
-                    err.pair.less_toxic.text,
-                    err.pair.more_toxic.text,
-                    repr(err.score_less),
-                    repr(err.score_more),
-                    repr(err.margin),
-                ]
-            )
+    write_csv(
+        path,
+        ("rank", "less_text", "more_text", "score_less", "score_more", "margin"),
+        (
+            (str(rank), err.pair.less_toxic.text, err.pair.more_toxic.text,
+             repr(err.score_less), repr(err.score_more), repr(err.margin))
+            for rank, err in enumerate(errors, start=1)
+        ),
+    )

@@ -15,10 +15,11 @@ as running it over the whole text.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from importlib import resources
+
+from .corpus import read_csv
 
 __all__ = [
     "PreprocessConfig",
@@ -57,13 +58,11 @@ _contraction_re: re.Pattern | None = None
 def _load_contractions() -> tuple[dict[str, str], re.Pattern]:
     global _contraction_map, _contraction_re
     if _contraction_map is None:
-        table = {}
         data = resources.files("sevrank.data").joinpath("contractions.csv")
-        with data.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            for row in reader:
-                table[row[0]] = row[1]
+        with resources.as_file(data) as path:
+            columns, rows = read_csv(path, ("contraction", "expansion"))
+        key, value = columns["contraction"], columns["expansion"]
+        table = {fields[key]: fields[value] for fields in rows}
         # longest key first so "couldn't've" wins over "couldn't"
         keys = sorted(table, key=len, reverse=True)
         pattern = "|".join(re.escape(k) for k in keys)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sevrank
 from sevrank import cli, features, regress
@@ -22,6 +24,11 @@ def sentence(rng, n_harsh):
     words = list(rng.choice(MILD, size=6 - n_harsh)) + list(rng.choice(HARSH, size=n_harsh))
     rng.shuffle(words)
     return " ".join(words)
+
+
+# ids and texts built from everything the CSV quote rule must handle
+FIELDS = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "é", "ſ", "ж", "a b", ""]),
+                  max_size=6).map("".join)
 
 
 def write_csv(path, header, rows):
@@ -203,12 +210,21 @@ class TestExplain:
         assert "malformed CSV row 3" in err
 
     def test_non_finite_score_names_the_sample(self, capsys, tmp_path):
+        # the table is rejected as it is read; LIME's own check on the
+        # scorer's output is tested in test_explain.py
         path = self.lookup(tmp_path, {"a b": 1.0, "a": 0.25, "b": "nan", "": 0.0})
         code, _, err = run(capsys, "explain", "--scores-lookup", path,
                            "--text", "a b", "--num-samples", "20")
         assert code == 1
-        assert "non-finite value at sample" in err
+        assert f"{path}: non-finite score 'nan' at row 4" in err
         assert "Traceback" not in err
+
+    def test_blank_text_is_a_usage_error(self, capsys, tmp_path):
+        path = self.lookup(tmp_path, {"a": 1.0, "": 0.0})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explain", "--scores-lookup", str(path), "--text", " \t"])
+        assert exc.value.code == 2
+        assert "argument --text: must be non-empty" in capsys.readouterr().err
 
 
 class TestBadModelFiles:
@@ -285,6 +301,64 @@ class TestScoresCsv:
         with pytest.raises(ValueError, match="row 3"):
             cli.read_scores_csv(scores)
 
+    def test_extra_column_accepted(self, tmp_path):
+        scores = write_csv(tmp_path / "s.csv", ["model", "comment_id", "score", "note"],
+                           [("m", "a", "0.5", ""), ("m", "b", "-1e-3", "x")])
+        assert cli.read_scores_csv(scores) == {"a": 0.5, "b": -1e-3}
+
+    def test_duplicate_id_rejected_with_its_row(self, tmp_path):
+        scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"],
+                           [("a", "0.5"), ("b", "0.1"), ("a", "0.2")])
+        with pytest.raises(ValueError, match="duplicate comment id 'a' at row 4"):
+            cli.read_scores_csv(scores)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(FIELDS, unique=True, max_size=8),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8,
+                    max_size=8))
+    def test_round_trip(self, tmp_path_factory, ids, values):
+        path = tmp_path_factory.mktemp("scores") / "s.csv"
+        scores = dict(zip(ids, values))
+        cli.write_scores_csv(path, scores.items())
+        assert cli.read_scores_csv(path) == scores
+
+
+class TestMatrixFiles:
+    def ensemble(self, capsys, tmp_path, matrix_text):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text(matrix_text, encoding="utf-8")
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"], [("a", "b")])
+        code, _, err = run(capsys, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                           "--out-weights", tmp_path / "w.csv",
+                           "--out-blend", tmp_path / "b.csv")
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"{matrix}: " in err
+        return err
+
+    def test_non_finite_cell_names_its_row_and_column(self, capsys, tmp_path):
+        err = self.ensemble(capsys, tmp_path,
+                            "comment_id,m0,m1\np2_l,0.1,0.2\np2_m,0.3,nan\n")
+        assert "non-finite m1 'nan' at row 3" in err
+
+    def test_non_numeric_cell_names_its_row_and_column(self, capsys, tmp_path):
+        err = self.ensemble(capsys, tmp_path,
+                            "comment_id,m0,m1\np2_l,0.1,high\np2_m,0.3,0.4\n")
+        assert "non-numeric m1 'high' at row 2" in err
+
+    def test_repeated_id_names_its_row(self, capsys, tmp_path):
+        err = self.ensemble(capsys, tmp_path,
+                            "comment_id,m0\np2_l,0.1\np2_m,0.3\np2_l,0.2\n")
+        assert "duplicate comment id 'p2_l' at row 4" in err
+
+    def test_header_only(self, capsys, tmp_path):
+        err = self.ensemble(capsys, tmp_path, "comment_id,m0,m1\n")
+        assert "no score rows" in err
+
+    def test_repeated_column_name(self, capsys, tmp_path):
+        err = self.ensemble(capsys, tmp_path, "comment_id,m0,m0\np2_l,0.1,0.2\n")
+        assert "column 'm0' appears twice in the header" in err
+
 
 class TestTrainFlags:
     @pytest.mark.parametrize("flag,value,message", [
@@ -302,6 +376,33 @@ class TestTrainFlags:
                       "--out-prefix", str(prefix), flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--tol", "-1"], "argument --tol: must be a finite number > 0, got -1"),
+        (["train", "--tol", "0"], "argument --tol: must be a finite number > 0, got 0"),
+        (["train", "--tol", "nan"], "argument --tol: must be a finite number > 0, got nan"),
+        (["train", "--tol", "small"], "argument --tol: invalid float value: 'small'"),
+        (["train", "--max-iter", "0"], "argument --max-iter: must be >= 1, got 0"),
+        (["ensemble", "--max-iter", "-2"], "argument --max-iter: must be >= 1, got -2"),
+        (["search", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+    ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-word", "train-max-iter-zero",
+            "ensemble-max-iter-negative", "search-trials-zero"])
+    def test_bad_solver_flag_is_a_usage_error(self, files, capsys, tmp_path, argv, message):
+        command, *flag = argv
+        inputs = {
+            "train": ["--labeled", files["labeled"], "--out-prefix", tmp_path / "model"],
+            "ensemble": ["--matrix", tmp_path / "m.csv", "--pairs", files["pairs"],
+                         "--out-weights", tmp_path / "w.csv",
+                         "--out-blend", tmp_path / "b.csv"],
+            "search": ["--labeled", files["labeled"], "--pairs", files["pairs"]],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *map(str, inputs), *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_one_is_accepted(self, files, capsys, tmp_path):
@@ -352,6 +453,20 @@ class TestTransform:
             "r6,worst,1.000000\n"
             "r7,nearly calm,0.050000\n"
         )
+
+    def test_carriage_return_survives_transform_then_train(self, capsys, tmp_path):
+        raw = tmp_path / "ruddit.csv"
+        raw.write_text('comment_id,text,score\nr0,"calm\rwords",-1\n'
+                       'r1,you idiot,1\nr2,"a\r\nb",0\n', encoding="utf-8")
+        labeled = tmp_path / "labeled.csv"
+        assert run(capsys, "transform", "--kind", "ruddit", "--in", raw,
+                   "--out", labeled)[0] == 0
+        assert labeled.read_bytes() == (b'comment_id,text,score\nr0,"calm\rwords",0.000000\n'
+                                        b'r1,you idiot,1.000000\nr2,"a\r\nb",0.500000\n')
+        code, out, err = run(capsys, "train", "--labeled", labeled,
+                             "--out-prefix", tmp_path / "model", "--n-min", "2")
+        assert (code, err) == (0, "")
+        assert out.startswith("training objective: ")
 
     def test_histogram_matches_numpy(self):
         rng = np.random.default_rng(7)

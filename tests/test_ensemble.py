@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevrank import ensemble
+from sevrank import corpus, ensemble
 from sevrank.corpus import Comment, PairJudgment
 from sevrank.optim import LbfgsConfig, check_gradient
 
@@ -148,17 +148,21 @@ class TestFitAndBlend:
         expected = self.matrix.values @ np.array([2.0, -1.0])
         assert [score for _, score in blended] == expected.tolist()
 
-    def test_weights_file_round_trip(self, tmp_path):
-        weights = ensemble.fit_weights(self.matrix, self.pairs, mode="rank",
-                                       temperature=0.25)
+    def test_weights_file_golden_bytes(self, tmp_path):
+        weights = ensemble.EnsembleWeights(["m0", 'tf-idf, "char"'], [0.5, -0.1],
+                                           mode="rank", temperature=0.25)
         ensemble.save_weights(weights, tmp_path / "w.csv")
-        loaded = ensemble.load_weights(tmp_path / "w.csv")
-        assert loaded.model_names == weights.model_names
-        assert loaded.weights.tobytes() == weights.weights.tobytes()
-        assert (loaded.mode, loaded.temperature) == ("rank", 0.25)
+        assert (tmp_path / "w.csv").read_bytes() == (
+            b"#mode=rank,temperature=0.25\n"
+            b"model,weight\n"
+            b"m0,0.5\n"
+            b'"tf-idf, ""char""",-0.1\n'
+        )
 
     def test_score_matrix_file_round_trip(self, tmp_path):
-        ensemble.save_score_matrix(self.matrix, tmp_path / "m.csv")
+        corpus.write_csv(tmp_path / "m.csv", ["comment_id", *self.matrix.model_names], (
+            [cid, *map(repr, row)]
+            for cid, row in zip(self.matrix.comment_ids, self.matrix.values.tolist())))
         loaded = ensemble.load_score_matrix(tmp_path / "m.csv")
         assert loaded.comment_ids == self.matrix.comment_ids
         assert loaded.values.tobytes() == self.matrix.values.tobytes()
