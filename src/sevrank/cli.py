@@ -5,12 +5,15 @@ and explain); rerunning with identical inputs produces byte-identical
 outputs.  Every command that scores text goes through `score_texts`.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 
+`train` saves its preprocessing switches with the model in one
+`<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
+
 Commands import on use.  This module loads only the standard library and
 the numpy-free modules (`corpus`, `evaluate`, `textproc`); a command or
 helper that needs numpy imports it, with `features`, `regress`,
-`ensemble`, `explain` or `optim`, at the top of its body.  So `transform`
-and `evaluate --scores` never import numpy, and each process pays only
-for the modules its command runs.
+`pipeline`, `ensemble`, `explain` or `optim`, where it runs.  So
+`transform` and `evaluate --scores` never import numpy, and each process
+pays only for the modules its command runs.
 """
 
 from __future__ import annotations
@@ -83,15 +86,19 @@ def _preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
     )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -118,19 +125,6 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lowercase", action="store_true")
     parser.add_argument("--no-strip-urls", action="store_true")
     parser.add_argument("--no-contractions", action="store_true")
-
-
-def _load_models(prefix: str) -> tuple[features.TfidfModel, regress.RidgeModel]:
-    from . import features, regress
-
-    tfidf = features.load_tfidf(f"{prefix}.tfidf")
-    ridge = regress.load_ridge(f"{prefix}.ridge")
-    if tfidf.dim != len(ridge.weights):
-        raise ValueError(
-            f"vectorizer dim {tfidf.dim} does not match "
-            f"regressor dim {len(ridge.weights)}"
-        )
-    return tfidf, ridge
 
 
 def score_texts(
@@ -234,6 +228,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # heap); of the orders measured, regress first kept it lowest.
     from . import regress
     from . import features
+    from . import pipeline
 
     examples = corpus.load_labeled(args.labeled)
     if not examples:
@@ -247,21 +242,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     y = [ex.score for ex in examples]
     tfidf, ridge, X = _train_on(texts, y, config, args.alpha, args.tol, args.max_iter)
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
-    features.save_tfidf(tfidf, f"{args.out_prefix}.tfidf")
-    regress.save_ridge(ridge, f"{args.out_prefix}.ridge")
+    pipeline.save_pipeline(pipeline.Pipeline(pp, tfidf, ridge),
+                           f"{args.out_prefix}.pipeline")
     objective = regress.ridge_objective(ridge, X, y)
     print(f"training objective: {objective!r}")
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    pp = _preprocess_config(args)
-    tfidf, ridge = _load_models(args.model_prefix)
+    from . import pipeline
+
+    model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
     if args.comments:
         comments = corpus.load_comments(args.comments)
     else:
         comments = corpus.pairs_to_comments(corpus.load_pairs(args.pairs))
-    scores = score_texts(tfidf, ridge, pp, [comment.text for comment in comments])
+    scores = score_texts(model.tfidf, model.ridge, model.preprocess,
+                         [comment.text for comment in comments])
     write_scores_csv(args.out, zip((c.id for c in comments), scores.tolist()))
     print(f"scored {len(comments)} comments")
     return 0
@@ -270,8 +267,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pairs = corpus.load_pairs(args.pairs)
     if args.model_prefix:
-        tfidf, ridge = _load_models(args.model_prefix)
-        scores = _score_sides(tfidf, ridge, _preprocess_config(args),
+        from . import pipeline
+        model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
+        scores = _score_sides(model.tfidf, model.ridge, model.preprocess,
                               corpus.pairs_to_comments(pairs))
     else:
         scores = read_scores_csv(args.scores)
@@ -351,11 +349,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from . import explain
 
     if args.model_prefix:
-        tfidf, ridge = _load_models(args.model_prefix)
-        pp = _preprocess_config(args)
+        from . import pipeline
+        model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
 
         def scorer(variants: list[str]) -> np.ndarray:
-            return score_texts(tfidf, ridge, pp, variants)
+            return score_texts(model.tfidf, model.ridge, model.preprocess, variants)
     else:
         lookup = read_lookup_csv(args.scores_lookup)
 
@@ -409,24 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the tf-idf + ridge severity pipeline")
     p.add_argument("--labeled", required=True)
     p.add_argument("--out-prefix", required=True,
-                   help="writes <prefix>.tfidf and <prefix>.ridge")
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--max-features", type=_positive_int, default=30000)
-    p.add_argument("--min-df", type=_positive_int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
+                   help="writes <prefix>.pipeline")
+    p.add_argument("--n-min", type=_int_at_least(1), default=3)
+    p.add_argument("--n-max", type=_int_at_least(1), default=5)
+    p.add_argument("--max-features", type=_int_at_least(1), default=30000)
+    p.add_argument("--min-df", type=_int_at_least(1), default=1)
+    p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=1000)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=1000)
     _add_preprocess_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score comments with a trained pipeline")
-    p.add_argument("--model-prefix", required=True)
+    p.add_argument("--model-prefix", required=True, help="reads <prefix>.pipeline")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--comments", help="comments CSV (comment_id,text)")
     src.add_argument("--pairs", help="pairs CSV; scores both sides of each pair")
     p.add_argument("--out", required=True)
-    _add_preprocess_flags(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", help="pairwise agreement of scores on judgment pairs")
@@ -437,10 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comments",
                    help="resolve pair texts against these comments' ids")
     p.add_argument("--tie-credit", type=float, default=0.0, choices=[0.0, 0.5])
-    p.add_argument("--top-errors", type=int, default=0,
+    p.add_argument("--top-errors", type=_int_at_least(0), default=0,
                    help="write the k worst-ranked pairs to --errors-out")
     p.add_argument("--errors-out", default="errors.csv")
-    _add_preprocess_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ensemble", help="fit blend weights on pairs and blend")
@@ -448,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score matrix CSV (comment_id,<model>,...)")
     p.add_argument("--pairs", required=True)
     p.add_argument("--mode", default="minmax", choices=_BLEND_MODES)
-    p.add_argument("--temperature", type=float, default=0.1)
-    p.add_argument("--max-iter", type=_positive_int, default=200)
+    p.add_argument("--temperature", type=_positive_float, default=0.1)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=200)
     p.add_argument("--out-weights", required=True)
     p.add_argument("--out-blend", required=True)
     p.set_defaults(func=cmd_ensemble)
@@ -457,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="random hyperparameter search for the pipeline")
     p.add_argument("--labeled", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     _add_preprocess_flags(p)
     seed_flag(p)
     p.set_defaults(func=cmd_search)
@@ -468,12 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--scores-lookup",
                      help="CSV text,score mapping every masked variant to a score")
     p.add_argument("--text", type=_non_blank, required=True)
-    p.add_argument("--num-samples", type=int, default=1000)
-    p.add_argument("--num-features", type=int, default=10)
-    p.add_argument("--kernel-width", type=float, default=None)
+    p.add_argument("--num-samples", type=_int_at_least(10), default=1000)
+    p.add_argument("--num-features", type=_int_at_least(1), default=10)
+    p.add_argument("--kernel-width", type=_positive_float, default=None)
     p.add_argument("--json-out")
     p.add_argument("--html-out")
-    _add_preprocess_flags(p)
     seed_flag(p)
     p.set_defaults(func=cmd_explain)
 

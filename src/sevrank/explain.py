@@ -43,7 +43,7 @@ class ExplainConfig:
             raise ValueError("num_samples must be >= 10")
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
-        if self.kernel_width is not None and self.kernel_width <= 0:
+        if self.kernel_width is not None and not self.kernel_width > 0:
             raise ValueError("kernel_width must be positive")
 
 

@@ -20,10 +20,8 @@ own.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +35,6 @@ __all__ = [
     "TfidfModel",
     "fit_tfidf",
     "transform",
-    "save_tfidf",
-    "load_tfidf",
 ]
 
 # Documents counted together in one array pass of `fit_tfidf` and
@@ -338,74 +334,3 @@ def _transform_chunk(
         norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
     values /= np.repeat(norms, nnz)
     return nnz, cols, values
-
-
-def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    """Write the model in the tfidf-v1 text format (bit-exact round trip).
-
-    Layout: a `tfidf-v1` header line, one config line, then one
-    gram<TAB>index<TAB>idf line per vocabulary entry.  Idf values are
-    written with repr so reading them back is lossless.
-    """
-    cfg = model.config
-    lines = [
-        "tfidf-v1",
-        f"config\tn_min={cfg.n_min}\tn_max={cfg.n_max}"
-        f"\tmax_features={cfg.max_features}\tmin_df={cfg.min_df}",
-    ]
-    for gram, index in sorted(model.vocabulary.items(), key=lambda kv: kv[1]):
-        lines.append(f"{gram}\t{index}\t{float(model.idf[index])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_tfidf(path: str | Path) -> TfidfModel:
-    """Read a tfidf-v1 file written by save_tfidf.
-
-    The config line must give the four integer settings, and vocabulary
-    indices must run 0, 1, 2, ... in file order.  Any defect raises
-    ValueError naming the file and line.
-    """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline ends the last line, it opens none
-
-    def fail(lineno: int, message: str) -> ValueError:
-        return ValueError(f"{path}: line {lineno}: {message}")
-
-    if not lines or lines[0] != "tfidf-v1":
-        raise fail(1, "not a tfidf-v1 model file")
-    config_fields = lines[1].split("\t") if len(lines) > 1 else [""]
-    if config_fields[0] != "config":
-        raise fail(2, "missing config line")
-    params = dict(field.partition("=")[::2] for field in config_fields[1:])
-    names = ("n_min", "n_max", "max_features", "min_df")
-    if len(config_fields) != len(names) + 1 or sorted(params) != sorted(names):
-        raise fail(2, f"config line must set exactly {', '.join(names)}")
-    try:
-        config = TfidfConfig(**{name: int(params[name]) for name in names})
-    except ValueError:
-        raise fail(2, "config values must be integers") from None
-    if not 1 <= config.n_min <= config.n_max:
-        raise fail(2, f"invalid n-gram range ({config.n_min}, {config.n_max})")
-
-    vocabulary: dict[str, int] = {}
-    idf: list[float] = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise fail(lineno, "expected gram<TAB>index<TAB>idf")
-        gram, index_str, idf_str = fields
-        try:
-            index, weight = int(index_str), float(idf_str)
-        except ValueError:
-            raise fail(lineno, "index must be an integer and idf a number") from None
-        if not math.isfinite(weight):
-            raise fail(lineno, f"non-finite idf {idf_str!r}")
-        if gram in vocabulary:
-            raise fail(lineno, f"duplicate gram {gram!r}")
-        if index != len(vocabulary):
-            problem = "duplicate" if 0 <= index < len(vocabulary) else "non-contiguous"
-            raise fail(lineno, f"{problem} index {index}, expected {len(vocabulary)}")
-        vocabulary[gram] = index
-        idf.append(weight)
-    return TfidfModel(vocabulary=vocabulary, idf=np.array(idf), config=config)

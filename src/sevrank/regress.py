@@ -17,19 +17,15 @@ its own, so batch size never changes a prediction's bits.
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .features import CsrBatch
 
-__all__ = ["RidgeModel", "fit_ridge", "predict",
-           "save_ridge", "load_ridge", "ridge_objective"]
-
-_MAGIC = b"ridge-v1\n"
+__all__ = ["RidgeModel", "fit_ridge", "predict", "ridge_objective"]
 
 
 @dataclass(eq=False)
@@ -66,6 +62,8 @@ def fit_ridge(
         raise ValueError("need at least one training example")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 
     intercept = float(y_arr.mean())
     yc = y_arr - intercept
@@ -124,26 +122,3 @@ def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float
     yc = y_arr - model.intercept
     resid = predict(model, X) - model.intercept - yc
     return float(resid @ resid) + model.alpha * float(model.weights @ model.weights)
-
-
-def save_ridge(model: RidgeModel, path: str | Path) -> None:
-    """Binary ridge-v1 format: magic line, then alpha, intercept and the
-    dense weights as little-endian float64 (bit-exact round trip)."""
-    with Path(path).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<d", model.alpha))
-        fh.write(struct.pack("<d", model.intercept))
-        fh.write(model.weights.astype("<f8").tobytes())
-
-
-def load_ridge(path: str | Path) -> RidgeModel:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise ValueError(f"{path}: not a ridge-v1 model file")
-    body = raw[len(_MAGIC):]
-    if len(body) < 16 or len(body) % 8 != 0:
-        raise ValueError(f"{path}: truncated ridge-v1 payload")
-    alpha = struct.unpack("<d", body[:8])[0]
-    intercept = struct.unpack("<d", body[8:16])[0]
-    weights = np.frombuffer(body[16:], dtype="<f8").copy()
-    return RidgeModel(weights=weights, intercept=intercept, alpha=alpha)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevrank
-from sevrank import cli, features, regress
+from sevrank import cli, corpus, features, pipeline, regress
 from sevrank.textproc import PreprocessConfig, preprocess
 
 MILD = ["nice", "thanks", "great", "friendly", "agree", "helpful", "kind", "fair"]
@@ -132,8 +132,8 @@ class TestScoring:
             tmp_path / "two_step.csv").read_bytes()
 
     def test_score_texts_keeps_order_and_scores_each_text_once(self, files, monkeypatch):
-        tfidf, ridge = cli._load_models(files["model"])
-        pp = PreprocessConfig()
+        model = pipeline.load_pipeline(f"{files['model']}.pipeline")
+        tfidf, ridge, pp = model.tfidf, model.ridge, model.preprocess
         texts = ["you idiot", "Thanks, friend!", "you idiot", "", "Thanks, friend!"]
         seen = []
 
@@ -227,59 +227,192 @@ class TestExplain:
         assert "argument --text: must be non-empty" in capsys.readouterr().err
 
 
-class TestBadModelFiles:
-    GOOD = "tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n"
+NAN, INF = float("nan"), float("inf")
+DROP = object()  # `pipeline_bytes` leaves out a manifest key given this value
+GOOD_MANIFEST = {
+    "preprocess": {"lowercase": True, "strip_urls": True,
+                   "expand_contractions": True, "stem": False},
+    "tfidf": {"n_min": 2, "n_max": 3, "max_features": 9, "min_df": 1},
+    "alpha": 1.0, "intercept": 0.25, "dim": 2, "grams_bytes": 6,
+}
 
-    def score_with(self, files, capsys, tmp_path, tfidf_text):
-        prefix = tmp_path / "bad"
-        (tmp_path / "bad.tfidf").write_text(tfidf_text, encoding="utf-8")
-        regress.save_ridge(regress.RidgeModel(np.zeros(2), 0.0, 1.0),
-                           tmp_path / "bad.ridge")
-        code, _, err = run(capsys, "score", "--model-prefix", prefix, "--comments",
-                           files["comments"], "--out", tmp_path / "s.csv")
+
+def pipeline_bytes(grams=b" a\n a ", numbers=(1.5, 1.25, 0.5, -0.5), **changes):
+    """A pipeline file: GOOD_MANIFEST with `changes` (a dict value updates
+    that section), then the grams and the idf and weight numbers."""
+    manifest = {key: dict(value) if isinstance(value, dict) else value
+                for key, value in GOOD_MANIFEST.items()}
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            manifest[key].update(value)
+            manifest[key] = {k: v for k, v in manifest[key].items() if v is not DROP}
+        elif value is DROP:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    return (b"sevrank-pipeline-v1\n" + json.dumps(manifest).encode() + b"\n"
+            + grams + np.array(numbers, dtype="<f8").tobytes())
+
+
+class TestBadModelFiles:
+    def score_with(self, files, capsys, tmp_path, raw):
+        (tmp_path / "bad.pipeline").write_bytes(raw)
+        code, _, err = run(capsys, "score", "--model-prefix", tmp_path / "bad",
+                           "--comments", files["comments"], "--out", tmp_path / "s.csv")
         assert code == 1
         assert "Traceback" not in err
-        assert str(tmp_path / "bad.tfidf") in err
         return err
 
     def test_good_file_loads(self, files, capsys, tmp_path):
-        text = self.GOOD + " a\t0\t1.5\n a \t1\t1.25\n"
-        (tmp_path / "ok.tfidf").write_text(text, encoding="utf-8")
-        model = features.load_tfidf(tmp_path / "ok.tfidf")
-        assert model.vocabulary == {" a": 0, " a ": 1}
-        assert model.idf.tolist() == [1.5, 1.25]
+        (tmp_path / "ok.pipeline").write_bytes(pipeline_bytes())
+        model = pipeline.load_pipeline(tmp_path / "ok.pipeline")
+        assert model.tfidf.vocabulary == {" a": 0, " a ": 1}
+        assert model.tfidf.idf.tolist() == [1.5, 1.25]
+        assert model.ridge.weights.tolist() == [0.5, -0.5]
+        assert (model.ridge.alpha, model.ridge.intercept) == (1.0, 0.25)
+        assert model.preprocess == PreprocessConfig()
+        assert model.tfidf.config == features.TfidfConfig(2, 3, 9, 1)
+        code, _, err = run(capsys, "score", "--model-prefix", tmp_path / "ok",
+                           "--comments", files["comments"], "--out", tmp_path / "s.csv")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n",
+         "not a sevrank-pipeline-v1 file"),
+        (b"sevrank-pipeline-v1\ndim=0\n", "manifest line is not JSON"),
+        (b"sevrank-pipeline-v1\n" + b"[" * 100000 + b"\n", "manifest line is not JSON"),
+        (b"sevrank-pipeline-v1\n[]\n", "manifest must hold exactly preprocess, tfidf"),
+        (pipeline_bytes(alpha=DROP), "manifest must hold exactly preprocess, tfidf"),
+        (pipeline_bytes(version=1), "manifest must hold exactly preprocess, tfidf"),
+        (pipeline_bytes(preprocess={"stem": 0}),
+         "manifest 'preprocess' must set exactly lowercase, strip_urls"),
+        (pipeline_bytes(tfidf={"n_min": 2.0}),
+         "manifest 'tfidf' must set exactly n_min, n_max, max_features, min_df "
+         "to int values"),
+        (pipeline_bytes(tfidf={"min_df": True}), "manifest 'tfidf' must set"),
+        (pipeline_bytes(tfidf={"n_min": 4}), "invalid n-gram range (4, 3)"),
+        (pipeline_bytes(tfidf={"n_min": 0}), "invalid n-gram range (0, 3)"),
+        (pipeline_bytes(dim=-1), "dim and grams_bytes must be integers >= 0"),
+        (pipeline_bytes(grams_bytes=6.0), "dim and grams_bytes must be integers >= 0"),
+        (pipeline_bytes(numbers=(1.5, 1.25, 0.5)),
+         "payload is 30 bytes, not 38"),
+        (pipeline_bytes(numbers=(1.5, 1.25, 0.5, -0.5, 0.0)),
+         "payload is 46 bytes, not 38"),
+        (pipeline_bytes(grams_bytes=5), "payload is 38 bytes, not 37"),
+        (pipeline_bytes(grams=b" ab\n a \n b", grams_bytes=10),
+         "grams must be 2 distinct non-empty strings"),
+        (pipeline_bytes(grams=b" a\n a", grams_bytes=5), "grams must be 2 distinct non-empty strings"),
+        (pipeline_bytes(grams=b" a \n", grams_bytes=4),
+         "grams must be 2 distinct non-empty strings"),
+        (pipeline_bytes(grams=b"\xff\xfe\n a "), "grams are not UTF-8"),
+        (pipeline_bytes(alpha=0.0), "alpha must be a finite number > 0, got 0.0"),
+        (pipeline_bytes(alpha=-1.0), "alpha must be a finite number > 0, got -1.0"),
+        (pipeline_bytes(alpha=NAN), "alpha must be a finite number > 0, got nan"),
+        (pipeline_bytes(alpha=1), "alpha must be a finite number > 0, got 1"),
+        (pipeline_bytes(alpha="1"), "alpha must be a finite number > 0, got '1'"),
+        (pipeline_bytes(intercept=INF), "intercept, idf and weights must be finite numbers"),
+        (pipeline_bytes(intercept="0"), "intercept, idf and weights must be finite numbers"),
+        (pipeline_bytes(intercept=10 ** 400), "intercept, idf and weights must be finite numbers"),
+        (pipeline_bytes(numbers=(NAN, 1.25, 0.5, -0.5)),
+         "intercept, idf and weights must be finite numbers"),
+        (pipeline_bytes(numbers=(1.5, 1.25, 0.5, -INF)),
+         "intercept, idf and weights must be finite numbers"),
+    ], ids=["wrong-magic",
+            "manifest-not-json", "manifest-nested-too-deep", "manifest-not-object", "manifest-missing-key",
+            "manifest-extra-key", "switch-not-bool",
+            "config-not-int", "config-bool", "ngram-range-reversed", "ngram-range-zero",
+            "dim-negative", "grams-bytes-float", "payload-short", "payload-long",
+            "grams-bytes-mismatch", "gram-count", "duplicate-gram", "empty-gram",
+            "grams-not-utf8", "alpha-zero", "alpha-negative", "alpha-nan",
+            "alpha-int", "alpha-string", "intercept-inf", "intercept-string",
+            "intercept-huge-int", "idf-nan", "weight-inf"])
+    def test_defect_names_the_file(self, files, capsys, tmp_path, raw, message):
+        err = self.score_with(files, capsys, tmp_path, raw)
+        assert f"{tmp_path / 'bad.pipeline'}: {message}" in err
 
     def test_header_only_without_newline(self, files, capsys, tmp_path):
-        err = self.score_with(files, capsys, tmp_path, "tfidf-v1")
-        assert "line 2: missing config line" in err
+        err = self.score_with(files, capsys, tmp_path, b"sevrank-pipeline-v1")
+        assert "bad.pipeline: not a sevrank-pipeline-v1 file" in err
 
     def test_missing_config_line(self, files, capsys, tmp_path):
-        err = self.score_with(files, capsys, tmp_path, "tfidf-v1\n a\t0\t1.5\n")
-        assert "line 2: missing config line" in err
+        # the manifest line holds the preprocessing and tf-idf config
+        err = self.score_with(files, capsys, tmp_path,
+                              b"sevrank-pipeline-v1\n{\"dim\": 0}")
+        assert "bad.pipeline: missing manifest line" in err
 
     def test_incomplete_config_line(self, files, capsys, tmp_path):
         err = self.score_with(files, capsys, tmp_path,
-                              "tfidf-v1\nconfig\tn_min=2\tn_max=3\n")
-        assert "line 2:" in err
+                              pipeline_bytes(preprocess={"stem": DROP}))
+        assert "bad.pipeline: manifest 'preprocess' must set exactly" in err
 
-    def test_malformed_row(self, files, capsys, tmp_path):
-        err = self.score_with(files, capsys, tmp_path,
-                              self.GOOD + " a\t0\t1.5\n a \tone\t1.25\n")
-        assert "line 4:" in err
+    def test_old_model_pair_is_not_read(self, files, capsys, tmp_path):
+        (tmp_path / "bad.tfidf").write_text(
+            "tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n")
+        (tmp_path / "bad.ridge").write_bytes(b"ridge-v1\n" + bytes(16))
+        code, _, err = run(capsys, "score", "--model-prefix", tmp_path / "bad",
+                           "--comments", files["comments"], "--out", tmp_path / "s.csv")
+        assert code == 1
+        assert "No such file" in err and str(tmp_path / "bad.pipeline") in err
+        assert "Traceback" not in err
 
-    def test_row_with_missing_field(self, files, capsys, tmp_path):
-        err = self.score_with(files, capsys, tmp_path, self.GOOD + " a\t0\n")
-        assert "line 3:" in err
 
-    def test_duplicate_index(self, files, capsys, tmp_path):
-        err = self.score_with(files, capsys, tmp_path,
-                              self.GOOD + " a\t0\t1.5\n a \t0\t1.25\n")
-        assert "line 4: duplicate index 0" in err
+PREPROCESS_FLAGS = ["--stem", "--no-lowercase", "--no-strip-urls", "--no-contractions"]
 
-    def test_index_gap(self, files, capsys, tmp_path):
-        err = self.score_with(files, capsys, tmp_path,
-                              self.GOOD + " a\t0\t1.5\n a \t2\t1.25\n")
-        assert "line 4: non-contiguous index 2" in err
+
+class TestPreprocessingIsSavedWithTheModel:
+    def test_train_writes_one_pipeline_file(self, files, capsys, tmp_path):
+        code, _, err = run(capsys, "train", "--labeled", files["labeled"],
+                           "--out-prefix", tmp_path / "sub" / "m", *PREPROCESS_FLAGS)
+        assert code == 0, err
+        assert list((tmp_path / "sub").iterdir()) == [tmp_path / "sub" / "m.pipeline"]
+        saved = pipeline.load_pipeline(tmp_path / "sub" / "m.pipeline").preprocess
+        assert saved == PreprocessConfig(lowercase=False, strip_urls=False,
+                                         expand_contractions=False, stem=True)
+
+    def test_stemmed_model_scores_as_it_did_at_training_time(self, files, capsys,
+                                                             tmp_path):
+        prefix = tmp_path / "stemmed"
+        assert run(capsys, "train", "--labeled", files["labeled"], "--out-prefix",
+                   prefix, "--n-min", "2", "--n-max", "4", "--stem")[0] == 0
+        code, _, err = run(capsys, "score", "--model-prefix", prefix,
+                           "--comments", files["comments"], "--out", tmp_path / "s.csv")
+        assert code == 0, err
+        got = [float(r["score"]) for r in csv.DictReader((tmp_path / "s.csv").open())]
+
+        # the training-time pipeline, fit in memory as `train --stem` fits it
+        examples = corpus.load_labeled(files["labeled"])
+        stem = PreprocessConfig(stem=True)
+        texts = [preprocess(ex.comment.text, stem) for ex in examples]
+        tfidf = features.fit_tfidf(texts, features.TfidfConfig(n_min=2, n_max=4))
+        ridge = regress.fit_ridge(features.transform(tfidf, texts),
+                                  [ex.score for ex in examples])
+        comments = [c.text for c in corpus.load_comments(files["comments"])]
+        assert got == cli.score_texts(tfidf, ridge, stem, comments).tolist()
+        unstemmed = cli.score_texts(tfidf, ridge, PreprocessConfig(), comments)
+        assert got != unstemmed.tolist()
+
+    @pytest.mark.parametrize("flag", PREPROCESS_FLAGS)
+    @pytest.mark.parametrize("command", ["score", "evaluate", "explain"])
+    def test_scoring_commands_take_no_preprocessing_flag(self, files, capsys, tmp_path,
+                                                         command, flag):
+        inputs = {
+            "score": ["--comments", files["comments"], "--out", tmp_path / "s.csv"],
+            "evaluate": ["--pairs", files["pairs"]],
+            "explain": ["--text", "you clown"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--model-prefix", files["model"],
+                      *map(str, inputs), flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_search_takes_the_flags(self, files, capsys, tmp_path):
+        code, out, err = run(capsys, "search", "--labeled", files["labeled"],
+                             "--pairs", files["pairs"], "--trials", "1",
+                             *PREPROCESS_FLAGS)
+        assert code == 0, err
+        assert "best" in json.loads(out.splitlines()[-1])
 
 
 class TestScoresCsv:
@@ -386,8 +519,24 @@ class TestTrainFlags:
         (["train", "--max-iter", "0"], "argument --max-iter: must be >= 1, got 0"),
         (["ensemble", "--max-iter", "-2"], "argument --max-iter: must be >= 1, got -2"),
         (["search", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+        (["train", "--alpha", "nan"], "argument --alpha: must be a finite number > 0, got nan"),
+        (["train", "--alpha", "-1"], "argument --alpha: must be a finite number > 0, got -1"),
+        (["train", "--n-min", "0"], "argument --n-min: must be >= 1, got 0"),
+        (["train", "--n-max", "0"], "argument --n-max: must be >= 1, got 0"),
+        (["ensemble", "--temperature", "0"],
+         "argument --temperature: must be a finite number > 0, got 0"),
+        (["ensemble", "--temperature", "-1"],
+         "argument --temperature: must be a finite number > 0, got -1"),
+        (["evaluate", "--top-errors", "-2"], "argument --top-errors: must be >= 0, got -2"),
+        (["explain", "--num-samples", "5"], "argument --num-samples: must be >= 10, got 5"),
+        (["explain", "--num-features", "0"], "argument --num-features: must be >= 1, got 0"),
+        (["explain", "--kernel-width", "nan"],
+         "argument --kernel-width: must be a finite number > 0, got nan"),
     ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-word", "train-max-iter-zero",
-            "ensemble-max-iter-negative", "search-trials-zero"])
+            "ensemble-max-iter-negative", "search-trials-zero", "alpha-nan",
+            "alpha-negative", "n-min-zero", "n-max-zero", "temperature-zero",
+            "temperature-negative", "top-errors-negative", "num-samples-five",
+            "num-features-zero", "kernel-width-nan"])
     def test_bad_solver_flag_is_a_usage_error(self, files, capsys, tmp_path, argv, message):
         command, *flag = argv
         inputs = {
@@ -396,6 +545,10 @@ class TestTrainFlags:
                          "--out-weights", tmp_path / "w.csv",
                          "--out-blend", tmp_path / "b.csv"],
             "search": ["--labeled", files["labeled"], "--pairs", files["pairs"]],
+            "evaluate": ["--model-prefix", files["model"], "--pairs", files["pairs"],
+                         "--errors-out", tmp_path / "e.csv"],
+            "explain": ["--model-prefix", files["model"], "--text", "you clown",
+                        "--json-out", tmp_path / "x.json"],
         }[command]
         with pytest.raises(SystemExit) as exc:
             cli.main([command, *map(str, inputs), *flag])
@@ -411,7 +564,7 @@ class TestTrainFlags:
                              "--out-prefix", prefix, "--max-features", "1",
                              "--min-df", "1")
         assert code == 0, err
-        assert len((tmp_path / "model.tfidf").read_text().splitlines()) == 3
+        assert pipeline.load_pipeline(tmp_path / "model.pipeline").tfidf.dim == 1
 
 
 RUDDIT = [("r0", "calm words", "-1"), ("r1", 'a "quoted", text', "-0.8"),

@@ -82,3 +82,10 @@ class TestConstantScorer:
         assert all(weight == 0.0 for _, weight in result.importances)
         assert result.intercept == value
         assert result.local_r2 == 1.0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+    def test_kernel_width_must_be_positive(self, width):
+        with pytest.raises(ValueError, match="kernel_width must be positive"):
+            ExplainConfig(kernel_width=width)

@@ -10,11 +10,11 @@ from sevrank.features import (
     TfidfConfig,
     TfidfModel,
     fit_tfidf,
-    load_tfidf,
-    save_tfidf,
     transform,
 )
-from sevrank.textproc import char_wb_ngrams
+from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
+from sevrank.regress import RidgeModel
+from sevrank.textproc import PreprocessConfig, char_wb_ngrams
 
 
 def brute_force_tfidf(corpus, config):
@@ -396,23 +396,30 @@ class TestCsrBatch:
         )
 
 
+
 class TestSerialization:
+    """The vectorizer's part of the saved pipeline file."""
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         model = fit_tfidf(["ab cd ef", "cd ef gh", "it's x"],
                           TfidfConfig(n_min=2, n_max=5, max_features=50))
-        path = tmp_path / "model.tfidf"
-        save_tfidf(model, path)
-        loaded = load_tfidf(path)
+        ridge = RidgeModel(weights=np.zeros(model.dim), intercept=0.0, alpha=1.0)
+        path = tmp_path / "model.pipeline"
+        save_pipeline(Pipeline(PreprocessConfig(), model, ridge), path)
+        loaded = load_pipeline(path).tfidf
         assert loaded.vocabulary == model.vocabulary
+        assert list(loaded.vocabulary) == list(model.vocabulary)
         assert loaded.config == model.config
-        np.testing.assert_array_equal(loaded.idf, model.idf)
+        assert loaded.idf.tobytes() == model.idf.tobytes()
         # writing the loaded model reproduces the file byte for byte
-        path2 = tmp_path / "model2.tfidf"
-        save_tfidf(loaded, path2)
+        path2 = tmp_path / "model2.pipeline"
+        save_pipeline(Pipeline(PreprocessConfig(), loaded, ridge), path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.tfidf"
-        path.write_text("nonsense\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_tfidf(path)
+        # a model file of the old tfidf-v1 text format is not read
+        path = tmp_path / "bad.pipeline"
+        path.write_text("tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="not a sevrank-pipeline-v1 file"):
+            load_pipeline(path)

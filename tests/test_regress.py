@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from sevrank.features import CsrBatch
+from sevrank.features import CsrBatch, TfidfConfig, TfidfModel
+from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import (
     RidgeModel,
     fit_ridge,
-    load_ridge,
     predict,
     ridge_objective,
-    save_ridge,
 )
+from sevrank.textproc import PreprocessConfig
 
 
 def dense_rows(matrix):
@@ -117,6 +117,11 @@ class TestFitRidge:
         with pytest.raises(ValueError):
             fit_ridge(dense_rows(SINGLE_FEATURE), [1.0, 2.0, 3.0], alpha=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tol_not_positive_finite_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            fit_ridge(dense_rows(SINGLE_FEATURE), [1.0, 2.0, 3.0], tol=tol)
+
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fit_ridge(dense_rows(np.zeros((0, 2))), [])
@@ -183,23 +188,33 @@ class TestPredict:
                                    rtol=1e-12, atol=1e-12)
 
 
+
 class TestSerialization:
+    """The regressor's part of the saved pipeline file."""
+
+    def save(self, model, path):
+        dim = len(model.weights)
+        tfidf = TfidfModel(vocabulary={f" g{i}": i for i in range(dim)},
+                           idf=np.ones(dim), config=TfidfConfig())
+        save_pipeline(Pipeline(PreprocessConfig(), tfidf, model), path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         model = RidgeModel(weights=rng.normal(size=17), intercept=0.123456789,
                            alpha=0.5)
-        path = tmp_path / "m.ridge"
-        save_ridge(model, path)
-        loaded = load_ridge(path)
+        path = tmp_path / "m.pipeline"
+        self.save(model, path)
+        loaded = load_pipeline(path).ridge
         assert loaded.alpha == model.alpha
         assert loaded.intercept == model.intercept
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        path2 = tmp_path / "m2.ridge"
-        save_ridge(loaded, path2)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        path2 = tmp_path / "m2.pipeline"
+        self.save(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.ridge"
-        path.write_bytes(b"something else entirely")
-        with pytest.raises(ValueError):
-            load_ridge(path)
+        # a model file of the old ridge-v1 binary format is not read
+        path = tmp_path / "bad.pipeline"
+        path.write_bytes(b"ridge-v1\n" + np.array([1.0, 0.0, 0.5], "<f8").tobytes())
+        with pytest.raises(ValueError, match="not a sevrank-pipeline-v1 file"):
+            load_pipeline(path)
