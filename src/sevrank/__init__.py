@@ -41,10 +41,11 @@ _EXPORTS = {
     "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),
     "evaluate": ("EvalReport", "RankedError", "pairwise_accuracy", "rank_errors"),
     "explain": ("ExplainConfig", "Explanation", "lime_explain"),
-    "features": ("CsrBatch", "TfidfConfig", "TfidfModel", "fit_tfidf", "transform"),
+    "features": ("CsrBatch", "GramTable", "TfidfConfig", "TfidfModel", "fit_tfidf",
+                 "transform"),
     "optim": ("LbfgsConfig", "OptimResult", "check_gradient", "lbfgs_minimize"),
     "pipeline": ("Pipeline", "load_pipeline", "save_pipeline"),
-    "regress": ("RidgeModel", "fit_ridge", "predict"),
+    "regress": ("CgReport", "RidgeModel", "fit_ridge", "predict"),
     "textproc": ("PreprocessConfig", "char_wb_ngrams", "porter_stem", "preprocess"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

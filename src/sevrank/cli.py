@@ -2,11 +2,24 @@
 
 Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
-outputs.  Every command that scores text goes through `score_texts`.
-Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
+outputs.  Every command that scores text with a saved model goes through
+`score_texts`.  Exit codes: 0 on success, 1 on runtime failure, 2 on
+usage errors.  A ridge fit whose conjugate gradient stops before its
+tolerance prints one `warning:` line on stderr.
 
 `train` saves its preprocessing switches with the model in one
 `<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
+
+`search` shares work across its trials.  It preprocesses each distinct
+text once and draws every trial's hyperparameters up front.  One
+`features.GramTable` then splits every word of the training and pair
+texts once, over the union of the drawn n-gram ranges, and counts the
+grams once; each trial only selects its vocabulary from the table.
+Trials whose (n-gram range, kept grams) are equal share one training
+matrix and one matrix of the distinct pair texts.  The ridge solve,
+the predictions and the pairwise accuracy run once per trial, on the
+same float64 values as fitting each trial alone, so the records are
+the same bytes.
 
 Commands import on use.  This module loads only the standard library and
 the numpy-free modules (`corpus`, `evaluate`, `textproc`); a command or
@@ -43,10 +56,6 @@ _KIND_LOADERS = {
 
 _SEARCH_NGRAM_RANGES = ((2, 4), (3, 5), (3, 6))
 _SEARCH_MAX_FEATURES = (10000, 30000, 50000)
-
-# `ensemble --mode` choices; tests pin them to ensemble.NORMALIZATION_MODES
-# (kept apart so that building the parser does not import numpy).
-_BLEND_MODES = ("none", "minmax", "zscore", "rank")
 
 
 def write_scores_csv(path: str | Path, scores: Iterable[tuple[str, float]]) -> None:
@@ -130,23 +139,21 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
 def score_texts(
     tfidf: features.TfidfModel,
     ridge: regress.RidgeModel,
-    pp: PreprocessConfig | None,
+    pp: PreprocessConfig,
     texts: Sequence[str],
 ) -> np.ndarray:
     """Scores of `texts`, in input order.
 
-    Each distinct text is preprocessed with `pp` (texts already
-    preprocessed pass pp=None) and scored once, features.CHUNK_ROWS texts
-    at a time, so no matrix of the whole input is ever held.
+    Each distinct text is preprocessed with `pp` and scored once,
+    features.CHUNK_ROWS texts at a time, so no matrix of the whole input
+    is ever held.
     """
     import numpy as np
 
     from . import features, regress
 
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    distinct = list(slot)
-    if pp is not None:
-        distinct = [preprocess(text, pp) for text in distinct]
+    distinct = [preprocess(text, pp) for text in slot]
     scores = np.empty(len(distinct))
     for start in range(0, len(distinct), features.CHUNK_ROWS):
         X = features.transform(tfidf, distinct[start : start + features.CHUNK_ROWS])
@@ -158,7 +165,7 @@ def score_texts(
 def _score_sides(
     tfidf: features.TfidfModel,
     ridge: regress.RidgeModel,
-    pp: PreprocessConfig | None,
+    pp: PreprocessConfig,
     sides: Sequence[corpus.Comment],
 ) -> dict[str, float]:
     """comment id -> score for every pair side; a repeated id keeps the
@@ -167,21 +174,13 @@ def _score_sides(
     return dict(zip((side.id for side in sides), scores.tolist()))
 
 
-def _train_on(
-    texts: Sequence[str],
-    y: Sequence[float],
-    tfidf_config: features.TfidfConfig,
-    alpha: float,
-    tol: float,
-    max_iter: int,
-) -> tuple[features.TfidfModel, regress.RidgeModel, features.CsrBatch]:
-    """Fit the vectorizer and the regressor on preprocessed texts."""
-    from . import features, regress
-
-    tfidf = features.fit_tfidf(texts, tfidf_config)
-    X = features.transform(tfidf, texts)
-    ridge = regress.fit_ridge(X, y, alpha=alpha, tol=tol, max_iter=max_iter)
-    return tfidf, ridge, X
+def _warn_unconverged(ridge: regress.RidgeModel, what: str) -> None:
+    """One stderr line when the ridge fit's CG stopped before its tol."""
+    cg = ridge.solver
+    if not cg.converged:
+        print(f"sevrank: warning: {what}: conjugate gradient stopped after "
+              f"{cg.iterations} iterations without converging (relative "
+              f"residual {cg.rel_residual:.3g})", file=sys.stderr)
 
 
 def score_histogram(scores: Iterable[float]) -> tuple[list[int], list[float]]:
@@ -240,7 +239,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     texts = [preprocess(ex.comment.text, pp) for ex in examples]
     y = [ex.score for ex in examples]
-    tfidf, ridge, X = _train_on(texts, y, config, args.alpha, args.tol, args.max_iter)
+    tfidf = features.fit_tfidf(texts, config)
+    X = features.transform(tfidf, texts)
+    ridge = regress.fit_ridge(X, y, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged(ridge, "train")
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     pipeline.save_pipeline(pipeline.Pipeline(pp, tfidf, ridge),
                            f"{args.out_prefix}.pipeline")
@@ -308,7 +310,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from . import features
+    from . import features, regress
 
     examples = corpus.load_labeled(args.labeled)
     if not examples:
@@ -319,22 +321,43 @@ def cmd_search(args: argparse.Namespace) -> int:
     texts = [preprocess(ex.comment.text, pp) for ex in examples]
     y = [ex.score for ex in examples]
     sides = corpus.pairs_to_comments(pairs)
-    clean = {t: preprocess(t, pp) for t in dict.fromkeys(s.text for s in sides)}
-    sides = [corpus.Comment(id=s.id, text=clean[s.text]) for s in sides]
+    slot = {t: i for i, t in enumerate(dict.fromkeys(s.text for s in sides))}
+    pair_texts = [preprocess(t, pp) for t in slot]
+    side_slots = np.fromiter((slot[s.text] for s in sides), dtype=np.int64,
+                             count=len(sides))
     rng = np.random.default_rng(args.seed)
-    best = None
-    for trial in range(args.trials):
+    trials = []
+    for _ in range(args.trials):
         n_min, n_max = _SEARCH_NGRAM_RANGES[rng.integers(len(_SEARCH_NGRAM_RANGES))]
         max_features = _SEARCH_MAX_FEATURES[rng.integers(len(_SEARCH_MAX_FEATURES))]
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
-        config = features.TfidfConfig(n_min=n_min, n_max=n_max,
-                                      max_features=max_features)
-        tfidf, ridge, _ = _train_on(texts, y, config, alpha, 1e-8, 1000)
-        scores = _score_sides(tfidf, ridge, None, sides)
+        trials.append((features.TfidfConfig(n_min=n_min, n_max=n_max,
+                                             max_features=max_features), alpha))
+    # Every word is split once, over all drawn ranges.  Trials whose
+    # vocabularies are equal share one training matrix and one matrix of
+    # the pair texts, kept until the last trial that uses them.
+    table = features.GramTable.split(texts, min(c.n_min for c, _ in trials),
+                                     max(c.n_max for c, _ in trials), pair_texts)
+    key_of = {config: (config.n_min, config.n_max, table.select(config).tobytes())
+              for config, _ in trials}
+    last_use = {key_of[config]: trial for trial, (config, _) in enumerate(trials)}
+    matrices: dict[tuple[int, int, bytes], tuple[features.CsrBatch, ...]] = {}
+    best = None
+    for trial, (config, alpha) in enumerate(trials):
+        key = key_of[config]
+        if key not in matrices:
+            tfidf = table.model(config, np.frombuffer(key[2], dtype=np.int64))
+            matrices[key] = (features.transform(tfidf, texts),
+                             features.transform(tfidf, pair_texts))
+        X, X_pairs = matrices[key] if last_use[key] > trial else matrices.pop(key)
+        ridge = regress.fit_ridge(X, y, alpha=alpha, tol=1e-8, max_iter=1000)
+        _warn_unconverged(ridge, f"search trial {trial}")
+        side_scores = regress.predict(ridge, X_pairs)[side_slots].tolist()
+        scores = dict(zip((s.id for s in sides), side_scores))
         accuracy = evaluate.pairwise_accuracy(scores, pairs).accuracy
         record = {
-            "trial": trial, "n_min": n_min, "n_max": n_max,
-            "max_features": max_features, "alpha": alpha, "accuracy": accuracy,
+            "trial": trial, "n_min": config.n_min, "n_max": config.n_max,
+            "max_features": config.max_features, "alpha": alpha, "accuracy": accuracy,
         }
         print(json.dumps(record))
         if best is None or accuracy > best["accuracy"]:
@@ -443,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True,
                    help="score matrix CSV (comment_id,<model>,...)")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--mode", default="minmax", choices=_BLEND_MODES)
+    p.add_argument("--mode", default="minmax", choices=evaluate.NORMALIZATION_MODES)
     p.add_argument("--temperature", type=_positive_float, default=0.1)
     p.add_argument("--max-iter", type=_int_at_least(1), default=200)
     p.add_argument("--out-weights", required=True)

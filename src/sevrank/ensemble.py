@@ -12,6 +12,7 @@ accuracy metric, never the surrogate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PairJudgment, csv_line, number, read_csv, unique_ids
+from .evaluate import NORMALIZATION_MODES
 from .optim import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -33,7 +35,10 @@ __all__ = [
     "save_weights",
 ]
 
-NORMALIZATION_MODES = ("none", "minmax", "zscore", "rank")
+
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be a finite number > 0, got {temperature!r}")
 
 
 @dataclass(eq=False)
@@ -69,13 +74,12 @@ class EnsembleWeights:
     temperature: float = 0.1
 
     def __post_init__(self) -> None:
+        _check_temperature(self.temperature)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if len(self.weights) != len(self.model_names):
             raise ValueError("one weight per model required")
         if self.mode not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization mode {self.mode!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def _average_ranks(column: np.ndarray) -> np.ndarray:
@@ -170,8 +174,7 @@ def surrogate_loss(
     ln(1 + exp(-margin/temperature)) averaged over pairs, computed in a
     form stable for large |margin|/temperature.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(temperature)
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(matrix.model_names):
         raise ValueError("one weight per model required")
@@ -193,6 +196,7 @@ def fit_weights(
     1/n_models, and minimizes the surrogate loss; the fitted loss never
     exceeds the loss at initialization.
     """
+    _check_temperature(temperature)
     if len(matrix.model_names) < 1:
         raise ValueError("need at least one model column")
     if len(pairs) < 1:

@@ -2,13 +2,20 @@
 
 A scorer agrees with a judgment pair when it assigns the annotated
 more-toxic comment a strictly higher score; ties count as disagreement
-(tallied separately).  Misordered pairs can be ranked by how badly they
-were misordered, which is the entry point for manual error audits.
+(tallied separately).  A score that is not a finite number stops the
+evaluation with the comment id, so NaN never counts as a wrong answer.
+Misordered pairs can be ranked by how badly they were misordered, which
+is the entry point for manual error audits.
+
+NORMALIZATION_MODES names the ways `ensemble` can rescale score columns
+before blending them; it lives here, in a numpy-free module, so the CLI
+can offer the choices without importing numpy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -16,6 +23,7 @@ from typing import Mapping, Sequence
 from .corpus import PairJudgment, write_csv
 
 __all__ = [
+    "NORMALIZATION_MODES",
     "EvalReport",
     "RankedError",
     "pairwise_accuracy",
@@ -23,6 +31,8 @@ __all__ = [
     "report_json",
     "write_errors_csv",
 ]
+
+NORMALIZATION_MODES = ("none", "minmax", "zscore", "rank")
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,10 @@ class RankedError:
 def _score_of(scores: Mapping[str, float], cid: str) -> float:
     if cid not in scores:
         raise ValueError(f"no score for comment id {cid!r}")
-    return scores[cid]
+    score = scores[cid]
+    if not math.isfinite(score):
+        raise ValueError(f"score of comment id {cid!r} is not a finite number: {score!r}")
+    return score
 
 
 def pairwise_accuracy(

@@ -8,20 +8,24 @@ the model is independent of corpus order.
 
 A char-wb gram never crosses a word boundary, so a document's gram counts
 are the sum of its words' gram counts.  Both passes work per distinct
-word: `fit_tfidf` splits each distinct word into grams once and counts
+word.  A `GramTable` splits each distinct word into grams once and counts
 (document, word) pairs with array operations, CHUNK_ROWS documents at a
-time; `transform` expands each document's words to their in-vocabulary
-columns the same way.  A fitted model already holds the columns of every
-training word, so transforming the training corpus splits no word again.
-The vocabulary, the idf weights and each row's values are the same
-float64 numbers, bit for bit, as counting each document's grams on its
-own.
+time; it can split over a wider n-gram range than one fit needs and then
+serve every range inside it, which is how `search` fits all its trials
+from one split.  `fit_tfidf` is one table and one fit.  `transform`
+expands each document's words to their in-vocabulary columns the same
+way.  A fitted model already holds the columns of every word of its
+table, so transforming those texts splits no word again.  The
+vocabulary, the idf weights and each row's values are the same float64
+numbers, bit for bit, as counting each document's grams on its own.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +35,7 @@ from .textproc import char_wb_ngrams
 __all__ = [
     "CHUNK_ROWS",
     "CsrBatch",
+    "GramTable",
     "TfidfConfig",
     "TfidfModel",
     "fit_tfidf",
@@ -139,69 +144,159 @@ def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     idf(g) = ln((1 + N) / (1 + df(g))) + 1 with N the corpus size.
     The returned model knows the columns of every word of the corpus.
     """
-    if isinstance(corpus, str):
-        raise TypeError("fit_tfidf takes a sequence of documents, not one str")
-    if len(corpus) == 0:
-        raise ValueError("cannot fit tf-idf on an empty corpus")
-    if not 1 <= config.n_min <= config.n_max:
-        raise ValueError(f"invalid n-gram range ({config.n_min}, {config.n_max})")
-    words, names, flat, width, total, df = _count_grams(corpus, config)
-    kept = _select_grams(names, total, df, config)
-
-    n_docs = len(corpus)
-    kept_df = df[kept].tolist()
-    idf_of = {d: np.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in set(kept_df)}
-    model = TfidfModel(
-        vocabulary={names[g]: i for i, g in enumerate(kept)},
-        idf=np.array([idf_of[d] for d in kept_df]),
-        config=config,
-    )
-
-    # every corpus word's in-vocabulary columns, in gram order, for transform
-    column = np.full(len(names), -1, dtype=np.int64)
-    column[kept] = np.arange(len(kept))
-    cols = column[flat]
-    inside = np.concatenate(([0], np.cumsum(cols >= 0)))
-    cuts = inside[np.concatenate(([0], np.cumsum(width)))].tolist()
-    cols = cols[cols >= 0]
-    model._word_columns.update(
-        zip(words, (cols[a:b] for a, b in zip(cuts, cuts[1:])))
-    )
-    return model
+    table = GramTable.split(corpus, config.n_min, config.n_max)
+    return table.model(config, table.select(config))
 
 
-def _count_grams(corpus: Sequence[str], config: TfidfConfig) -> tuple[
-    dict[str, int], list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]:
-    """Gram counts of a corpus, each distinct word split into grams once.
+@dataclass(eq=False)
+class GramTable:
+    """Every distinct word of a corpus split once into char-wb grams, and
+    every gram counted over the corpus.
 
-    Returns (word -> word id, gram of each gram id, every distinct word's
-    gram ids concatenated in word-id order, gram ids per word, total count
-    per gram id, document frequency per gram id).
+    `split` splits each word over one n-gram range [n_min, n_max].  A fit
+    for any range inside it needs no second split: a char-wb gram never
+    crosses a word, so the grams of a narrower range are the entries of
+    the wider one whose gram has a length in that range, plus the whole
+    padded word when the range reaches its length (`in_range`).  For the
+    same reason a gram's count in a document, and its document frequency,
+    are the same in every range that holds it.  Gram ids follow
+    lexicographic gram order, so choosing and ordering a vocabulary are
+    array operations on ids.
+
+    Words of `more_texts` are split too, but not counted: a model fitted
+    from the table then knows their columns, so transforming those texts
+    splits no word again.
     """
-    word_ids: dict[str, int] = {}
-    gram_ids: dict[str, int] = {}
-    word_grams = array("q")
-    width = array("q")
-    tokens = array("q")   # word id of every token, in corpus order
-    doc_len = array("q")  # tokens per document
-    for doc in corpus:
-        words = doc.split()
-        doc_len.append(len(words))
-        for word in words:
-            w = word_ids.get(word)
-            if w is None:
-                w = word_ids[word] = len(word_ids)
-                grams = char_wb_ngrams(word, config.n_min, config.n_max)
-                width.append(len(grams))
-                word_grams.extend(gram_ids.setdefault(g, len(gram_ids)) for g in grams)
-            tokens.append(w)
-    flat = np.frombuffer(word_grams, dtype=np.int64)
-    width = np.frombuffer(width, dtype=np.int64)
-    tokens = np.frombuffer(tokens, dtype=np.int64)
-    doc_len = np.frombuffer(doc_len, dtype=np.int64)
 
-    n_docs, n_words, n_grams = len(corpus), len(word_ids), len(gram_ids)
+    n_min: int
+    n_max: int
+    n_docs: int
+    words: dict[str, int]   # word -> word id, in first-seen order
+    flat: np.ndarray        # every word's gram ids, concatenated in word-id order
+    width: np.ndarray       # gram ids per word
+    grams: list[str]        # the gram of each id; ids ascend lexicographically
+    length: np.ndarray      # characters per gram
+    whole: np.ndarray       # gram is a whole padded word
+    total: np.ndarray       # count per gram over the corpus, float64
+    df: np.ndarray          # corpus documents holding each gram
+
+    @classmethod
+    def split(
+        cls,
+        corpus: Sequence[str],
+        n_min: int,
+        n_max: int,
+        more_texts: Sequence[str] = (),
+    ) -> GramTable:
+        """Split the words of `corpus` and `more_texts`, count over `corpus`."""
+        if isinstance(corpus, str):
+            raise TypeError("a corpus is a sequence of documents, not one str")
+        if len(corpus) == 0:
+            raise ValueError("cannot fit tf-idf on an empty corpus")
+        if not 1 <= n_min <= n_max:
+            raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
+        word_ids: dict[str, int] = {}
+        gram_ids: dict[str, int] = defaultdict(count().__next__)  # numbers new grams
+        word_grams = array("q")
+        width = array("q")
+        tokens = array("q")   # word id of every token, in text order
+        doc_len = array("q")  # tokens per text
+        for text in chain(corpus, more_texts):
+            words = text.split()
+            doc_len.append(len(words))
+            for word in words:
+                w = word_ids.get(word)
+                if w is None:
+                    w = word_ids[word] = len(word_ids)
+                    grams = char_wb_ngrams(word, n_min, n_max)
+                    width.append(len(grams))
+                    word_grams.extend(map(gram_ids.__getitem__, grams))
+                tokens.append(w)
+
+        # renumber the grams in lexicographic order
+        grams = sorted(gram_ids)
+        rank = np.empty(len(grams), dtype=np.int64)
+        rank[np.fromiter(map(gram_ids.__getitem__, grams), dtype=np.int64,
+                         count=len(grams))] = np.arange(len(grams))
+        flat = rank[np.frombuffer(word_grams, dtype=np.int64)]
+        # a word is one whole gram once the range reaches its padded length
+        whole = np.zeros(len(grams), dtype=bool)
+        whole[rank[[gram_ids[f" {w} "] for w in word_ids if len(w) + 2 <= n_max]]] = True
+        del gram_ids
+        width = np.frombuffer(width, dtype=np.int64)
+        # count over the corpus documents, the first texts
+        doc_len = np.frombuffer(doc_len, dtype=np.int64)[: len(corpus)]
+        tokens = np.frombuffer(tokens, dtype=np.int64)[: int(doc_len.sum())]
+        total, df = _corpus_counts(flat, width, tokens, doc_len, len(grams))
+        return cls(
+            n_min=n_min, n_max=n_max, n_docs=len(corpus), words=word_ids,
+            flat=flat, width=width, grams=grams,
+            length=np.fromiter(map(len, grams), dtype=np.int64, count=len(grams)),
+            whole=whole, total=total, df=df,
+        )
+
+    def in_range(self, n_min: int, n_max: int) -> np.ndarray:
+        """Which grams char_wb_ngrams emits over [n_min, n_max], per id.
+
+        A window is emitted when its length is in the range; a whole
+        padded word (L characters) when n_max >= L, also when n_min > L.
+        """
+        if not self.n_min <= n_min <= n_max <= self.n_max:
+            raise ValueError(f"n-gram range ({n_min}, {n_max}) is not inside the "
+                             f"table's ({self.n_min}, {self.n_max})")
+        return (self.length <= n_max) & ((self.length >= n_min) | self.whole)
+
+    def select(self, config: TfidfConfig) -> np.ndarray:
+        """Ids of the grams `fit_tfidf` keeps under `config`, ascending."""
+        # a gram of more_texts alone has df 0 and is never a candidate
+        candidates = np.flatnonzero(
+            self.in_range(config.n_min, config.n_max)
+            & (self.df >= max(config.min_df, 1))
+        )
+        # as many as candidates[:max_features] holds, max_features < 0 included
+        n_keep = len(range(len(candidates))[: config.max_features])
+        if n_keep == len(candidates):
+            return candidates
+        if n_keep == 0:
+            return candidates[:0]
+        # the n_keep highest totals; a tie at the cut goes to the smallest grams
+        counts = self.total[candidates]
+        cut = -np.partition(-counts, n_keep - 1)[n_keep - 1]
+        above = candidates[counts > cut]
+        tied = candidates[counts == cut]
+        return np.sort(np.concatenate((above, tied[: n_keep - len(above)])))
+
+    def model(self, config: TfidfConfig, kept: np.ndarray) -> TfidfModel:
+        """The model of the grams `kept`, knowing every table word's columns."""
+        kept_df = self.df[kept].tolist()
+        idf_of = {d: np.log((1.0 + self.n_docs) / (1.0 + d)) + 1.0
+                  for d in set(kept_df)}
+        grams = self.grams
+        model = TfidfModel(
+            vocabulary={grams[g]: i for i, g in enumerate(kept.tolist())},
+            idf=np.array([idf_of[d] for d in kept_df]),
+            config=config,
+        )
+        # every word's in-vocabulary columns, in gram order, for transform
+        column = np.full(len(grams), -1, dtype=np.int64)
+        column[kept] = np.arange(len(kept))
+        cols = column[self.flat]
+        inside = np.concatenate(([0], np.cumsum(cols >= 0)))
+        cuts = inside[np.concatenate(([0], np.cumsum(self.width)))].tolist()
+        cols = cols[cols >= 0]
+        model._word_columns.update(
+            zip(self.words, (cols[a:b] for a, b in zip(cuts, cuts[1:])))
+        )
+        return model
+
+
+def _corpus_counts(
+    flat: np.ndarray, width: np.ndarray, tokens: np.ndarray, doc_len: np.ndarray,
+    n_grams: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total count, document frequency) per gram id, CHUNK_ROWS documents
+    at a time; `tokens` holds the word ids of the documents' words."""
+    n_docs, n_words = len(doc_len), len(width)
     total = np.zeros(n_grams)
     df = np.zeros(n_grams, dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(doc_len))).tolist()
@@ -215,25 +310,7 @@ def _count_grams(corpus: Sequence[str], config: TfidfConfig) -> tuple[
         total += np.bincount(grams, weights=np.repeat(times, per_pair), minlength=n_grams)
         doc_grams, _ = _count_keys(doc * n_grams + grams)
         df += np.bincount(doc_grams % n_grams, minlength=n_grams)
-    return word_ids, list(gram_ids), flat, width, total, df
-
-
-def _select_grams(
-    names: list[str], total: np.ndarray, df: np.ndarray, config: TfidfConfig
-) -> list[int]:
-    """Ids of the kept grams, in lexicographic gram order."""
-    candidates = np.flatnonzero(df >= config.min_df)
-    chosen = candidates.tolist()
-    # as many as candidates[:max_features] holds, max_features < 0 included
-    n_keep = len(range(len(chosen))[: config.max_features])
-    if n_keep < len(chosen):
-        # the n_keep highest totals; a tie at the cut goes to the smallest grams
-        counts = total[candidates]
-        cut = -np.partition(-counts, n_keep - 1)[n_keep - 1] if n_keep else np.inf
-        above = candidates[counts > cut].tolist()
-        tied = sorted(candidates[counts == cut].tolist(), key=names.__getitem__)
-        chosen = above + tied[: n_keep - len(above)]
-    return sorted(chosen, key=names.__getitem__)
+    return total, df
 
 
 def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:

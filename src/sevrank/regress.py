@@ -25,7 +25,20 @@ import numpy as np
 
 from .features import CsrBatch
 
-__all__ = ["RidgeModel", "fit_ridge", "predict", "ridge_objective"]
+__all__ = ["CgReport", "RidgeModel", "fit_ridge", "predict", "ridge_objective"]
+
+
+@dataclass(frozen=True)
+class CgReport:
+    """How the conjugate-gradient solve of `fit_ridge` ended.
+
+    rel_residual is CG's updated residual norm over ||X^T (y - mean(y))||
+    (0 when that is 0); converged says it reached tol within max_iter.
+    """
+
+    iterations: int
+    rel_residual: float
+    converged: bool
 
 
 @dataclass(eq=False)
@@ -33,6 +46,8 @@ class RidgeModel:
     weights: np.ndarray
     intercept: float
     alpha: float
+    # set by fit_ridge; a model loaded from a file has none
+    solver: CgReport | None = None
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -49,10 +64,11 @@ def fit_ridge(
     """Fit weights by conjugate gradient on the normal equations.
 
     Iterations stop once the normal-equation residual norm drops to
-    tol * ||X^T (y - mean(y))|| or max_iter is reached.  Note the
-    centering convention: with X = [[1], [2], [3]], y = [1, 2, 3] and
-    alpha = 1 the single weight is sum(x*(y - 2)) / (sum(x^2) + 1) = 2/15,
-    because X itself is not centered.
+    tol * ||X^T (y - mean(y))|| or max_iter is reached; the model's
+    `solver` report says which.  Note the centering convention: with
+    X = [[1], [2], [3]], y = [1, 2, 3] and alpha = 1 the single weight is
+    sum(x*(y - 2)) / (sum(x^2) + 1) = 2/15, because X itself is not
+    centered.
     """
     n, dim = X.shape
     y_arr = np.asarray(y, dtype=np.float64)
@@ -81,15 +97,15 @@ def fit_ridge(
     b_norm = np.linalg.norm(b)
     w = np.zeros(dim)
     if b_norm == 0.0:
-        return RidgeModel(weights=w, intercept=intercept, alpha=alpha)
+        return RidgeModel(weights=w, intercept=intercept, alpha=alpha,
+                          solver=CgReport(iterations=0, rel_residual=0.0, converged=True))
 
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     threshold = tol * b_norm
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= threshold:
-            break
+    iterations = 0
+    while iterations < max_iter and not np.sqrt(rs) <= threshold:
         ap = matvec(p)
         step = rs / float(p @ ap)
         w += step * p
@@ -97,7 +113,10 @@ def fit_ridge(
         rs_next = float(r @ r)
         p = r + (rs_next / rs) * p
         rs = rs_next
-    return RidgeModel(weights=w, intercept=intercept, alpha=alpha)
+        iterations += 1
+    report = CgReport(iterations=iterations, rel_residual=float(np.sqrt(rs) / b_norm),
+                      converged=bool(np.sqrt(rs) <= threshold))
+    return RidgeModel(weights=w, intercept=intercept, alpha=alpha, solver=report)
 
 
 def predict(model: RidgeModel, X: CsrBatch) -> np.ndarray:

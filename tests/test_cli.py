@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevrank
-from sevrank import cli, corpus, features, pipeline, regress
-from sevrank.textproc import PreprocessConfig, preprocess
+from sevrank import cli, corpus, evaluate, features, pipeline, regress
+from sevrank.textproc import PreprocessConfig, char_wb_ngrams, preprocess
 
 MILD = ["nice", "thanks", "great", "friendly", "agree", "helpful", "kind", "fair"]
 HARSH = ["idiot", "stupid", "moron", "dumb", "loser", "pathetic", "trash", "clown"]
@@ -415,6 +416,117 @@ class TestPreprocessingIsSavedWithTheModel:
         assert "best" in json.loads(out.splitlines()[-1])
 
 
+def search_oracle(labeled, pairs_path, trials, seed, pp):
+    """`search` rebuilt one trial at a time: each trial fits its own
+    vectorizer, transforms, solves, and scores every pair side on its own."""
+    examples = corpus.load_labeled(labeled)
+    pairs = corpus.load_pairs(pairs_path)
+    texts = [preprocess(ex.comment.text, pp) for ex in examples]
+    y = [ex.score for ex in examples]
+    rng = np.random.default_rng(seed)
+    records = []
+    for trial in range(trials):
+        ranges, caps = cli._SEARCH_NGRAM_RANGES, cli._SEARCH_MAX_FEATURES
+        n_min, n_max = ranges[rng.integers(len(ranges))]
+        max_features = caps[rng.integers(len(caps))]
+        alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
+        config = features.TfidfConfig(n_min=n_min, n_max=n_max, max_features=max_features)
+        tfidf = features.fit_tfidf(texts, config)
+        ridge = regress.fit_ridge(features.transform(tfidf, texts), y, alpha=alpha)
+        scores = {}
+        for side in corpus.pairs_to_comments(pairs):
+            X = features.transform(tfidf, [preprocess(side.text, pp)])
+            scores[side.id] = float(regress.predict(ridge, X)[0])
+        records.append({
+            "trial": trial, "n_min": n_min, "n_max": n_max, "max_features": max_features,
+            "alpha": alpha, "accuracy": evaluate.pairwise_accuracy(scores, pairs).accuracy,
+            "vocabulary": sorted(tfidf.vocabulary), "texts": texts,
+        })
+    return records
+
+
+class TestSearchMatchesPerTrialFits:
+    """Every search record equals fitting and scoring that trial on its own,
+    although search splits each word once and shares matrices between trials."""
+
+    def search(self, capsys, monkeypatch, files, trials, seed, *flags):
+        calls = []
+        real = features.transform
+        monkeypatch.setattr(features, "transform",
+                            lambda model, texts: calls.append(model) or real(model, texts))
+        code, out, err = run(capsys, "search", "--labeled", files["labeled"],
+                             "--pairs", files["pairs"], "--trials", trials,
+                             "--seed", seed, *flags)
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        return records, len(calls)
+
+    def check(self, records, oracle, n_transforms):
+        trials = [{k: r[k] for k in r if k not in ("vocabulary", "texts")} for r in oracle]
+        assert records[:-1] == trials
+        best = max(trials, key=lambda r: r["accuracy"])  # the first of equals
+        assert records[-1] == {"best": best}
+        # one training matrix and one pair-text matrix per distinct vocabulary
+        keys = {(r["n_min"], r["n_max"], tuple(r["vocabulary"])) for r in oracle}
+        assert n_transforms == 2 * len(keys)
+
+    def test_trials_that_share_a_range(self, files, capsys, monkeypatch):
+        records, n_transforms = self.search(capsys, monkeypatch, files, 6, 2)
+        oracle = search_oracle(files["labeled"], files["pairs"], 6, 2, PreprocessConfig())
+        ranges = [(r["n_min"], r["n_max"]) for r in oracle]
+        assert len(set(ranges)) < len(ranges)
+        self.check(records, oracle, n_transforms)
+
+    def test_cap_below_the_candidates_with_a_tie_at_the_cut(self, files, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "_SEARCH_MAX_FEATURES", (7, 40, 10**6))
+        oracle = search_oracle(files["labeled"], files["pairs"], 6, 5, PreprocessConfig())
+        ties = 0
+        for r in oracle:
+            counts = Counter(g for t in r["texts"]
+                             for g in char_wb_ngrams(t, r["n_min"], r["n_max"]))
+            totals = sorted(counts.values(), reverse=True)
+            cap = r["max_features"]
+            ties += cap < len(totals) and totals[cap - 1] == totals[cap]
+        assert ties >= 2
+        records, n_transforms = self.search(capsys, monkeypatch, files, 6, 5)
+        self.check(records, oracle, n_transforms)
+
+    def test_stem(self, files, capsys, monkeypatch):
+        records, n_transforms = self.search(capsys, monkeypatch, files, 4, 7, "--stem")
+        oracle = search_oracle(files["labeled"], files["pairs"], 4, 7,
+                               PreprocessConfig(stem=True))
+        self.check(records, oracle, n_transforms)
+        plain = search_oracle(files["labeled"], files["pairs"], 4, 7, PreprocessConfig())
+        assert oracle[0]["texts"] != plain[0]["texts"]
+
+
+class TestSolverWarnings:
+    def test_train_warns_when_cg_stops_early(self, files, capsys, tmp_path):
+        argv = ["train", "--labeled", files["labeled"], "--alpha", "0.0001"]
+        code, out, err = run(capsys, *argv, "--out-prefix", tmp_path / "a")
+        assert (code, err) == (0, "")
+        code, cut_out, err = run(capsys, *argv, "--out-prefix", tmp_path / "b",
+                                 "--max-iter", "1")
+        assert code == 0
+        assert cut_out.startswith("training objective: ") and cut_out != out
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("sevrank: warning: train: conjugate gradient stopped "
+                                   "after 1 iterations without converging")
+
+    def test_each_unconverged_search_trial_warns(self, files, capsys, monkeypatch):
+        real = regress.fit_ridge
+        monkeypatch.setattr(regress, "fit_ridge",
+                            lambda X, y, **kw: real(X, y, **{**kw, "max_iter": 1}))
+        code, out, err = run(capsys, "search", "--labeled", files["labeled"],
+                             "--pairs", files["pairs"], "--trials", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert [line.split(": ")[:3] for line in err.splitlines()] == [
+            ["sevrank", "warning", f"search trial {t}"] for t in range(3)]
+
+
 class TestScoresCsv:
     def test_non_finite_score_rejected_with_its_row(self, files, capsys, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -701,9 +813,4 @@ class TestColdStart:
             assert value.__module__.startswith("sevrank.")
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             sevrank.nope
-
-    def test_blend_modes_are_the_ensemble_modes(self):
-        from sevrank import ensemble
-
-        assert cli._BLEND_MODES == ensemble.NORMALIZATION_MODES
 

@@ -170,3 +170,37 @@ class TestFitAndBlend:
     def test_non_finite_cell_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             matrix_of([0.1, np.nan])
+
+
+class TestTemperature:
+    """A temperature that is not a finite number > 0 stops before any work."""
+
+    BAD = [float("nan"), float("inf"), 0.0, -1.0]
+
+    def setup_method(self):
+        self.matrix = matrix_of([[0.2], [0.7]])
+        self.pairs = [pair("c0", "c1")]
+
+    @pytest.mark.parametrize("temperature", BAD)
+    def test_fit_weights(self, temperature, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("L-BFGS ran")
+
+        monkeypatch.setattr(ensemble, "lbfgs_minimize", no_solve)
+        monkeypatch.setattr(ensemble, "normalize_scores", no_solve)
+        with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+            ensemble.fit_weights(self.matrix, self.pairs, temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", BAD)
+    def test_surrogate_loss(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+            ensemble.surrogate_loss([1.0], self.matrix, self.pairs, temperature)
+
+    @pytest.mark.parametrize("temperature", BAD)
+    def test_weights(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+            ensemble.EnsembleWeights(["m0"], [1.0], temperature=temperature)
+
+    def test_message_names_the_value(self):
+        with pytest.raises(ValueError, match="got nan"):
+            ensemble.fit_weights(self.matrix, self.pairs, temperature=float("nan"))

@@ -59,6 +59,13 @@ class TestPairwiseAccuracy:
         with pytest.raises(ValueError, match="no score for comment id 'b'"):
             evaluate.pairwise_accuracy({"a": 0.1}, [pair("a", "b")])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_score_names_the_comment(self, bad, side):
+        scores = {"a": 0.1, "b": 0.9, "c": 0.5, side: bad}
+        with pytest.raises(ValueError, match=f"score of comment id '{side}' is not a finite"):
+            evaluate.pairwise_accuracy(scores, [pair("c", "c"), pair("a", "b")])
+
     def test_zero_pairs(self):
         with pytest.raises(ValueError, match="zero pairs"):
             evaluate.pairwise_accuracy({}, [])
@@ -85,6 +92,11 @@ class TestRankErrors:
         expected = sorted(wrong, key=lambda p: -(scores[p.less_toxic.id]
                                                  - scores[p.more_toxic.id]))
         assert [e.pair for e in errors] == expected[:k]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_score_names_the_comment(self, bad):
+        with pytest.raises(ValueError, match="score of comment id 'b' is not a finite"):
+            evaluate.rank_errors({"a": 0.1, "b": bad}, [pair("a", "b")], 5)
 
     def test_k_below_one(self):
         with pytest.raises(ValueError, match="k must be >= 1"):

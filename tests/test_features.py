@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevrank.features import (
     CHUNK_ROWS,
     CsrBatch,
+    GramTable,
     TfidfConfig,
     TfidfModel,
     fit_tfidf,
@@ -216,6 +219,65 @@ class TestFitMatchesPerDocumentCounts:
     def test_rejects_bad_ngram_range_without_any_word(self):
         with pytest.raises(ValueError, match="invalid n-gram range"):
             fit_tfidf(["", " "], TfidfConfig(n_min=3, n_max=2))
+
+
+# words of 1-8 characters, non-BMP ones among them, and n-gram ranges
+# (a, b) inside (lo, hi) that reach past the longest padded word
+WORDS = st.text(st.sampled_from("ab\u00e9\u0436\U0001F600\U0001D538"), min_size=1, max_size=8)
+NESTED_RANGES = st.lists(st.integers(1, 12), min_size=4, max_size=4).map(sorted)
+
+
+class TestGramTable:
+    """A table split over a wide n-gram range fits every range inside it as
+    fit_tfidf would on that range alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(WORDS, NESTED_RANGES)
+    def test_range_selects_the_grams_of_a_narrower_split(self, word, ranges):
+        lo, a, b, hi = ranges
+        table = GramTable.split([word], lo, hi)
+        inside = table.in_range(a, b)
+        got = [table.grams[g] for g in table.flat.tolist() if inside[g]]
+        assert Counter(got) == Counter(char_wb_ngrams(word, a, b))
+
+    def test_a_above_the_padded_length_keeps_the_whole_word(self):
+        table = GramTable.split(["ab cdefgh"], 2, 9)
+        inside = table.in_range(5, 9)
+        assert sorted(table.grams[g] for g in np.flatnonzero(inside)) == sorted(
+            char_wb_ngrams("ab cdefgh", 5, 9))
+        assert " ab " in [table.grams[g] for g in np.flatnonzero(inside)]
+
+    @pytest.mark.parametrize("config", [
+        TfidfConfig(n_min=2, n_max=4),
+        TfidfConfig(n_min=3, n_max=5, max_features=9),
+        TfidfConfig(n_min=1, n_max=2, max_features=5),
+        TfidfConfig(n_min=4, n_max=6, min_df=2),
+        TfidfConfig(n_min=6, n_max=6),
+        TfidfConfig(n_min=2, n_max=3, max_features=0),
+        TfidfConfig(n_min=2, n_max=3, min_df=0),
+    ])
+    def test_fits_each_range_like_fit_tfidf(self, config):
+        corpus = TestFitMatchesPerDocumentCounts.MIXED
+        more = ["unseen words", "the cat", "😀 zz"]
+        table = GramTable.split(corpus, 1, 6, more)
+        model = table.model(config, table.select(config))
+        vocabulary, idf = reference_fit(corpus, config)
+        assert model.vocabulary == vocabulary
+        assert model.idf.tobytes() == idf.tobytes()
+        # the words of more_texts are known, but never counted
+        fresh = TfidfModel(vocabulary=dict(model.vocabulary), idf=model.idf.copy(),
+                           config=config)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(transform(model, corpus + more), name),
+                                  getattr(transform(fresh, corpus + more), name))
+        assert set(model._word_columns) == {w for t in corpus + more for w in t.split()}
+
+    def test_range_outside_the_table_rejected(self):
+        table = GramTable.split(["ab"], 2, 4)
+        with pytest.raises(ValueError, match="not inside"):
+            table.in_range(1, 4)
+        with pytest.raises(ValueError, match="not inside"):
+            table.select(TfidfConfig(n_min=3, n_max=5))
 
 
 class TestTransform:

@@ -4,6 +4,7 @@ import pytest
 from sevrank.features import CsrBatch, TfidfConfig, TfidfModel
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import (
+    CgReport,
     RidgeModel,
     fit_ridge,
     predict,
@@ -100,6 +101,34 @@ class TestFitRidge:
         b = X.T @ yc
         residual = b - (X.T @ (X @ model.weights) + model.weights)
         assert np.linalg.norm(residual) <= tol * np.linalg.norm(b)
+
+    def test_report_of_a_converged_solve(self):
+        rng = np.random.default_rng(12)
+        X, y = rng.normal(size=(9, 6)), rng.normal(size=9)
+        model = fit_ridge(dense_rows(X), y, alpha=1.0, tol=1e-10)
+        report = model.solver
+        assert report.converged and 1 <= report.iterations <= 6 + 1
+        b = X.T @ (y - y.mean())
+        residual = b - (X.T @ (X @ model.weights) + model.weights)
+        # CG's updated residual tracks the true one
+        np.testing.assert_allclose(report.rel_residual,
+                                   np.linalg.norm(residual) / np.linalg.norm(b),
+                                   atol=1e-10)
+        assert report.rel_residual <= 1e-10
+
+    def test_report_of_a_solve_stopped_by_max_iter(self):
+        rng = np.random.default_rng(13)
+        X, y = rng.normal(size=(9, 6)), rng.normal(size=9)
+        full = fit_ridge(dense_rows(X), y, alpha=1e-4)
+        cut = fit_ridge(dense_rows(X), y, alpha=1e-4, max_iter=1)
+        assert cut.solver == CgReport(iterations=1, rel_residual=cut.solver.rel_residual,
+                                      converged=False)
+        assert cut.solver.rel_residual > 1e-8
+        assert full.solver.converged and full.solver.iterations > 1
+
+    def test_report_of_a_zero_right_hand_side(self):
+        model = fit_ridge(dense_rows(SINGLE_FEATURE), [5.0, 5.0, 5.0])
+        assert model.solver == CgReport(iterations=0, rel_residual=0.0, converged=True)
 
     def test_dimension_mismatch_rejected(self):
         # a column past the batch width cannot even be stored
