@@ -9,6 +9,8 @@ tolerance prints one `warning:` line on stderr.
 
 `train` saves its preprocessing switches with the model in one
 `<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
+The file also holds the columns of every training word, so scoring
+splits into grams only the words the model never saw.
 
 `search` shares work across its trials.  It preprocesses each distinct
 text once and draws every trial's hyperparameters up front.  One

@@ -12,12 +12,17 @@ word.  A `GramTable` splits each distinct word into grams once and counts
 (document, word) pairs with array operations, CHUNK_ROWS documents at a
 time; it can split over a wider n-gram range than one fit needs and then
 serve every range inside it, which is how `search` fits all its trials
-from one split.  `fit_tfidf` is one table and one fit.  `transform`
-expands each document's words to their in-vocabulary columns the same
-way.  A fitted model already holds the columns of every word of its
-table, so transforming those texts splits no word again.  The
-vocabulary, the idf weights and each row's values are the same float64
-numbers, bit for bit, as counting each document's grams on its own.
+from one split.  `fit_tfidf` is one table and one fit.
+
+A model keeps a word table: every word it knows, with that word's
+in-vocabulary columns, as one array table (a word -> row dict, row
+offsets, and one int32 column array).  A fitted model knows every word
+of its table, and the `.pipeline` file saves the table with the model.
+`transform` gathers each known word's columns from the table and splits
+only the words it has never seen, one batch per chunk, appending them to
+the table.  The vocabulary, the idf weights and each row's values are
+the same float64 numbers, bit for bit, as counting each document's grams
+on its own.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count
-from typing import Sequence
+from itertools import chain, count, filterfalse, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,22 +121,62 @@ class TfidfConfig:
 class TfidfModel:
     """Fitted vectorizer: gram -> column index, per-column idf weights.
 
-    `fit_tfidf` fills this memo with the in-vocabulary columns of every
-    training word, and `transform` adds each new word it meets, so a
-    word is split into grams once per model, however many batches it
-    appears in.  The memo grows with the distinct words seen.
+    The model's word table holds, for every word it knows, the columns of
+    the word's in-vocabulary grams, in char_wb_ngrams order with repeats.
+    Row r (`_rows[word]`) owns `_columns[_offsets[r]:_offsets[r + 1]]`;
+    both arrays keep room at their end, so adding words copies the table
+    only when it outgrows that room.  `fit_tfidf` fills the table with
+    every training word, a loaded model reads it from its file, and
+    `transform` adds each new word it meets, so a word is split into grams
+    once per model, however many batches it appears in.  The table grows
+    with the distinct words seen.
     """
 
     vocabulary: dict[str, int]
     idf: np.ndarray
     config: TfidfConfig
-    _word_columns: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64),
+                                 init=False, repr=False)
+    _columns: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32),
+                                 init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.vocabulary)
+
+    @property
+    def n_words(self) -> int:
+        """Words in the word table."""
+        return len(self._rows)
+
+    def add_words(self, words: Iterable[str], counts: np.ndarray,
+                  columns: np.ndarray) -> None:
+        """Append words to the word table: word i owns the next counts[i]
+        entries of `columns`.  The words must be distinct and not in the
+        table yet; a repeat leaves `n_words` short of the rows added."""
+        n, k = len(self._rows), len(counts)
+        used = int(self._offsets[n])
+        self._offsets = _room(self._offsets, n + 1, k)
+        self._columns = _room(self._columns, used, len(columns))
+        self._offsets[n + 1 : n + 1 + k] = used + np.cumsum(counts)
+        self._columns[used : used + len(columns)] = columns
+        self._rows.update(zip(words, range(n, n + k)))
+
+    def word_table(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(words in row order, columns per word, all columns) of the table."""
+        offsets = self._offsets[: len(self._rows) + 1]
+        return list(self._rows), np.diff(offsets), self._columns[: offsets[-1]]
+
+
+def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """`buffer`, or a copy of its first `used` entries at least twice as
+    long, with room for `extra` more entries after them."""
+    if len(buffer) >= used + extra:
+        return buffer
+    grown = np.empty(max(2 * len(buffer), used + extra), dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
 
 
 def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
@@ -173,7 +218,7 @@ class GramTable:
     n_docs: int
     words: dict[str, int]   # word -> word id, in first-seen order
     flat: np.ndarray        # every word's gram ids, concatenated in word-id order
-    width: np.ndarray       # gram ids per word
+    offsets: np.ndarray     # word i's gram ids are flat[offsets[i]:offsets[i + 1]]
     grams: list[str]        # the gram of each id; ids ascend lexicographically
     length: np.ndarray      # characters per gram
     whole: np.ndarray       # gram is a whole padded word
@@ -223,14 +268,14 @@ class GramTable:
         whole = np.zeros(len(grams), dtype=bool)
         whole[rank[[gram_ids[f" {w} "] for w in word_ids if len(w) + 2 <= n_max]]] = True
         del gram_ids
-        width = np.frombuffer(width, dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(np.frombuffer(width, dtype=np.int64))))
         # count over the corpus documents, the first texts
         doc_len = np.frombuffer(doc_len, dtype=np.int64)[: len(corpus)]
         tokens = np.frombuffer(tokens, dtype=np.int64)[: int(doc_len.sum())]
-        total, df = _corpus_counts(flat, width, tokens, doc_len, len(grams))
+        total, df = _corpus_counts(flat, offsets, tokens, doc_len, len(grams))
         return cls(
             n_min=n_min, n_max=n_max, n_docs=len(corpus), words=word_ids,
-            flat=flat, width=width, grams=grams,
+            flat=flat, offsets=offsets, grams=grams,
             length=np.fromiter(map(len, grams), dtype=np.int64, count=len(grams)),
             whole=whole, total=total, df=df,
         )
@@ -280,23 +325,17 @@ class GramTable:
         # every word's in-vocabulary columns, in gram order, for transform
         column = np.full(len(grams), -1, dtype=np.int64)
         column[kept] = np.arange(len(kept))
-        cols = column[self.flat]
-        inside = np.concatenate(([0], np.cumsum(cols >= 0)))
-        cuts = inside[np.concatenate(([0], np.cumsum(self.width)))].tolist()
-        cols = cols[cols >= 0]
-        model._word_columns.update(
-            zip(self.words, (cols[a:b] for a, b in zip(cuts, cuts[1:])))
-        )
+        model.add_words(self.words, *_in_vocabulary(column[self.flat], self.offsets))
         return model
 
 
 def _corpus_counts(
-    flat: np.ndarray, width: np.ndarray, tokens: np.ndarray, doc_len: np.ndarray,
+    flat: np.ndarray, offsets: np.ndarray, tokens: np.ndarray, doc_len: np.ndarray,
     n_grams: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total count, document frequency) per gram id, CHUNK_ROWS documents
     at a time; `tokens` holds the word ids of the documents' words."""
-    n_docs, n_words = len(doc_len), len(width)
+    n_docs, n_words = len(doc_len), len(offsets) - 1
     total = np.zeros(n_grams)
     df = np.zeros(n_grams, dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(doc_len))).tolist()
@@ -306,7 +345,7 @@ def _corpus_counts(
         # distinct (document, word) pairs and how often each occurs
         pairs, times = _count_keys(doc * n_words + tokens[bounds[start] : bounds[stop]])
         pair_doc, pair_word = np.divmod(pairs, n_words)
-        doc, grams, per_pair = _expand(flat, width, pair_word, pair_doc)
+        doc, grams, per_pair = _expand(flat, offsets, pair_word, pair_doc)
         total += np.bincount(grams, weights=np.repeat(times, per_pair), minlength=n_grams)
         doc_grams, _ = _count_keys(doc * n_grams + grams)
         df += np.bincount(doc_grams % n_grams, minlength=n_grams)
@@ -349,26 +388,51 @@ def _count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expand(
-    flat: np.ndarray, width: np.ndarray, ids: np.ndarray, doc: np.ndarray
+    flat: np.ndarray, offsets: np.ndarray, ids: np.ndarray, doc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every entry of each id in `ids`, in order, tagged with its document.
 
-    Id i owns the width[i] entries of `flat` that follow those of ids
-    0..i-1; doc[k] is the document of ids[k].  Returns (document of each
-    entry, entries, entries per id).
+    Id i owns the entries flat[offsets[i]:offsets[i + 1]]; doc[k] is the
+    document of ids[k].  Returns (document of each entry, entries, entries
+    per id).
     """
-    offset = np.cumsum(width) - width
-    per_id = width[ids]
+    start = offsets[ids]
+    per_id = offsets[ids + 1] - start
     first = np.cumsum(per_id) - per_id
-    pos = np.arange(int(per_id.sum())) + np.repeat(offset[ids] - first, per_id)
+    pos = np.arange(int(per_id.sum())) + np.repeat(start - first, per_id)
     return np.repeat(doc, per_id), flat[pos], per_id
 
 
-def _columns_of_word(model: TfidfModel, word: str) -> np.ndarray:
-    """In-vocabulary column of every gram of one word, repeats kept."""
+def _in_vocabulary(
+    cols: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(in-vocabulary columns per word, those columns in order) of words
+    whose grams' columns are cols[offsets[i]:offsets[i + 1]], -1 for a gram
+    out of the vocabulary."""
+    found = cols >= 0
+    inside = np.concatenate(([0], np.cumsum(found)))
+    return np.diff(inside[offsets]), cols[found].astype(np.int32)
+
+
+def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
+    """How many grams char_wb_ngrams emits for words of `padded` characters
+    with their two pad spaces: padded - n + 1 windows for each n in
+    [n_min, min(n_max, padded - 1)], then the whole padded word once when
+    n_max reaches it."""
+    k = np.maximum(np.minimum(n_max, padded - 1) - n_min + 1, 0)
+    return k * (padded + 1 - n_min) - k * (k - 1) // 2 + (padded <= n_max)
+
+
+def _add_new_words(model: TfidfModel, words: list[str]) -> None:
+    """Split words the model has never seen, in one batch, into its table."""
     cfg = model.config
-    found = map(model.vocabulary.get, char_wb_ngrams(word, cfg.n_min, cfg.n_max))
-    return np.array([c for c in found if c is not None], dtype=np.int64)
+    grams = char_wb_ngrams(" ".join(words), cfg.n_min, cfg.n_max)
+    cols = np.fromiter(map(model.vocabulary.get, grams, repeat(-1)),
+                       dtype=np.int64, count=len(grams))
+    padded = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
+    offsets = np.concatenate(([0], np.cumsum(_grams_per_word(padded, cfg.n_min,
+                                                             cfg.n_max))))
+    model.add_words(words, *_in_vocabulary(cols, offsets))
 
 
 def _transform_chunk(
@@ -381,21 +445,15 @@ def _transform_chunk(
         split = text.split()
         doc_words[d] = len(split)
         words.extend(split)
-    # this chunk's distinct words and their columns
-    slot = {w: i for i, w in enumerate(dict.fromkeys(words))}
-    known = model._word_columns
-    table = []
-    for w in slot:
-        cols = known.get(w)
-        if cols is None:
-            cols = known[w] = _columns_of_word(model, w)
-        table.append(cols)
-    width = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
-    flat = np.concatenate(table) if table else np.empty(0, dtype=np.int64)
+    known = model._rows
+    new = list(filterfalse(known.__contains__, dict.fromkeys(words)))
+    if new:
+        _add_new_words(model, new)
 
     # every token's columns, in order, tagged with its document
-    token = np.fromiter(map(slot.__getitem__, words), dtype=np.int64, count=len(words))
-    doc, cols, _ = _expand(flat, width, token, np.repeat(np.arange(len(texts)), doc_words))
+    token = np.fromiter(map(known.__getitem__, words), dtype=np.int64, count=len(words))
+    doc, cols, _ = _expand(model._columns, model._offsets, token,
+                           np.repeat(np.arange(len(texts)), doc_words))
 
     dim = max(model.dim, 1)
     keys, counts = _count_keys(doc * dim + cols)

@@ -64,8 +64,11 @@ def fit_ridge(
     """Fit weights by conjugate gradient on the normal equations.
 
     Iterations stop once the normal-equation residual norm drops to
-    tol * ||X^T (y - mean(y))|| or max_iter is reached; the model's
-    `solver` report says which.  Note the centering convention: with
+    tol * ||X^T (y - mean(y))|| or max_iter is reached, or when the
+    curvature p^T (X^T X + alpha I) p of a search direction is not a finite
+    positive number (overflow); the model's `solver` report says which.
+    A right-hand side X^T (y - mean(y)) that is not finite raises
+    ValueError.  Note the centering convention: with
     X = [[1], [2], [3]], y = [1, 2, 3] and alpha = 1 the single weight is
     sum(x*(y - 2)) / (sum(x^2) + 1) = 2/15, because X itself is not
     centered.
@@ -93,29 +96,41 @@ def fit_ridge(
         xp = np.bincount(row, weights=val * p[col], minlength=n)
         return np.bincount(col, weights=val * xp[row], minlength=dim) + alpha * p
 
-    b = np.bincount(col, weights=val * yc[row], minlength=dim)
-    b_norm = np.linalg.norm(b)
-    w = np.zeros(dim)
-    if b_norm == 0.0:
-        return RidgeModel(weights=w, intercept=intercept, alpha=alpha,
-                          solver=CgReport(iterations=0, rel_residual=0.0, converged=True))
+    # overflow and nan are caught below, by value; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.bincount(col, weights=val * yc[row], minlength=dim)
+        b_norm = np.linalg.norm(b)
+        if not math.isfinite(b_norm):
+            raise ValueError(f"X^T (y - mean(y)) has norm {b_norm}; "
+                             "features or targets are too large or not finite")
+        w = np.zeros(dim)
+        if b_norm == 0.0:
+            return RidgeModel(weights=w, intercept=intercept, alpha=alpha,
+                              solver=CgReport(iterations=0, rel_residual=0.0,
+                                              converged=True))
 
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    threshold = tol * b_norm
-    iterations = 0
-    while iterations < max_iter and not np.sqrt(rs) <= threshold:
-        ap = matvec(p)
-        step = rs / float(p @ ap)
-        w += step * p
-        r -= step * ap
-        rs_next = float(r @ r)
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-        iterations += 1
+        r = b.copy()
+        p = r.copy()
+        rs = float(r @ r)
+        threshold = tol * b_norm
+        iterations = 0
+        broke_down = False
+        while iterations < max_iter and not np.sqrt(rs) <= threshold:
+            ap = matvec(p)
+            curvature = float(p @ ap)
+            # X^T X + alpha I is positive definite; anything else is overflow
+            if not (math.isfinite(curvature) and curvature > 0.0):
+                broke_down = True
+                break
+            step = rs / curvature
+            w += step * p
+            r -= step * ap
+            rs_next = float(r @ r)
+            p = r + (rs_next / rs) * p
+            rs = rs_next
+            iterations += 1
     report = CgReport(iterations=iterations, rel_residual=float(np.sqrt(rs) / b_norm),
-                      converged=bool(np.sqrt(rs) <= threshold))
+                      converged=not broke_down and bool(np.sqrt(rs) <= threshold))
     return RidgeModel(weights=w, intercept=intercept, alpha=alpha, solver=report)
 
 

@@ -45,7 +45,6 @@ class PreprocessConfig:
 
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
-_WS_RE = re.compile(r"\s+")
 # a maximal run of word characters and apostrophes holding an apostrophe;
 # the lookbehind starts a match only at a run's first character, which
 # keeps the scan linear in the text length
@@ -91,7 +90,8 @@ def preprocess(text: str, config: PreprocessConfig = PreprocessConfig()) -> str:
         out = _APOSTROPHE_RUN_RE.sub(_expand_contractions, out)
     if config.lowercase:
         out = out.lower()
-    out = _WS_RE.sub(" ", out).strip()
+    # str.split() splits at the code points regex \s matches
+    out = " ".join(out.split())
     if config.stem:
         out = " ".join(porter_stem(tok) for tok in out.split())
     return out

@@ -235,12 +235,19 @@ GOOD_MANIFEST = {
                    "expand_contractions": True, "stem": False},
     "tfidf": {"n_min": 2, "n_max": 3, "max_features": 9, "min_df": 1},
     "alpha": 1.0, "intercept": 0.25, "dim": 2, "grams_bytes": 6,
+    "words_bytes": 3, "n_words": 2, "n_columns": 2,
 }
+SIZES_MESSAGE = "dim, grams_bytes, words_bytes, n_words, n_columns must be integers >= 0"
+RETRAIN = ("a sevrank-pipeline-v1 file holds no word table; "
+           "retrain the model to write a sevrank-pipeline-v2 file")
 
 
-def pipeline_bytes(grams=b" a\n a ", numbers=(1.5, 1.25, 0.5, -0.5), **changes):
+def pipeline_bytes(grams=b" a\n a ", numbers=(1.5, 1.25, 0.5, -0.5), words=b"a\nb",
+                   counts=(2, 0), columns=(0, 1), magic=b"sevrank-pipeline-v2", **changes):
     """A pipeline file: GOOD_MANIFEST with `changes` (a dict value updates
-    that section), then the grams and the idf and weight numbers."""
+    that section), then the grams, the idf and weight numbers, and the word
+    table (words, columns per word, columns).  Unchanged, word "a" holds
+    grams " a" (column 0) and " a " (column 1); word "b" holds neither."""
     manifest = {key: dict(value) if isinstance(value, dict) else value
                 for key, value in GOOD_MANIFEST.items()}
     for key, value in changes.items():
@@ -251,8 +258,15 @@ def pipeline_bytes(grams=b" a\n a ", numbers=(1.5, 1.25, 0.5, -0.5), **changes):
             del manifest[key]
         else:
             manifest[key] = value
-    return (b"sevrank-pipeline-v1\n" + json.dumps(manifest).encode() + b"\n"
-            + grams + np.array(numbers, dtype="<f8").tobytes())
+    return (magic + b"\n" + json.dumps(manifest).encode() + b"\n"
+            + grams + np.array(numbers, dtype="<f8").tobytes()
+            + words + np.array(counts, dtype="<i4").tobytes()
+            + np.array(columns, dtype="<i4").tobytes())
+
+
+# a whole file of the v1 layout, which had no word table
+V1_FILE = pipeline_bytes(magic=b"sevrank-pipeline-v1", words=b"", counts=(), columns=(),
+                         words_bytes=DROP, n_words=DROP, n_columns=DROP)
 
 
 class TestBadModelFiles:
@@ -273,17 +287,21 @@ class TestBadModelFiles:
         assert (model.ridge.alpha, model.ridge.intercept) == (1.0, 0.25)
         assert model.preprocess == PreprocessConfig()
         assert model.tfidf.config == features.TfidfConfig(2, 3, 9, 1)
+        words, counts, columns = model.tfidf.word_table()
+        assert (words, counts.tolist(), columns.tolist()) == (["a", "b"], [2, 0], [0, 1])
         code, _, err = run(capsys, "score", "--model-prefix", tmp_path / "ok",
                            "--comments", files["comments"], "--out", tmp_path / "s.csv")
         assert code == 0, err
 
     @pytest.mark.parametrize("raw,message", [
         (b"tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n",
-         "not a sevrank-pipeline-v1 file"),
-        (b"sevrank-pipeline-v1\ndim=0\n", "manifest line is not JSON"),
-        (b"sevrank-pipeline-v1\n" + b"[" * 100000 + b"\n", "manifest line is not JSON"),
-        (b"sevrank-pipeline-v1\n[]\n", "manifest must hold exactly preprocess, tfidf"),
+         "not a sevrank-pipeline-v2 file"),
+        (V1_FILE, RETRAIN),
+        (b"sevrank-pipeline-v2\ndim=0\n", "manifest line is not JSON"),
+        (b"sevrank-pipeline-v2\n" + b"[" * 100000 + b"\n", "manifest line is not JSON"),
+        (b"sevrank-pipeline-v2\n[]\n", "manifest must hold exactly preprocess, tfidf"),
         (pipeline_bytes(alpha=DROP), "manifest must hold exactly preprocess, tfidf"),
+        (pipeline_bytes(n_words=DROP), "manifest must hold exactly preprocess, tfidf"),
         (pipeline_bytes(version=1), "manifest must hold exactly preprocess, tfidf"),
         (pipeline_bytes(preprocess={"stem": 0}),
          "manifest 'preprocess' must set exactly lowercase, strip_urls"),
@@ -293,13 +311,16 @@ class TestBadModelFiles:
         (pipeline_bytes(tfidf={"min_df": True}), "manifest 'tfidf' must set"),
         (pipeline_bytes(tfidf={"n_min": 4}), "invalid n-gram range (4, 3)"),
         (pipeline_bytes(tfidf={"n_min": 0}), "invalid n-gram range (0, 3)"),
-        (pipeline_bytes(dim=-1), "dim and grams_bytes must be integers >= 0"),
-        (pipeline_bytes(grams_bytes=6.0), "dim and grams_bytes must be integers >= 0"),
+        (pipeline_bytes(dim=-1), SIZES_MESSAGE),
+        (pipeline_bytes(grams_bytes=6.0), SIZES_MESSAGE),
+        (pipeline_bytes(words_bytes=True), SIZES_MESSAGE),
+        (pipeline_bytes(n_words=-2), SIZES_MESSAGE),
+        (pipeline_bytes(n_columns="2"), SIZES_MESSAGE),
         (pipeline_bytes(numbers=(1.5, 1.25, 0.5)),
-         "payload is 30 bytes, not 38"),
+         "payload is 49 bytes, not 57"),
         (pipeline_bytes(numbers=(1.5, 1.25, 0.5, -0.5, 0.0)),
-         "payload is 46 bytes, not 38"),
-        (pipeline_bytes(grams_bytes=5), "payload is 38 bytes, not 37"),
+         "payload is 65 bytes, not 57"),
+        (pipeline_bytes(grams_bytes=5), "payload is 57 bytes, not 56"),
         (pipeline_bytes(grams=b" ab\n a \n b", grams_bytes=10),
          "grams must be 2 distinct non-empty strings"),
         (pipeline_bytes(grams=b" a\n a", grams_bytes=5), "grams must be 2 distinct non-empty strings"),
@@ -318,27 +339,56 @@ class TestBadModelFiles:
          "intercept, idf and weights must be finite numbers"),
         (pipeline_bytes(numbers=(1.5, 1.25, 0.5, -INF)),
          "intercept, idf and weights must be finite numbers"),
-    ], ids=["wrong-magic",
+        # the word table
+        (pipeline_bytes(words=b"\xffa\nb", words_bytes=4), "words are not UTF-8"),
+        (pipeline_bytes(words=b"a\na"), "words must be distinct"),
+        (pipeline_bytes(words=b"a\n\n", counts=(2, 0, 0), n_words=3),
+         "words must be 3 non-empty strings without whitespace"),
+        (pipeline_bytes(words=b"\nab"), "words must be 2 non-empty strings"),
+        (pipeline_bytes(words=b"a b"), "words must be 2 non-empty strings without whitespace"),
+        (pipeline_bytes(words="a\u3000\nb".encode(), words_bytes=6),
+         "words must be 2 non-empty strings without whitespace"),
+        (pipeline_bytes(words=b"a\nb\nc", words_bytes=5),
+         "words must be 2 non-empty strings without whitespace"),
+        (pipeline_bytes(counts=(3, -1)), "word column counts must be >= 0 and sum to 2"),
+        (pipeline_bytes(counts=(1, 0)), "word column counts must be >= 0 and sum to 2"),
+        (pipeline_bytes(counts=(2, 1), columns=(0, 1, 0), n_columns=2),
+         "payload is 61 bytes, not 57"),
+        (pipeline_bytes(columns=(0, 2)), "word columns must lie in [0, 2)"),
+        (pipeline_bytes(columns=(-1, 1)), "word columns must lie in [0, 2)"),
+        (pipeline_bytes()[:-3], "payload is 54 bytes, not 57"),
+        (pipeline_bytes()[:-8], "payload is 49 bytes, not 57"),
+    ], ids=["wrong-magic", "v1-file",
             "manifest-not-json", "manifest-nested-too-deep", "manifest-not-object", "manifest-missing-key",
-            "manifest-extra-key", "switch-not-bool",
+            "manifest-missing-table-key", "manifest-extra-key", "switch-not-bool",
             "config-not-int", "config-bool", "ngram-range-reversed", "ngram-range-zero",
-            "dim-negative", "grams-bytes-float", "payload-short", "payload-long",
+            "dim-negative", "grams-bytes-float", "words-bytes-bool", "n-words-negative",
+            "n-columns-string", "payload-short", "payload-long",
             "grams-bytes-mismatch", "gram-count", "duplicate-gram", "empty-gram",
             "grams-not-utf8", "alpha-zero", "alpha-negative", "alpha-nan",
             "alpha-int", "alpha-string", "intercept-inf", "intercept-string",
-            "intercept-huge-int", "idf-nan", "weight-inf"])
+            "intercept-huge-int", "idf-nan", "weight-inf",
+            "words-not-utf8", "word-repeated", "word-empty-last", "word-empty-first",
+            "word-holds-space", "word-holds-ideographic-space", "word-count",
+            "count-negative", "counts-short-of-columns", "columns-past-count",
+            "column-past-dim", "column-negative", "table-truncated-in-a-column",
+            "table-truncated-columns"])
     def test_defect_names_the_file(self, files, capsys, tmp_path, raw, message):
         err = self.score_with(files, capsys, tmp_path, raw)
         assert f"{tmp_path / 'bad.pipeline'}: {message}" in err
 
     def test_header_only_without_newline(self, files, capsys, tmp_path):
+        err = self.score_with(files, capsys, tmp_path, b"sevrank-pipeline-v2")
+        assert "bad.pipeline: not a sevrank-pipeline-v2 file" in err
+
+    def test_v1_header_asks_to_retrain(self, files, capsys, tmp_path):
         err = self.score_with(files, capsys, tmp_path, b"sevrank-pipeline-v1")
-        assert "bad.pipeline: not a sevrank-pipeline-v1 file" in err
+        assert f"bad.pipeline: {RETRAIN}" in err
 
     def test_missing_config_line(self, files, capsys, tmp_path):
         # the manifest line holds the preprocessing and tf-idf config
         err = self.score_with(files, capsys, tmp_path,
-                              b"sevrank-pipeline-v1\n{\"dim\": 0}")
+                              b"sevrank-pipeline-v2\n{\"dim\": 0}")
         assert "bad.pipeline: missing manifest line" in err
 
     def test_incomplete_config_line(self, files, capsys, tmp_path):

@@ -12,12 +12,20 @@ from sevrank.features import (
     GramTable,
     TfidfConfig,
     TfidfModel,
+    _grams_per_word,
     fit_tfidf,
     transform,
 )
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import RidgeModel
 from sevrank.textproc import PreprocessConfig, char_wb_ngrams
+
+
+def word_columns(model):
+    """word -> columns of the model's word table, as a dict of arrays."""
+    words, counts, columns = model.word_table()
+    cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return {w: columns[a:b] for w, a, b in zip(words, cuts, cuts[1:])}
 
 
 def brute_force_tfidf(corpus, config):
@@ -203,14 +211,15 @@ class TestFitMatchesPerDocumentCounts:
             primed = fit_tfidf(corpus, config)
             fresh = TfidfModel(vocabulary=dict(primed.vocabulary),
                                idf=primed.idf.copy(), config=config)
-            assert fresh._word_columns == {}
-            assert set(primed._word_columns) == {w for d in corpus for w in d.split()}
+            assert fresh.n_words == 0 and word_columns(fresh) == {}
+            assert set(word_columns(primed)) == {w for d in corpus for w in d.split()}
             got, want = transform(primed, texts), transform(fresh, texts)
             assert got.shape == want.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            for word, cols in primed._word_columns.items():
-                assert np.array_equal(cols, fresh._word_columns[word]), word
+            fresh_columns = word_columns(fresh)
+            for word, cols in word_columns(primed).items():
+                assert np.array_equal(cols, fresh_columns[word]), word
 
     def test_rejects_single_string(self):
         with pytest.raises(TypeError):
@@ -239,6 +248,14 @@ class TestGramTable:
         inside = table.in_range(a, b)
         got = [table.grams[g] for g in table.flat.tolist() if inside[g]]
         assert Counter(got) == Counter(char_wb_ngrams(word, a, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WORDS, min_size=1, max_size=5), NESTED_RANGES)
+    def test_grams_per_word_counts_char_wb_ngrams(self, words, ranges):
+        _, a, b, _ = ranges
+        padded = np.array([len(w) + 2 for w in words])
+        assert _grams_per_word(padded, a, b).tolist() == [
+            len(char_wb_ngrams(w, a, b)) for w in words]
 
     def test_a_above_the_padded_length_keeps_the_whole_word(self):
         table = GramTable.split(["ab cdefgh"], 2, 9)
@@ -270,7 +287,7 @@ class TestGramTable:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(transform(model, corpus + more), name),
                                   getattr(transform(fresh, corpus + more), name))
-        assert set(model._word_columns) == {w for t in corpus + more for w in t.split()}
+        assert set(word_columns(model)) == {w for t in corpus + more for w in t.split()}
 
     def test_range_outside_the_table_rejected(self):
         table = GramTable.split(["ab"], 2, 4)
@@ -412,6 +429,19 @@ class TestBatchTransform:
         with pytest.raises(TypeError):
             transform(model, "the cat")
 
+    def test_new_words_grow_the_table_by_doubling(self, model):
+        # 300 calls, each with one word the model has not seen: the word
+        # table's column array is copied only when it outgrows its room
+        buffers = []
+        texts = [f"the w{i}x{'y' * (i % 7)}" for i in range(300)]
+        for text in texts:
+            transform(model, [text])
+            if not buffers or model._columns is not buffers[-1]:
+                buffers.append(model._columns)
+        assert model.n_words == len(set(" ".join(self.VOCAB_DOCS + texts).split()))
+        assert len(buffers) <= 8
+        self.assert_rows_exact(model, texts)
+
     def test_scipy_accepts_the_layout(self, model):
         sparse = pytest.importorskip("scipy.sparse")
         batch = transform(model, ["the cat sat", "", "café the the"])
@@ -483,5 +513,5 @@ class TestSerialization:
         path = tmp_path / "bad.pipeline"
         path.write_text("tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n",
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="not a sevrank-pipeline-v1 file"):
+        with pytest.raises(ValueError, match="not a sevrank-pipeline-v2 file"):
             load_pipeline(path)

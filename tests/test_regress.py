@@ -130,6 +130,25 @@ class TestFitRidge:
         model = fit_ridge(dense_rows(SINGLE_FEATURE), [5.0, 5.0, 5.0])
         assert model.solver == CgReport(iterations=0, rel_residual=0.0, converged=True)
 
+    def test_overflowing_right_hand_side_rejected(self, recwarn):
+        # ||X^T (y - mean(y))|| overflows: no solve, and no numpy warning
+        X = CsrBatch(indptr=[0, 1, 2], indices=[0, 1], data=[1e200, 1e200],
+                     shape=(2, 2))
+        with pytest.raises(ValueError, match="X\\^T \\(y - mean\\(y\\)\\) has norm inf"):
+            fit_ridge(X, [0.0, 1.0])
+        with pytest.raises(ValueError, match="has norm nan"):
+            fit_ridge(dense_rows(SINGLE_FEATURE), [1.0, float("nan"), 3.0])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_curvature_stops_unconverged(self, recwarn):
+        # ||b|| is finite, but p^T (X^T X + alpha I) p overflows at once
+        X = CsrBatch(indptr=[0, 1, 2], indices=[0, 1], data=[1e150, 1e150],
+                     shape=(2, 2))
+        model = fit_ridge(X, [0.0, 1.0])
+        assert model.solver == CgReport(iterations=0, rel_residual=1.0, converged=False)
+        np.testing.assert_array_equal(model.weights, 0.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_dimension_mismatch_rejected(self):
         # a column past the batch width cannot even be stored
         with pytest.raises(ValueError):
@@ -245,5 +264,5 @@ class TestSerialization:
         # a model file of the old ridge-v1 binary format is not read
         path = tmp_path / "bad.pipeline"
         path.write_bytes(b"ridge-v1\n" + np.array([1.0, 0.0, 0.5], "<f8").tobytes())
-        with pytest.raises(ValueError, match="not a sevrank-pipeline-v1 file"):
+        with pytest.raises(ValueError, match="not a sevrank-pipeline-v2 file"):
             load_pipeline(path)

@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -60,6 +61,19 @@ class TestPreprocess:
 
     def test_whitespace_collapsed(self):
         assert preprocess("a\t b\n\nc  ") == "a b c"
+
+    def test_whitespace_collapse_matches_the_regex_form(self):
+        # preprocess collapses with str.split(); the regex \s+ form it
+        # replaced must agree on every code point
+        every = "".join(map(chr, range(0x110000)))
+        spaces = [c for c in every if c.isspace()]
+        assert re.findall(r"\s", every) == spaces
+        assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "　"} <= set(spaces)
+        text = "x" + "y".join(c + c for c in spaces) + " z" + "".join(spaces)
+        regex_form = re.sub(r"\s+", " ", text).strip()
+        assert " ".join(text.split()) == regex_form
+        assert preprocess(text, PreprocessConfig(lowercase=False, strip_urls=False,
+                                                 expand_contractions=False)) == regex_form
 
     def test_stemming_applied_per_token(self):
         config = PreprocessConfig(stem=True)
