@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model-prefix", help="score pair texts with a trained pipeline")
     p.add_argument("--pairs", required=True)
     p.add_argument("--comments",
-                   help="resolve pair texts against these comments' ids")
+                   help="with --scores: resolve pair texts against these comments' ids")
     p.add_argument("--tie-credit", type=float, default=0.0, choices=[0.0, 0.5])
     p.add_argument("--top-errors", type=_int_at_least(0), default=0,
                    help="write the k worst-ranked pairs to --errors-out")
@@ -500,8 +500,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_conflict(args: argparse.Namespace) -> str | None:
+    """Why a command's flags do not go together, if they do not."""
+    if args.command == "train" and args.n_min > args.n_max:
+        return f"--n-min {args.n_min} is above --n-max {args.n_max}"
+    if args.command == "evaluate" and args.comments and not args.scores:
+        return "--comments resolves the pairs for --scores; it needs --scores"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    conflict = _flag_conflict(args)
+    if conflict:
+        parser.error(conflict)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:

@@ -7,31 +7,31 @@ lexicographically and column indices follow lexicographic gram order, so
 the model is independent of corpus order.
 
 A char-wb gram never crosses a word boundary, so a document's gram counts
-are the sum of its words' gram counts.  Both passes work per distinct
-word.  A `GramTable` splits each distinct word into grams once and counts
-(document, word) pairs with array operations, CHUNK_ROWS documents at a
-time; it can split over a wider n-gram range than one fit needs and then
-serve every range inside it, which is how `search` fits all its trials
-from one split.  `fit_tfidf` is one table and one fit.
+are the sum of its words' gram counts.  Fit and `transform` therefore
+share one walk and one count.  A word table holds, for every word seen,
+a run of int32 ids: gram ids in a `GramTable`, in-vocabulary columns in a
+`TfidfModel`.  The walk (`_chunks`) takes CHUNK_ROWS texts at a time,
+splits the chunk's words the table lacks in one `char_wb_ngrams` call and
+adds them; the count (`_count`) then gathers every token's ids and counts
+each document's distinct ids.  A `GramTable` can split over a wider
+n-gram range than one fit needs and then serve every range inside it,
+which is how `search` fits all its trials from one split; `fit_tfidf` is
+one table and one fit.
 
-A model keeps a word table: every word it knows, with that word's
-in-vocabulary columns, as one array table (a word -> row dict, row
-offsets, and one int32 column array).  A fitted model knows every word
-of its table, and the `.pipeline` file saves the table with the model.
-`transform` gathers each known word's columns from the table and splits
-only the words it has never seen, one batch per chunk, appending them to
-the table.  The vocabulary, the idf weights and each row's values are
-the same float64 numbers, bit for bit, as counting each document's grams
-on its own.
+A fitted model knows every word of its corpus, and the `.pipeline` file
+saves its word table with it, so `transform` splits only words it has
+never seen, once per model.  The vocabulary, the idf weights and each
+row's values are the same float64 numbers, bit for bit, as counting each
+document's grams on its own.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, count, filterfalse, repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,55 +118,34 @@ class TfidfConfig:
 
 
 @dataclass(eq=False)
-class TfidfModel:
-    """Fitted vectorizer: gram -> column index, per-column idf weights.
+class _WordTable:
+    """Words, each owning a run of int32 ids, in the order they were added.
 
-    The model's word table holds, for every word it knows, the columns of
-    the word's in-vocabulary grams, in char_wb_ngrams order with repeats.
-    Row r (`_rows[word]`) owns `_columns[_offsets[r]:_offsets[r + 1]]`;
-    both arrays keep room at their end, so adding words copies the table
-    only when it outgrows that room.  `fit_tfidf` fills the table with
-    every training word, a loaded model reads it from its file, and
-    `transform` adds each new word it meets, so a word is split into grams
-    once per model, however many batches it appears in.  The table grows
-    with the distinct words seen.
+    Row r (`rows[word]`) owns `ids[offsets[r]:offsets[r + 1]]`.  Both
+    arrays keep room at their end, so adding words copies them only when
+    they outgrow that room.
     """
 
-    vocabulary: dict[str, int]
-    idf: np.ndarray
-    config: TfidfConfig
-    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False)
-    _offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64),
-                                 init=False, repr=False)
-    _columns: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32),
-                                 init=False, repr=False)
+    rows: dict[str, int] = field(default_factory=dict)
+    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
 
-    @property
-    def dim(self) -> int:
-        return len(self.vocabulary)
+    def add(self, words: Iterable[str], counts: np.ndarray, ids: np.ndarray) -> None:
+        """Append words: word i owns the next counts[i] entries of `ids`.
+        The words must be distinct and not in the table yet; a repeat
+        leaves `rows` short of the rows added."""
+        n, k = len(self.rows), len(counts)
+        used = int(self.offsets[n])
+        self.offsets = _room(self.offsets, n + 1, k)
+        self.ids = _room(self.ids, used, len(ids))
+        self.offsets[n + 1 : n + 1 + k] = used + np.cumsum(counts)
+        self.ids[used : used + len(ids)] = ids
+        self.rows.update(zip(words, range(n, n + k)))
 
-    @property
-    def n_words(self) -> int:
-        """Words in the word table."""
-        return len(self._rows)
-
-    def add_words(self, words: Iterable[str], counts: np.ndarray,
-                  columns: np.ndarray) -> None:
-        """Append words to the word table: word i owns the next counts[i]
-        entries of `columns`.  The words must be distinct and not in the
-        table yet; a repeat leaves `n_words` short of the rows added."""
-        n, k = len(self._rows), len(counts)
-        used = int(self._offsets[n])
-        self._offsets = _room(self._offsets, n + 1, k)
-        self._columns = _room(self._columns, used, len(columns))
-        self._offsets[n + 1 : n + 1 + k] = used + np.cumsum(counts)
-        self._columns[used : used + len(columns)] = columns
-        self._rows.update(zip(words, range(n, n + k)))
-
-    def word_table(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """(words in row order, columns per word, all columns) of the table."""
-        offsets = self._offsets[: len(self._rows) + 1]
-        return list(self._rows), np.diff(offsets), self._columns[: offsets[-1]]
+    def used(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row offsets, ids) of the words added so far, without the room."""
+        offsets = self.offsets[: len(self.rows) + 1]
+        return offsets, self.ids[: offsets[-1]]
 
 
 def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -177,6 +156,39 @@ def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
     grown = np.empty(max(2 * len(buffer), used + extra), dtype=buffer.dtype)
     grown[:used] = buffer[:used]
     return grown
+
+
+@dataclass(eq=False)
+class TfidfModel:
+    """Fitted vectorizer: gram -> column index, per-column idf weights.
+
+    The model's word table, laid out as a `GramTable`'s, holds for every
+    word it knows the columns of the word's in-vocabulary grams, in
+    char_wb_ngrams order with repeats.  `fit_tfidf` fills it with every
+    training word, a loaded model reads it from its file, and `transform`'s
+    walk adds each new word it meets, so a word is split into grams once
+    per model, however many batches it appears in.  The table grows with
+    the distinct words seen.
+    """
+
+    vocabulary: dict[str, int]
+    idf: np.ndarray
+    config: TfidfConfig
+    _table: _WordTable = field(default_factory=_WordTable, init=False, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return len(self.vocabulary)
+
+    @property
+    def n_words(self) -> int:
+        """Words in the word table."""
+        return len(self._table.rows)
+
+    def word_table(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(words in row order, columns per word, all columns) of the table."""
+        offsets, columns = self._table.used()
+        return list(self._table.rows), np.diff(offsets), columns
 
 
 def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
@@ -204,9 +216,10 @@ class GramTable:
     the wider one whose gram has a length in that range, plus the whole
     padded word when the range reaches its length (`in_range`).  For the
     same reason a gram's count in a document, and its document frequency,
-    are the same in every range that holds it.  Gram ids follow
-    lexicographic gram order, so choosing and ordering a vocabulary are
-    array operations on ids.
+    are the same in every range that holds it.  The split walks and counts
+    the corpus as `transform` does; its word table holds each word's gram
+    ids, numbered in lexicographic gram order, so choosing and ordering a
+    vocabulary are array operations on ids.
 
     Words of `more_texts` are split too, but not counted: a model fitted
     from the table then knows their columns, so transforming those texts
@@ -216,14 +229,17 @@ class GramTable:
     n_min: int
     n_max: int
     n_docs: int
-    words: dict[str, int]   # word -> word id, in first-seen order
-    flat: np.ndarray        # every word's gram ids, concatenated in word-id order
-    offsets: np.ndarray     # word i's gram ids are flat[offsets[i]:offsets[i + 1]]
+    _table: _WordTable      # each word's gram ids, in char_wb_ngrams order
     grams: list[str]        # the gram of each id; ids ascend lexicographically
     length: np.ndarray      # characters per gram
     whole: np.ndarray       # gram is a whole padded word
     total: np.ndarray       # count per gram over the corpus, float64
     df: np.ndarray          # corpus documents holding each gram
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every word's gram ids, concatenated in table row order."""
+        return self._table.used()[1]
 
     @classmethod
     def split(
@@ -240,42 +256,35 @@ class GramTable:
             raise ValueError("cannot fit tf-idf on an empty corpus")
         if not 1 <= n_min <= n_max:
             raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
-        word_ids: dict[str, int] = {}
+        table = _WordTable()
         gram_ids: dict[str, int] = defaultdict(count().__next__)  # numbers new grams
-        word_grams = array("q")
-        width = array("q")
-        tokens = array("q")   # word id of every token, in text order
-        doc_len = array("q")  # tokens per text
-        for text in chain(corpus, more_texts):
-            words = text.split()
-            doc_len.append(len(words))
-            for word in words:
-                w = word_ids.get(word)
-                if w is None:
-                    w = word_ids[word] = len(word_ids)
-                    grams = char_wb_ngrams(word, n_min, n_max)
-                    width.append(len(grams))
-                    word_grams.extend(map(gram_ids.__getitem__, grams))
-                tokens.append(w)
+        ids_of = partial(map, gram_ids.__getitem__)
+        # count only once every word is split and every gram renumbered, so
+        # total and df are allocated once; keep the corpus tokens till then
+        chunks = list(_chunks(table, corpus, n_min, n_max, ids_of))
+        for _ in _chunks(table, more_texts, n_min, n_max, ids_of):
+            pass
 
-        # renumber the grams in lexicographic order
+        # renumber the grams in lexicographic order, in the table's own ids
         grams = sorted(gram_ids)
-        rank = np.empty(len(grams), dtype=np.int64)
+        rank = np.empty(len(grams), dtype=np.int32)
         rank[np.fromiter(map(gram_ids.__getitem__, grams), dtype=np.int64,
                          count=len(grams))] = np.arange(len(grams))
-        flat = rank[np.frombuffer(word_grams, dtype=np.int64)]
+        flat = table.used()[1]
+        flat[:] = rank[flat]
         # a word is one whole gram once the range reaches its padded length
         whole = np.zeros(len(grams), dtype=bool)
-        whole[rank[[gram_ids[f" {w} "] for w in word_ids if len(w) + 2 <= n_max]]] = True
+        whole[rank[[gram_ids[f" {w} "] for w in table.rows if len(w) + 2 <= n_max]]] = True
         del gram_ids
-        offsets = np.concatenate(([0], np.cumsum(np.frombuffer(width, dtype=np.int64))))
-        # count over the corpus documents, the first texts
-        doc_len = np.frombuffer(doc_len, dtype=np.int64)[: len(corpus)]
-        tokens = np.frombuffer(tokens, dtype=np.int64)[: int(doc_len.sum())]
-        total, df = _corpus_counts(flat, offsets, tokens, doc_len, len(grams))
+
+        total = np.zeros(len(grams))
+        df = np.zeros(len(grams), dtype=np.int64)
+        while chunks:  # free each chunk's tokens once counted; sums are exact
+            _, ids, times = _count(table, *chunks.pop(), len(grams))
+            total += np.bincount(ids, weights=times, minlength=len(grams))
+            df += np.bincount(ids, minlength=len(grams))
         return cls(
-            n_min=n_min, n_max=n_max, n_docs=len(corpus), words=word_ids,
-            flat=flat, offsets=offsets, grams=grams,
+            n_min=n_min, n_max=n_max, n_docs=len(corpus), _table=table, grams=grams,
             length=np.fromiter(map(len, grams), dtype=np.int64, count=len(grams)),
             whole=whole, total=total, df=df,
         )
@@ -325,31 +334,9 @@ class GramTable:
         # every word's in-vocabulary columns, in gram order, for transform
         column = np.full(len(grams), -1, dtype=np.int64)
         column[kept] = np.arange(len(kept))
-        model.add_words(self.words, *_in_vocabulary(column[self.flat], self.offsets))
+        offsets, ids = self._table.used()
+        model._table.add(self._table.rows, *_kept(column[ids], offsets))
         return model
-
-
-def _corpus_counts(
-    flat: np.ndarray, offsets: np.ndarray, tokens: np.ndarray, doc_len: np.ndarray,
-    n_grams: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(total count, document frequency) per gram id, CHUNK_ROWS documents
-    at a time; `tokens` holds the word ids of the documents' words."""
-    n_docs, n_words = len(doc_len), len(offsets) - 1
-    total = np.zeros(n_grams)
-    df = np.zeros(n_grams, dtype=np.int64)
-    bounds = np.concatenate(([0], np.cumsum(doc_len))).tolist()
-    for start in range(0, n_docs, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n_docs)
-        doc = np.repeat(np.arange(stop - start), doc_len[start:stop])
-        # distinct (document, word) pairs and how often each occurs
-        pairs, times = _count_keys(doc * n_words + tokens[bounds[start] : bounds[stop]])
-        pair_doc, pair_word = np.divmod(pairs, n_words)
-        doc, grams, per_pair = _expand(flat, offsets, pair_word, pair_doc)
-        total += np.bincount(grams, weights=np.repeat(times, per_pair), minlength=n_grams)
-        doc_grams, _ = _count_keys(doc * n_grams + grams)
-        df += np.bincount(doc_grams % n_grams, minlength=n_grams)
-    return total, df
 
 
 def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
@@ -361,9 +348,18 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     """
     if isinstance(texts, str):
         raise TypeError("transform takes a sequence of texts, not one str")
+    vocabulary, config = model.vocabulary, model.config
     row_nnz, indices, data = [], [], []
-    for start in range(0, len(texts), CHUNK_ROWS):
-        nnz, cols, values = _transform_chunk(model, texts[start : start + CHUNK_ROWS])
+    for tokens, doc_len in _chunks(model._table, texts, config.n_min, config.n_max,
+                                   lambda grams: map(vocabulary.get, grams, repeat(-1))):
+        nnz, cols, values = _count(model._table, tokens, doc_len, model.dim)
+        values = values * model.idf[cols]
+        # per-row norms, each taken exactly as for a lone row vector
+        bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
+        norms = np.ones(len(doc_len))
+        for i in np.flatnonzero(nnz).tolist():
+            norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
+        values /= np.repeat(norms, nnz)
         row_nnz.append(nnz)
         indices.append(cols)
         data.append(values)
@@ -377,41 +373,69 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     )
 
 
-def _count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and how often each occurs."""
-    keys = np.sort(keys)
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return keys[starts], np.diff(np.append(starts, len(keys)))
+def _chunks(
+    table: _WordTable,
+    texts: Sequence[str],
+    n_min: int,
+    n_max: int,
+    ids_of: Callable[[list[str]], Iterable[int]],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk `texts` CHUNK_ROWS at a time, adding the words `table` lacks.
 
-
-def _expand(
-    flat: np.ndarray, offsets: np.ndarray, ids: np.ndarray, doc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every entry of each id in `ids`, in order, tagged with its document.
-
-    Id i owns the entries flat[offsets[i]:offsets[i + 1]]; doc[k] is the
-    document of ids[k].  Returns (document of each entry, entries, entries
-    per id).
+    A chunk's new words are split over [n_min, n_max] in one
+    char_wb_ngrams call; `ids_of` maps their grams to ids, and an id < 0
+    is dropped.  Yields (table row of each token, tokens per text) for
+    each chunk.
     """
-    start = offsets[ids]
-    per_id = offsets[ids + 1] - start
-    first = np.cumsum(per_id) - per_id
-    pos = np.arange(int(per_id.sum())) + np.repeat(start - first, per_id)
-    return np.repeat(doc, per_id), flat[pos], per_id
+    rows = table.rows
+    for start in range(0, len(texts), CHUNK_ROWS):
+        split = [text.split() for text in texts[start : start + CHUNK_ROWS]]
+        words = list(chain.from_iterable(split))
+        new = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
+        if new:
+            grams = char_wb_ngrams(" ".join(new), n_min, n_max)
+            padded = np.fromiter(map(len, new), dtype=np.int64, count=len(new)) + 2
+            offsets = np.concatenate(([0], np.cumsum(_grams_per_word(padded, n_min,
+                                                                     n_max))))
+            ids = np.fromiter(ids_of(grams), dtype=np.int64, count=len(grams))
+            table.add(new, *_kept(ids, offsets))
+        yield (np.fromiter(map(rows.__getitem__, words), dtype=np.int32, count=len(words)),
+               np.fromiter(map(len, split), dtype=np.int64, count=len(split)))
 
 
-def _in_vocabulary(
-    cols: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(in-vocabulary columns per word, those columns in order) of words
-    whose grams' columns are cols[offsets[i]:offsets[i + 1]], -1 for a gram
-    out of the vocabulary."""
-    found = cols >= 0
+def _count(
+    table: _WordTable, tokens: np.ndarray, doc_len: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entries per document, ids, counts) of documents whose tokens are
+    the table rows `tokens`, doc_len[d] of them for document d.
+
+    Each document's entries are its distinct ids, ascending, as int32,
+    with how often the document holds each; every id is below `width`.
+    """
+    width = max(width, 1)
+    start = table.offsets[tokens]
+    per_token = table.offsets[tokens + 1] - start
+    first = np.cumsum(per_token) - per_token
+    pos = np.arange(int(per_token.sum())) + np.repeat(start - first, per_token)
+    doc = np.repeat(np.arange(len(doc_len)), doc_len)
+    keys = np.sort(np.repeat(doc, per_token) * width + table.ids[pos])
+    distinct = np.empty(len(keys), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    starts = np.flatnonzero(distinct)
+    times = np.diff(np.append(starts, len(keys)))
+    keys = keys[starts]
+    docs = keys // width
+    return (np.bincount(docs, minlength=len(doc_len)),
+            (keys - docs * width).astype(np.int32), times)
+
+
+def _kept(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids >= 0 per word, those ids in order, as int32) of words whose ids
+    are ids[offsets[i]:offsets[i + 1]]; an id < 0 marks a dropped gram."""
+    found = ids >= 0
     inside = np.concatenate(([0], np.cumsum(found)))
-    return np.diff(inside[offsets]), cols[found].astype(np.int32)
+    return np.diff(inside[offsets]), ids[found].astype(np.int32)
 
 
 def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
@@ -421,51 +445,3 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
     n_max reaches it."""
     k = np.maximum(np.minimum(n_max, padded - 1) - n_min + 1, 0)
     return k * (padded + 1 - n_min) - k * (k - 1) // 2 + (padded <= n_max)
-
-
-def _add_new_words(model: TfidfModel, words: list[str]) -> None:
-    """Split words the model has never seen, in one batch, into its table."""
-    cfg = model.config
-    grams = char_wb_ngrams(" ".join(words), cfg.n_min, cfg.n_max)
-    cols = np.fromiter(map(model.vocabulary.get, grams, repeat(-1)),
-                       dtype=np.int64, count=len(grams))
-    padded = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
-    offsets = np.concatenate(([0], np.cumsum(_grams_per_word(padded, cfg.n_min,
-                                                             cfg.n_max))))
-    model.add_words(words, *_in_vocabulary(cols, offsets))
-
-
-def _transform_chunk(
-    model: TfidfModel, texts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(entries per row, columns, values) of a few documents' rows."""
-    words: list[str] = []
-    doc_words = np.empty(len(texts), dtype=np.int64)
-    for d, text in enumerate(texts):
-        split = text.split()
-        doc_words[d] = len(split)
-        words.extend(split)
-    known = model._rows
-    new = list(filterfalse(known.__contains__, dict.fromkeys(words)))
-    if new:
-        _add_new_words(model, new)
-
-    # every token's columns, in order, tagged with its document
-    token = np.fromiter(map(known.__getitem__, words), dtype=np.int64, count=len(words))
-    doc, cols, _ = _expand(model._columns, model._offsets, token,
-                           np.repeat(np.arange(len(texts)), doc_words))
-
-    dim = max(model.dim, 1)
-    keys, counts = _count_keys(doc * dim + cols)
-    rows = keys // dim
-    cols = (keys - rows * dim).astype(np.int32)
-    nnz = np.bincount(rows, minlength=len(texts))
-    values = counts.astype(np.float64)
-    values *= model.idf[cols]
-    # per-row norms, each taken exactly as for a lone row vector
-    bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
-    norms = np.ones(len(texts))
-    for i in np.flatnonzero(nnz).tolist():
-        norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
-    values /= np.repeat(norms, nnz)
-    return nnz, cols, values

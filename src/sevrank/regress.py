@@ -50,8 +50,8 @@ class RidgeModel:
     solver: CgReport | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
 
 
 def fit_ridge(
@@ -79,8 +79,8 @@ def fit_ridge(
         raise ValueError(f"got {n} rows but targets of shape {y_arr.shape}")
     if n == 0:
         raise ValueError("need at least one training example")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 

@@ -167,6 +167,14 @@ class TestScoring:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_evaluate_comments_without_scores_is_a_usage_error(self, files, capsys,
+                                                                tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--model-prefix", files["model"], "--pairs",
+                      str(files["pairs"]), "--comments", str(tmp_path / "missing.csv")])
+        assert exc.value.code == 2
+        assert "--comments resolves the pairs for --scores" in capsys.readouterr().err
+
 
 class TestExplain:
     def test_scorer_called_once_with_every_sample(self, files, capsys, monkeypatch):
@@ -656,6 +664,16 @@ class TestMatrixFiles:
 
 
 class TestTrainFlags:
+    def test_n_min_above_n_max_is_a_usage_error(self, capsys, tmp_path):
+        # refused before --labeled is read: the file does not exist
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--labeled", str(tmp_path / "missing.csv"),
+                      "--out-prefix", str(tmp_path / "model"), "--n-min", "5",
+                      "--n-max", "3"])
+        assert exc.value.code == 2
+        assert "--n-min 5 is above --n-max 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--max-features", "-3", "must be >= 1, got -3"),
         ("--max-features", "0", "must be >= 1, got 0"),

@@ -289,6 +289,23 @@ class TestGramTable:
                                   getattr(transform(fresh, corpus + more), name))
         assert set(word_columns(model)) == {w for t in corpus + more for w in t.split()}
 
+    def test_total_and_df_match_a_counter_over_each_document(self):
+        rng = np.random.default_rng(3)
+        pool = "the cat sat on mat café naïve it's 日本 😀 a bb".split()
+        corpus = [" ".join(rng.choice(pool, size=rng.integers(0, 9)))
+                  for _ in range(2 * CHUNK_ROWS + 9)]
+        # words that no corpus document holds: their grams get no count
+        more = ["zebra quux", "", "qq😀q zebra"]
+        table = GramTable.split(corpus, 1, 4, more)
+        per_doc = [Counter(char_wb_ngrams(doc, 1, 4)) for doc in corpus]
+        grams = set(char_wb_ngrams(" ".join(corpus + more), 1, 4))
+        assert table.grams == sorted(grams)
+        for g, gram in enumerate(table.grams):
+            assert table.total[g] == sum(c[gram] for c in per_doc), gram
+            assert table.df[g] == sum(gram in c for c in per_doc), gram
+        assert table.df[table.grams.index("zebr")] == 0
+        assert table.total[table.grams.index("quux")] == 0.0
+
     def test_range_outside_the_table_rejected(self):
         table = GramTable.split(["ab"], 2, 4)
         with pytest.raises(ValueError, match="not inside"):
@@ -436,8 +453,8 @@ class TestBatchTransform:
         texts = [f"the w{i}x{'y' * (i % 7)}" for i in range(300)]
         for text in texts:
             transform(model, [text])
-            if not buffers or model._columns is not buffers[-1]:
-                buffers.append(model._columns)
+            if not buffers or model._table.ids is not buffers[-1]:
+                buffers.append(model._table.ids)
         assert model.n_words == len(set(" ".join(self.VOCAB_DOCS + texts).split()))
         assert len(buffers) <= 8
         self.assert_rows_exact(model, texts)

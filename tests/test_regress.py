@@ -165,6 +165,13 @@ class TestFitRidge:
         with pytest.raises(ValueError):
             fit_ridge(dense_rows(SINGLE_FEATURE), [1.0, 2.0, 3.0], alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+            fit_ridge(dense_rows(SINGLE_FEATURE), [1.0, 2.0, 3.0], alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+            RidgeModel(weights=np.zeros(1), intercept=0.0, alpha=alpha)
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
     def test_tol_not_positive_finite_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
