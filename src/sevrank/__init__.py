@@ -35,7 +35,7 @@ from importlib import import_module
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "corpus": ("Comment", "DavidsonCounts", "JtcLabels", "LabeledExample",
-               "PairJudgment", "load_comments", "load_pairs",
+               "Pairs", "load_comments", "load_pairs",
                "transform_davidson", "transform_founta", "transform_jtc",
                "transform_ruddit", "transform_unintended"),
     "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),

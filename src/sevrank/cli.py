@@ -79,9 +79,11 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
 
 
 def read_lookup_csv(path: str | Path) -> dict[str, float]:
-    """text -> score table for `explain --scores-lookup`; scores must be finite."""
+    """text -> score table for `explain --scores-lookup`; texts must be
+    unique and scores finite."""
     columns, rows = corpus.read_csv(path, ("text", "score"))
     text_col, score_col = columns["text"], columns["score"]
+    corpus.unique_ids(path, [fields[text_col] for fields in rows], "text")
     return {
         fields[text_col]: corpus.number(path, record, "score", fields[score_col])
         for record, fields in enumerate(rows, start=2)
@@ -162,18 +164,6 @@ def score_texts(
         scores[start : start + X.shape[0]] = regress.predict(ridge, X)
     return scores[np.fromiter(map(slot.__getitem__, texts), dtype=np.int64,
                               count=len(texts))]
-
-
-def _score_sides(
-    tfidf: features.TfidfModel,
-    ridge: regress.RidgeModel,
-    pp: PreprocessConfig,
-    sides: Sequence[corpus.Comment],
-) -> dict[str, float]:
-    """comment id -> score for every pair side; a repeated id keeps the
-    score of its last side."""
-    scores = score_texts(tfidf, ridge, pp, [side.text for side in sides])
-    return dict(zip((side.id for side in sides), scores.tolist()))
 
 
 def _warn_unconverged(ridge: regress.RidgeModel, what: str) -> None:
@@ -259,12 +249,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
     if args.comments:
         comments = corpus.load_comments(args.comments)
+        ids, texts = [c.id for c in comments], [c.text for c in comments]
     else:
-        comments = corpus.pairs_to_comments(corpus.load_pairs(args.pairs))
-    scores = score_texts(model.tfidf, model.ridge, model.preprocess,
-                         [comment.text for comment in comments])
-    write_scores_csv(args.out, zip((c.id for c in comments), scores.tolist()))
-    print(f"scored {len(comments)} comments")
+        pairs = corpus.load_pairs(args.pairs)
+        ids, texts = pairs.ids, pairs.texts
+    scores = score_texts(model.tfidf, model.ridge, model.preprocess, texts)
+    write_scores_csv(args.out, zip(ids, scores.tolist()))
+    print(f"scored {len(ids)} comments")
     return 0
 
 
@@ -273,25 +264,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.model_prefix:
         from . import pipeline
         model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
-        scores = _score_sides(model.tfidf, model.ridge, model.preprocess,
-                              corpus.pairs_to_comments(pairs))
+        scores = score_texts(model.tfidf, model.ridge, model.preprocess,
+                             pairs.texts).tolist()
     else:
-        scores = read_scores_csv(args.scores)
+        score_of = read_scores_csv(args.scores)
         if args.comments:
             pairs = corpus.resolve_pairs_to_ids(
                 pairs, corpus.load_comments(args.comments)
             )
-    report = evaluate.pairwise_accuracy(scores, pairs, tie_credit=args.tie_credit)
+        scores = evaluate.scores_for(pairs.ids, score_of)
+    report = evaluate.pairwise_accuracy(pairs.ids, scores, tie_credit=args.tie_credit)
     print(evaluate.report_json(report))
     if args.top_errors:
-        errors = evaluate.rank_errors(scores, pairs, args.top_errors)
-        evaluate.write_errors_csv(args.errors_out, errors)
+        errors = evaluate.rank_errors(pairs.ids, scores, args.top_errors)
+        evaluate.write_errors_csv(args.errors_out, errors, pairs)
         print(f"wrote {len(errors)} ranked errors to {args.errors_out}",
               file=sys.stderr)
     return 0
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    """Fit blend weights on the pairs, blend every matrix row, and print the
+    blend's accuracy on the same pairs.  That accuracy is in-sample: it is
+    measured on the pairs the weights were fitted on."""
     from . import ensemble
     from .optim import LbfgsConfig
 
@@ -304,7 +299,8 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     blended = ensemble.blend(matrix, weights)
     ensemble.save_weights(weights, args.out_weights)
     write_scores_csv(args.out_blend, blended)
-    report = evaluate.pairwise_accuracy(dict(blended), pairs)
+    report = evaluate.pairwise_accuracy(
+        pairs.ids, evaluate.scores_for(pairs.ids, dict(blended)))
     print(evaluate.report_json(report))
     return 0
 
@@ -322,11 +318,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     # preprocess every distinct text once, ahead of the trials
     texts = [preprocess(ex.comment.text, pp) for ex in examples]
     y = [ex.score for ex in examples]
-    sides = corpus.pairs_to_comments(pairs)
-    slot = {t: i for i, t in enumerate(dict.fromkeys(s.text for s in sides))}
+    slot = {t: i for i, t in enumerate(dict.fromkeys(pairs.texts))}
     pair_texts = [preprocess(t, pp) for t in slot]
-    side_slots = np.fromiter((slot[s.text] for s in sides), dtype=np.int64,
-                             count=len(sides))
+    side_slots = np.fromiter(map(slot.__getitem__, pairs.texts), dtype=np.int64,
+                             count=len(pairs.texts))
     rng = np.random.default_rng(args.seed)
     trials = []
     for _ in range(args.trials):
@@ -355,8 +350,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         ridge = regress.fit_ridge(X, y, alpha=alpha, tol=1e-8, max_iter=1000)
         _warn_unconverged(ridge, f"search trial {trial}")
         side_scores = regress.predict(ridge, X_pairs)[side_slots].tolist()
-        scores = dict(zip((s.id for s in sides), side_scores))
-        accuracy = evaluate.pairwise_accuracy(scores, pairs).accuracy
+        accuracy = evaluate.pairwise_accuracy(pairs.ids, side_scores).accuracy
         record = {
             "trial": trial, "n_min": config.n_min, "n_max": config.n_max,
             "max_features": config.max_features, "alpha": alpha, "accuracy": accuracy,
@@ -464,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors-out", default="errors.csv")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ensemble", help="fit blend weights on pairs and blend")
+    p = sub.add_parser(
+        "ensemble", help="fit blend weights on pairs and blend",
+        description="Fit blend weights on judgment pairs and blend the matrix. The "
+                    "printed accuracy is in-sample: it is measured on the pairs the "
+                    "weights were fitted on.")
     p.add_argument("--matrix", required=True,
                    help="score matrix CSV (comment_id,<model>,...)")
     p.add_argument("--pairs", required=True)

@@ -5,6 +5,10 @@ Heterogeneous toxicity datasets label comments in incompatible ways
 levels).  Each loader here reads one layout and the transforms map every
 labeling scheme onto a single severity scale in [0, 1], larger meaning
 more toxic, so the datasets can train one regressor.
+
+Judgment pairs are held as flat columns of sides (`Pairs`): side 2i is
+pair i's less-toxic comment and side 2i + 1 its more-toxic one.  Every
+consumer (scoring, evaluation, ensembling, search) reads that one order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "Comment",
     "LabeledExample",
-    "PairJudgment",
+    "Pairs",
     "JtcLabels",
     "DavidsonCounts",
     "JTC_WEIGHTS",
@@ -28,7 +32,6 @@ __all__ = [
     "load_pairs",
     "load_labeled",
     "save_labeled",
-    "pairs_to_comments",
     "resolve_pairs_to_ids",
     "transform_ruddit",
     "transform_jtc",
@@ -68,15 +71,25 @@ class LabeledExample:
 
 
 @dataclass(frozen=True)
-class PairJudgment:
-    """An annotated pair: which of two comments a rater found more toxic.
+class Pairs:
+    """Annotated pairs as two flat columns over their sides.
 
-    Identical texts on both sides are allowed (they occur in the task
-    data); the two Comment objects are still distinct.
+    Side 2i is pair i's less-toxic comment and side 2i + 1 its more-toxic
+    one; `ids[j]` and `texts[j]` belong to side j.  Identical texts on both
+    sides are allowed (they occur in the task data).  len() is the number
+    of pairs.
     """
 
-    less_toxic: Comment
-    more_toxic: Comment
+    ids: list[str]
+    texts: list[str]
+
+    def __post_init__(self) -> None:
+        if len(self.ids) != len(self.texts) or len(self.ids) % 2:
+            raise ValueError(f"{len(self.ids)} side ids and {len(self.texts)} "
+                             "side texts do not make whole pairs")
+
+    def __len__(self) -> int:
+        return len(self.ids) // 2
 
 
 @dataclass(frozen=True)
@@ -279,13 +292,13 @@ def number(path: str | Path, record: int, name: str, text: str, kind: type = flo
     return value
 
 
-def unique_ids(path: str | Path, ids: Sequence[str]) -> None:
-    """Reject an id column (ids[i] is row i + 2) that repeats an id, naming its row."""
+def unique_ids(path: str | Path, ids: Sequence[str], what: str = "comment id") -> None:
+    """Reject a column (ids[i] is row i + 2) that repeats a value, naming its row."""
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         for record, cid in enumerate(ids, start=2):
             if cid in seen:
-                raise ValueError(f"{path}: duplicate comment id {cid!r} at row {record}")
+                raise ValueError(f"{path}: duplicate {what} {cid!r} at row {record}")
             seen.add(cid)
 
 
@@ -308,57 +321,36 @@ def load_comments(path: str | Path) -> list[Comment]:
     return [Comment(id=fields[id_col], text=fields[text_col]) for fields in rows]
 
 
-def load_pairs(path: str | Path) -> list[PairJudgment]:
+def load_pairs(path: str | Path) -> Pairs:
     """Load annotated pairs (columns less_toxic, more_toxic holding raw text).
 
-    Synthetic ids p<row>_l / p<row>_m are assigned from the CSV row number
-    (header is row 1), so reloading the same file reproduces them exactly.
+    Synthetic side ids p<row>_l / p<row>_m are assigned from the CSV row
+    number (header is row 1), so reloading the same file reproduces them
+    exactly.
     """
     columns, rows = read_csv(path, ("less_toxic", "more_toxic"))
-    less_col, more_col = columns["less_toxic"], columns["more_toxic"]
-    pairs = []
-    for record, fields in enumerate(rows, start=2):
-        pairs.append(
-            PairJudgment(
-                less_toxic=Comment(id=f"p{record}_l", text=fields[less_col]),
-                more_toxic=Comment(id=f"p{record}_m", text=fields[more_col]),
-            )
-        )
-    return pairs
+    sides = (columns["less_toxic"], columns["more_toxic"])
+    return Pairs(
+        ids=[f"p{record}_{side}" for record in range(2, len(rows) + 2) for side in "lm"],
+        texts=[fields[col] for fields in rows for col in sides],
+    )
 
 
-def pairs_to_comments(pairs: Iterable[PairJudgment]) -> list[Comment]:
-    """Flatten pairs into their side comments (less side first per pair)."""
-    out = []
-    for pair in pairs:
-        out.append(pair.less_toxic)
-        out.append(pair.more_toxic)
-    return out
+def resolve_pairs_to_ids(pairs: Pairs, comments: Iterable[Comment]) -> Pairs:
+    """The same pairs with each side's id replaced by the id of the comment
+    whose text matches exactly.
 
-
-def resolve_pairs_to_ids(
-    pairs: Iterable[PairJudgment], comments: Iterable[Comment]
-) -> list[PairJudgment]:
-    """Rewrite pair sides to reference comment ids matched by exact text.
-
-    Duplicate texts resolve to the first occurrence in `comments`.  A pair
-    side whose text has no match aborts with the pair's id.
+    Duplicate texts resolve to the first occurrence in `comments`.  The
+    first side (in side order) whose text has no match aborts with its id.
     """
-    by_text: dict[str, Comment] = {}
+    id_of: dict[str, str] = {}
     for comment in comments:
-        by_text.setdefault(comment.text, comment)
-    resolved = []
-    for pair in pairs:
-        sides = []
-        for side in (pair.less_toxic, pair.more_toxic):
-            match = by_text.get(side.text)
-            if match is None:
-                raise ValueError(
-                    f"no comment matches the text of pair side {side.id!r}"
-                )
-            sides.append(match)
-        resolved.append(PairJudgment(less_toxic=sides[0], more_toxic=sides[1]))
-    return resolved
+        id_of.setdefault(comment.text, comment.id)
+    ids = [id_of.get(text) for text in pairs.texts]
+    if None in ids:
+        side = pairs.ids[ids.index(None)]
+        raise ValueError(f"no comment matches the text of pair side {side!r}")
+    return Pairs(ids=ids, texts=pairs.texts)
 
 
 def save_labeled(path: str | Path, examples: Iterable[LabeledExample]) -> None:

@@ -5,8 +5,10 @@ or externally produced columns).  Because pairwise ranking accuracy is a
 step function, weights are fitted by minimizing a smooth stand-in: the
 mean logistic loss ln(1 + exp(-margin/tau)) over annotated pairs, where
 the margin is the weighted score difference between the more- and
-less-toxic side.  Columns are normalized first since raw model outputs
-live on incomparable scales.  Reported quality always uses the exact
+less-toxic side.  Pairs name their sides by matrix row id, in the flat
+side order of `corpus.Pairs` (side 2i less toxic, side 2i + 1 more
+toxic).  Columns are normalized first since raw model outputs live on
+incomparable scales.  Reported quality always uses the exact
 accuracy metric, never the surrogate.
 """
 
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PairJudgment, csv_line, number, read_csv, unique_ids
+from .corpus import Pairs, csv_line, number, read_csv, unique_ids
 from .evaluate import NORMALIZATION_MODES
 from .optim import LbfgsConfig, lbfgs_minimize
 
@@ -129,18 +131,15 @@ def normalize_scores(matrix: ScoreMatrix, mode: str) -> ScoreMatrix:
     )
 
 
-def _pair_rows(
-    matrix: ScoreMatrix, pairs: Sequence[PairJudgment]
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_rows(matrix: ScoreMatrix, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix rows of every pair's less-toxic and more-toxic side."""
     row_of = {cid: i for i, cid in enumerate(matrix.comment_ids)}
-    less = np.empty(len(pairs), dtype=np.int64)
-    more = np.empty(len(pairs), dtype=np.int64)
-    for i, pair in enumerate(pairs):
-        for side, out in ((pair.less_toxic, less), (pair.more_toxic, more)):
-            if side.id not in row_of:
-                raise ValueError(f"id {side.id!r} not present in the score matrix")
-            out[i] = row_of[side.id]
-    return less, more
+    try:
+        rows = np.fromiter(map(row_of.__getitem__, pairs.ids), dtype=np.int64,
+                           count=len(pairs.ids))
+    except KeyError as exc:
+        raise ValueError(f"id {exc.args[0]!r} not present in the score matrix") from None
+    return rows[0::2], rows[1::2]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -165,7 +164,7 @@ def _loss_from_diffs(
 def surrogate_loss(
     weights: Sequence[float],
     matrix: ScoreMatrix,
-    pairs: Sequence[PairJudgment],
+    pairs: Pairs,
     temperature: float,
 ) -> tuple[float, np.ndarray]:
     """Mean logistic margin loss and its analytic gradient.
@@ -185,7 +184,7 @@ def surrogate_loss(
 
 def fit_weights(
     matrix: ScoreMatrix,
-    pairs: Sequence[PairJudgment],
+    pairs: Pairs,
     mode: str = "minmax",
     temperature: float = 0.1,
     lbfgs: LbfgsConfig = LbfgsConfig(),

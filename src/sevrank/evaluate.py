@@ -2,10 +2,13 @@
 
 A scorer agrees with a judgment pair when it assigns the annotated
 more-toxic comment a strictly higher score; ties count as disagreement
-(tallied separately).  A score that is not a finite number stops the
-evaluation with the comment id, so NaN never counts as a wrong answer.
-Misordered pairs can be ranked by how badly they were misordered, which
-is the entry point for manual error audits.
+(tallied separately).  Scores come as one flat list in the side order of
+`corpus.Pairs`: scores[2i] is pair i's less-toxic side and scores[2i + 1]
+its more-toxic side, with `ids` naming the sides.  A score that is not a
+finite number stops the evaluation with the comment id of the first such
+side, so NaN never counts as a wrong answer.  Misordered pairs can be
+ranked by how badly they were misordered, which is the entry point for
+manual error audits.
 
 NORMALIZATION_MODES names the ways `ensemble` can rescale score columns
 before blending them; it lives here, in a numpy-free module, so the CLI
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import PairJudgment, write_csv
+from .corpus import Pairs, write_csv
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -45,59 +49,60 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class RankedError:
-    """A misordered (or tied) pair; margin = score_less - score_more >= 0."""
+    """A misordered (or tied) pair; margin = score_less - score_more >= 0.
 
-    pair: PairJudgment
+    `index` is the pair's position i, so its sides are 2i and 2i + 1.
+    """
+
+    index: int
     score_less: float
     score_more: float
     margin: float
 
 
-def _score_of(scores: Mapping[str, float], cid: str) -> float:
-    if cid not in scores:
-        raise ValueError(f"no score for comment id {cid!r}")
-    score = scores[cid]
-    if not math.isfinite(score):
+def scores_for(ids: Sequence[str], scores: Mapping[str, float]) -> list[float]:
+    """The score of every side id, in order; the first id without one is named."""
+    try:
+        return [scores[cid] for cid in ids]
+    except KeyError as exc:
+        raise ValueError(f"no score for comment id {exc.args[0]!r}") from None
+
+
+def _check_finite(ids: Sequence[str], scores: Sequence[float]) -> None:
+    if not all(map(math.isfinite, scores)):
+        cid, score = next((cid, score) for cid, score in zip(ids, scores)
+                          if not math.isfinite(score))
         raise ValueError(f"score of comment id {cid!r} is not a finite number: {score!r}")
-    return score
 
 
 def pairwise_accuracy(
-    scores: Mapping[str, float],
-    pairs: Sequence[PairJudgment],
+    ids: Sequence[str],
+    scores: Sequence[float],
     tie_credit: float = 0.0,
 ) -> EvalReport:
     """Fraction of pairs ranked in agreement with the annotator.
 
-    A pair is correct iff score(more_toxic) > score(less_toxic) strictly.
-    tie_credit (0 by default, 0.5 for sensitivity analysis) awards ties a
-    partial score without counting them as correct.
+    A pair is correct iff its more-toxic side scores strictly higher than
+    its less-toxic side.  tie_credit (0 by default, 0.5 for sensitivity
+    analysis) awards ties a partial score without counting them as
+    correct.
     """
-    if len(pairs) == 0:
+    n_pairs = len(scores) // 2
+    if n_pairs == 0:
         raise ValueError("cannot evaluate zero pairs")
-    n_correct = 0
-    n_ties = 0
-    for pair in pairs:
-        less = _score_of(scores, pair.less_toxic.id)
-        more = _score_of(scores, pair.more_toxic.id)
-        if more > less:
-            n_correct += 1
-        elif more == less:
-            n_ties += 1
-    accuracy = (n_correct + tie_credit * n_ties) / len(pairs)
+    _check_finite(ids, scores)
+    less, more = scores[0::2], scores[1::2]
+    n_correct = sum(map(operator.gt, more, less))
+    n_ties = sum(map(operator.eq, more, less))
     return EvalReport(
-        accuracy=accuracy,
-        n_pairs=len(pairs),
+        accuracy=(n_correct + tie_credit * n_ties) / n_pairs,
+        n_pairs=n_pairs,
         n_correct=n_correct,
         n_ties=n_ties,
     )
 
 
-def rank_errors(
-    scores: Mapping[str, float],
-    pairs: Sequence[PairJudgment],
-    k: int,
-) -> list[RankedError]:
+def rank_errors(ids: Sequence[str], scores: Sequence[float], k: int) -> list[RankedError]:
     """The k worst misordered pairs, largest margin first.
 
     Collects every pair with margin >= 0 (wrong or tied), sorts by margin
@@ -106,19 +111,12 @@ def rank_errors(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    errors = []
-    for pair in pairs:
-        less = _score_of(scores, pair.less_toxic.id)
-        more = _score_of(scores, pair.more_toxic.id)
-        margin = less - more
-        if margin >= 0.0:
-            errors.append(
-                RankedError(
-                    pair=pair, score_less=less, score_more=more, margin=margin
-                )
-            )
-    errors.sort(key=lambda e: -e.margin)  # stable: ties keep input order
-    return errors[:k]
+    _check_finite(ids, scores)
+    margins = list(map(operator.sub, scores[0::2], scores[1::2]))
+    wrong = [i for i, margin in enumerate(margins) if margin >= 0.0]
+    wrong.sort(key=lambda i: -margins[i])  # stable: ties keep input order
+    return [RankedError(index=i, score_less=scores[2 * i], score_more=scores[2 * i + 1],
+                        margin=margins[i]) for i in wrong[:k]]
 
 
 def report_json(report: EvalReport) -> str:
@@ -132,13 +130,16 @@ def report_json(report: EvalReport) -> str:
     )
 
 
-def write_errors_csv(path: str | Path, errors: Sequence[RankedError]) -> None:
-    """Ranked-error listing: rank,less_text,more_text,score_less,score_more,margin."""
+def write_errors_csv(path: str | Path, errors: Sequence[RankedError], pairs: Pairs) -> None:
+    """Ranked-error listing: rank,less_text,more_text,score_less,score_more,margin.
+
+    The texts of each error's pair are read from `pairs`.
+    """
     write_csv(
         path,
         ("rank", "less_text", "more_text", "score_less", "score_more", "margin"),
         (
-            (str(rank), err.pair.less_toxic.text, err.pair.more_toxic.text,
+            (str(rank), pairs.texts[2 * err.index], pairs.texts[2 * err.index + 1],
              repr(err.score_less), repr(err.score_more), repr(err.margin))
             for rank, err in enumerate(errors, start=1)
         ),

@@ -228,6 +228,15 @@ class TestExplain:
         assert f"{path}: non-finite score 'nan' at row 4" in err
         assert "Traceback" not in err
 
+    def test_scores_lookup_repeated_text_names_its_row(self, capsys, tmp_path):
+        path = write_csv(tmp_path / "lookup.csv", ["text", "score"],
+                         [("a b", "1.0"), ("a", "0.1"), ("b", "0.5"), ("a", "0.9")])
+        code, out, err = run(capsys, "explain", "--scores-lookup", path,
+                             "--text", "a b", "--num-samples", "20")
+        assert (code, out) == (1, "")
+        assert f"{path}: duplicate text 'a' at row 5" in err
+        assert "Traceback" not in err
+
     def test_blank_text_is_a_usage_error(self, capsys, tmp_path):
         path = self.lookup(tmp_path, {"a": 1.0, "": 0.0})
         with pytest.raises(SystemExit) as exc:
@@ -491,13 +500,12 @@ def search_oracle(labeled, pairs_path, trials, seed, pp):
         config = features.TfidfConfig(n_min=n_min, n_max=n_max, max_features=max_features)
         tfidf = features.fit_tfidf(texts, config)
         ridge = regress.fit_ridge(features.transform(tfidf, texts), y, alpha=alpha)
-        scores = {}
-        for side in corpus.pairs_to_comments(pairs):
-            X = features.transform(tfidf, [preprocess(side.text, pp)])
-            scores[side.id] = float(regress.predict(ridge, X)[0])
+        scores = [float(regress.predict(ridge, features.transform(
+            tfidf, [preprocess(text, pp)]))[0]) for text in pairs.texts]
         records.append({
             "trial": trial, "n_min": n_min, "n_max": n_max, "max_features": max_features,
-            "alpha": alpha, "accuracy": evaluate.pairwise_accuracy(scores, pairs).accuracy,
+            "alpha": alpha,
+            "accuracy": evaluate.pairwise_accuracy(pairs.ids, scores).accuracy,
             "vocabulary": sorted(tfidf.vocabulary), "texts": texts,
         })
     return records
@@ -583,6 +591,56 @@ class TestSolverWarnings:
         assert len(out.splitlines()) == 4
         assert [line.split(": ")[:3] for line in err.splitlines()] == [
             ["sevrank", "warning", f"search trial {t}"] for t in range(3)]
+
+
+class TestFirstMissingSideIsNamed:
+    """Both sides of pair p2 (the first data row) are missing, and so is a
+    later side: every command names the first side in flat order, p2_l."""
+
+    @pytest.fixture
+    def pairs(self, tmp_path):
+        return write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],
+                         [("gone", "lost"), ("a", "b"), ("c", "missing")])
+
+    def test_evaluate_scores(self, capsys, tmp_path, pairs):
+        scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"],
+                           [("p3_l", "0.1"), ("p3_m", "0.2"), ("p4_l", "0.3")])
+        code, _, err = run(capsys, "evaluate", "--scores", scores, "--pairs", pairs)
+        assert (code, err) == (1, "sevrank: error: no score for comment id 'p2_l'\n")
+
+    def test_evaluate_scores_resolved_by_comments(self, capsys, tmp_path, pairs):
+        comments = write_csv(tmp_path / "c.csv", ["comment_id", "text"],
+                             [("c1", "a"), ("c2", "b"), ("c3", "c")])
+        scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"],
+                           [("c1", "0.1"), ("c2", "0.2"), ("c3", "0.3")])
+        code, _, err = run(capsys, "evaluate", "--scores", scores, "--pairs", pairs,
+                           "--comments", comments)
+        assert (code, err) == (
+            1, "sevrank: error: no comment matches the text of pair side 'p2_l'\n")
+
+    def test_ensemble(self, capsys, tmp_path, pairs):
+        matrix = write_csv(tmp_path / "m.csv", ["comment_id", "m0"],
+                           [("p3_l", "0.1"), ("p3_m", "0.2"), ("p4_l", "0.3")])
+        code, _, err = run(capsys, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                           "--out-weights", tmp_path / "w.csv",
+                           "--out-blend", tmp_path / "b.csv")
+        assert (code, err) == (
+            1, "sevrank: error: id 'p2_l' not present in the score matrix\n")
+
+    def test_non_finite_model_score(self, files, capsys, monkeypatch, tmp_path, pairs):
+        real = regress.predict
+
+        def nan_for_gone(model, X):
+            # distinct texts in first-seen order: gone, lost, a, b, c, missing
+            scores = real(model, X)
+            scores[[0, 1, 5]] = np.nan
+            return scores
+
+        monkeypatch.setattr(regress, "predict", nan_for_gone)
+        code, _, err = run(capsys, "evaluate", "--model-prefix", files["model"],
+                           "--pairs", pairs)
+        assert (code, err) == (
+            1, "sevrank: error: score of comment id 'p2_l' is not a finite number: nan\n")
 
 
 class TestScoresCsv:

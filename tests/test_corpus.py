@@ -14,6 +14,7 @@ from sevrank.corpus import (
     JTC_WEIGHT_TOTAL,
     JTC_WEIGHTS,
     LabeledExample,
+    Pairs,
     load_comments,
     load_davidson,
     load_founta,
@@ -22,7 +23,6 @@ from sevrank.corpus import (
     load_pairs,
     load_ruddit,
     load_unintended,
-    pairs_to_comments,
     resolve_pairs_to_ids,
     save_labeled,
     transform_davidson,
@@ -98,9 +98,9 @@ class TestLoadComments:
 class TestLoadPairs:
     def test_row_maps_to_pair(self, tmp_path):
         path = write(tmp_path, "p.csv", 'less_toxic,more_toxic\nyou silly,"f*** you"\n')
-        [pair] = load_pairs(path)
-        assert pair.less_toxic.text == "you silly"
-        assert pair.more_toxic.text == "f*** you"
+        pairs = load_pairs(path)
+        assert len(pairs) == 1
+        assert pairs.texts == ["you silly", "f*** you"]
 
     def test_cardinality(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\na,b\nc,d\ne,f\n")
@@ -108,16 +108,21 @@ class TestLoadPairs:
 
     def test_identical_texts_accepted(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nsame,same\n")
-        [pair] = load_pairs(path)
-        assert pair.less_toxic.text == pair.more_toxic.text == "same"
-        assert pair.less_toxic.id != pair.more_toxic.id
+        pairs = load_pairs(path)
+        assert pairs.texts == ["same", "same"]
+        assert pairs.ids[0] != pairs.ids[1]
 
     def test_synthetic_ids_from_row_numbers(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\na,b\nc,d\n")
-        pairs = load_pairs(path)
-        assert pairs[0].less_toxic.id == "p2_l"
-        assert pairs[0].more_toxic.id == "p2_m"
-        assert pairs[1].less_toxic.id == "p3_l"
+        assert load_pairs(path).ids == ["p2_l", "p2_m", "p3_l", "p3_m"]
+
+    def test_sides_follow_the_columns_not_their_order(self, tmp_path):
+        path = write(tmp_path, "p.csv", "more_toxic,less_toxic\nb,a\nd,c\n")
+        assert load_pairs(path).texts == ["a", "b", "c", "d"]
+
+    def test_header_only_is_zero_pairs(self, tmp_path):
+        path = write(tmp_path, "p.csv", "less_toxic,more_toxic\n")
+        assert load_pairs(path) == Pairs(ids=[], texts=[])
 
     def test_missing_column_names_it(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,worse\na,b\n")
@@ -128,24 +133,29 @@ class TestLoadPairs:
         path = write(tmp_path, "p.csv", "worker,less_toxic,more_toxic\n1,a,b\n")
         assert len(load_pairs(path)) == 1
 
+    @pytest.mark.parametrize("ids,texts", [(["a"], ["x"]), (["a", "b"], ["x"])])
+    def test_sides_must_make_whole_pairs(self, ids, texts):
+        with pytest.raises(ValueError, match="do not make whole pairs"):
+            Pairs(ids=ids, texts=texts)
+
 
 class TestPairHelpers:
-    def test_pairs_to_comments_flattens_in_order(self, tmp_path):
-        path = write(tmp_path, "p.csv", "less_toxic,more_toxic\na,b\nc,d\n")
-        ids = [c.id for c in pairs_to_comments(load_pairs(path))]
-        assert ids == ["p2_l", "p2_m", "p3_l", "p3_m"]
-
     def test_resolve_by_text_first_occurrence_wins(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nhi,yo\n")
         comments = [Comment("c1", "hi"), Comment("c2", "yo"), Comment("c3", "hi")]
-        [pair] = resolve_pairs_to_ids(load_pairs(path), comments)
-        assert pair.less_toxic.id == "c1"
-        assert pair.more_toxic.id == "c2"
+        pairs = resolve_pairs_to_ids(load_pairs(path), comments)
+        assert pairs == Pairs(ids=["c1", "c2"], texts=["hi", "yo"])
 
     def test_resolve_unmatched_text_errors_with_pair_id(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nhi,yo\n")
         with pytest.raises(ValueError, match="p2_m"):
             resolve_pairs_to_ids(load_pairs(path), [Comment("c1", "hi")])
+
+    def test_first_unmatched_side_in_flat_order_is_named(self, tmp_path):
+        path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nhi,yo\nno,nope\nhi,gone\n")
+        comments = [Comment("c1", "hi"), Comment("c2", "yo")]
+        with pytest.raises(ValueError, match="pair side 'p3_l'"):
+            resolve_pairs_to_ids(load_pairs(path), comments)
 
 
 def jtc_oracle(flags):

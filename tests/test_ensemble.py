@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevrank import corpus, ensemble
-from sevrank.corpus import Comment, PairJudgment
+from sevrank.corpus import Pairs
 from sevrank.optim import LbfgsConfig, check_gradient
 
 
@@ -38,8 +38,10 @@ def matrix_of(values):
     )
 
 
-def pair(less, more):
-    return PairJudgment(Comment(less, ""), Comment(more, ""))
+def pairs_of(sides):
+    """Pairs over matrix ids, given as (less, more) tuples; texts are empty."""
+    ids = [cid for side in sides for cid in side]
+    return Pairs(ids=ids, texts=[""] * len(ids))
 
 
 class TestRanks:
@@ -103,8 +105,8 @@ class TestSurrogate:
     def test_gradient_matches_central_differences(self, seed, n, k, temperature):
         rng = np.random.default_rng(seed)
         matrix = matrix_of(rng.random((n, k)))
-        pairs = [pair(f"c{a}", f"c{b}")
-                 for a, b in rng.integers(0, n, size=(2 * n, 2))]
+        pairs = pairs_of((f"c{a}", f"c{b}")
+                         for a, b in rng.integers(0, n, size=(2 * n, 2)))
         weights = rng.normal(size=k)
 
         def objective(w):
@@ -115,7 +117,17 @@ class TestSurrogate:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="'zz' not present"):
             ensemble.surrogate_loss([1.0], matrix_of([0.1, 0.2]),
-                                    [pair("c0", "zz")], 0.1)
+                                    pairs_of([("c0", "zz")]), 0.1)
+
+    def test_first_unknown_side_in_flat_order_is_named(self):
+        pairs = pairs_of([("c0", "c1"), ("yy", "zz"), ("xx", "c0")])
+        with pytest.raises(ValueError, match="'yy' not present"):
+            ensemble.fit_weights(matrix_of([0.1, 0.2]), pairs)
+
+    def test_rows_are_the_sides_split_into_less_and_more(self):
+        less, more = ensemble._pair_rows(matrix_of([0.1, 0.2, 0.3]),
+                                         pairs_of([("c2", "c0"), ("c1", "c1")]))
+        assert (less.tolist(), more.tolist()) == ([2, 1], [0, 1])
 
 
 class TestFitAndBlend:
@@ -125,11 +137,12 @@ class TestFitAndBlend:
         # m0 tracks severity, m1 is noise
         self.matrix = matrix_of(np.column_stack([severity + 0.05 * rng.normal(size=40),
                                                  rng.random(40)]))
-        self.pairs = []
+        sides = []
         for a, b in rng.integers(0, 40, size=(80, 2)):
             if a != b:
                 less, more = (a, b) if severity[a] < severity[b] else (b, a)
-                self.pairs.append(pair(f"c{less}", f"c{more}"))
+                sides.append((f"c{less}", f"c{more}"))
+        self.pairs = pairs_of(sides)
 
     @pytest.mark.parametrize("mode", ensemble.NORMALIZATION_MODES)
     def test_fitted_loss_at_most_the_uniform_start(self, mode):
@@ -179,7 +192,7 @@ class TestTemperature:
 
     def setup_method(self):
         self.matrix = matrix_of([[0.2], [0.7]])
-        self.pairs = [pair("c0", "c1")]
+        self.pairs = pairs_of([("c0", "c1")])
 
     @pytest.mark.parametrize("temperature", BAD)
     def test_fit_weights(self, temperature, monkeypatch):
