@@ -11,13 +11,10 @@ Quick start::
     from sevrank import corpus, features, regress, evaluate
     from sevrank.textproc import preprocess
 
-    examples = corpus.load_labeled("labeled.csv")
-    texts = [preprocess(ex.comment.text) for ex in examples]
+    labeled = corpus.load_labeled("labeled.csv")
+    texts = [preprocess(text) for text in labeled.texts]
     tfidf = features.fit_tfidf(texts)
-    model = regress.fit_ridge(
-        features.transform(tfidf, texts),
-        [ex.score for ex in examples],
-    )
+    model = regress.fit_ridge(features.transform(tfidf, texts), labeled.scores)
     scores = regress.predict(model, features.transform(tfidf, texts))
 
 The `sevrank` console script exposes the same pipelines as subcommands
@@ -34,8 +31,8 @@ from importlib import import_module
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "corpus": ("Comment", "DavidsonCounts", "JtcLabels", "LabeledExample",
-               "Pairs", "load_comments", "load_pairs",
+    "corpus": ("DavidsonCounts", "JtcLabels", "Labeled", "Pairs",
+               "load_comments", "load_pairs",
                "transform_davidson", "transform_founta", "transform_jtc",
                "transform_ruddit", "transform_unintended"),
     "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),

@@ -4,8 +4,8 @@ Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
 outputs.  Every command that scores text with a saved model goes through
 `score_texts`.  Exit codes: 0 on success, 1 on runtime failure, 2 on
-usage errors.  A ridge fit whose conjugate gradient stops before its
-tolerance prints one `warning:` line on stderr.
+usage errors.  A ridge fit whose conjugate gradient, or a blend fit whose
+L-BFGS, stops before its tolerance prints one `warning:` line on stderr.
 
 `train` saves its preprocessing switches with the model in one
 `<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
@@ -46,7 +46,7 @@ from .textproc import PreprocessConfig, preprocess
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import features, regress
+    from . import features, optim, regress
 
 _KIND_LOADERS = {
     "ruddit": corpus.load_ruddit,
@@ -166,13 +166,17 @@ def score_texts(
                               count=len(texts))]
 
 
-def _warn_unconverged(ridge: regress.RidgeModel, what: str) -> None:
-    """One stderr line when the ridge fit's CG stopped before its tol."""
-    cg = ridge.solver
-    if not cg.converged:
-        print(f"sevrank: warning: {what}: conjugate gradient stopped after "
-              f"{cg.iterations} iterations without converging (relative "
-              f"residual {cg.rel_residual:.3g})", file=sys.stderr)
+def _warn_unconverged(solver: regress.CgReport | optim.OptimResult, what: str) -> None:
+    """One stderr line when a ridge fit's CG or a blend fit's L-BFGS
+    stopped before its tolerance."""
+    if solver.converged:
+        return
+    if hasattr(solver, "rel_residual"):  # a CgReport; an OptimResult has grad_norm
+        method, health = "conjugate gradient", f"relative residual {solver.rel_residual:.3g}"
+    else:
+        method, health = "L-BFGS", f"gradient max-norm {solver.grad_norm:.3g}"
+    print(f"sevrank: warning: {what}: {method} stopped after {solver.iterations} "
+          f"iterations without converging ({health})", file=sys.stderr)
 
 
 def score_histogram(scores: Iterable[float]) -> tuple[list[int], list[float]]:
@@ -202,12 +206,11 @@ def score_histogram(scores: Iterable[float]) -> tuple[list[int], list[float]]:
 # ---------------------------------------------------------------------------
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    examples = _KIND_LOADERS[args.kind](args.in_path)
-    corpus.save_labeled(args.out, examples)
-    scores = [ex.score for ex in examples]
-    print(f"rows: {len(examples)}")
+    labeled = _KIND_LOADERS[args.kind](args.in_path)
+    corpus.save_labeled(args.out, labeled)
+    print(f"rows: {len(labeled)}")
     print("score histogram:")
-    counts, edges = score_histogram(scores)
+    counts, edges = score_histogram(labeled.scores)
     for i, count in enumerate(counts):
         closer = "]" if i == 9 else ")"
         print(f"  [{edges[i]:.1f}, {edges[i + 1]:.1f}{closer}: {count}")
@@ -221,20 +224,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import features
     from . import pipeline
 
-    examples = corpus.load_labeled(args.labeled)
-    if not examples:
+    labeled = corpus.load_labeled(args.labeled)
+    if not labeled:
         raise ValueError(f"{args.labeled}: no training examples")
     pp = _preprocess_config(args)
     config = features.TfidfConfig(
         n_min=args.n_min, n_max=args.n_max,
         max_features=args.max_features, min_df=args.min_df,
     )
-    texts = [preprocess(ex.comment.text, pp) for ex in examples]
-    y = [ex.score for ex in examples]
+    texts = [preprocess(text, pp) for text in labeled.texts]
+    y = labeled.scores
     tfidf = features.fit_tfidf(texts, config)
     X = features.transform(tfidf, texts)
     ridge = regress.fit_ridge(X, y, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
-    _warn_unconverged(ridge, "train")
+    _warn_unconverged(ridge.solver, "train")
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     pipeline.save_pipeline(pipeline.Pipeline(pp, tfidf, ridge),
                            f"{args.out_prefix}.pipeline")
@@ -248,8 +251,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
     if args.comments:
-        comments = corpus.load_comments(args.comments)
-        ids, texts = [c.id for c in comments], [c.text for c in comments]
+        ids, texts = corpus.load_comments(args.comments)
     else:
         pairs = corpus.load_pairs(args.pairs)
         ids, texts = pairs.ids, pairs.texts
@@ -269,9 +271,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         score_of = read_scores_csv(args.scores)
         if args.comments:
-            pairs = corpus.resolve_pairs_to_ids(
-                pairs, corpus.load_comments(args.comments)
-            )
+            pairs = corpus.resolve_pairs_to_ids(pairs, *corpus.load_comments(args.comments))
         scores = evaluate.scores_for(pairs.ids, score_of)
     report = evaluate.pairwise_accuracy(pairs.ids, scores, tie_credit=args.tie_credit)
     print(evaluate.report_json(report))
@@ -296,6 +296,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         matrix, pairs, mode=args.mode, temperature=args.temperature,
         lbfgs=LbfgsConfig(max_iter=args.max_iter),
     )
+    _warn_unconverged(weights.solver, "ensemble")
     blended = ensemble.blend(matrix, weights)
     ensemble.save_weights(weights, args.out_weights)
     write_scores_csv(args.out_blend, blended)
@@ -310,14 +311,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     from . import features, regress
 
-    examples = corpus.load_labeled(args.labeled)
-    if not examples:
+    labeled = corpus.load_labeled(args.labeled)
+    if not labeled:
         raise ValueError(f"{args.labeled}: no training examples")
     pairs = corpus.load_pairs(args.pairs)
     pp = _preprocess_config(args)
     # preprocess every distinct text once, ahead of the trials
-    texts = [preprocess(ex.comment.text, pp) for ex in examples]
-    y = [ex.score for ex in examples]
+    texts = [preprocess(text, pp) for text in labeled.texts]
+    y = labeled.scores
     slot = {t: i for i, t in enumerate(dict.fromkeys(pairs.texts))}
     pair_texts = [preprocess(t, pp) for t in slot]
     side_slots = np.fromiter(map(slot.__getitem__, pairs.texts), dtype=np.int64,
@@ -348,7 +349,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                              features.transform(tfidf, pair_texts))
         X, X_pairs = matrices[key] if last_use[key] > trial else matrices.pop(key)
         ridge = regress.fit_ridge(X, y, alpha=alpha, tol=1e-8, max_iter=1000)
-        _warn_unconverged(ridge, f"search trial {trial}")
+        _warn_unconverged(ridge.solver, f"search trial {trial}")
         side_scores = regress.predict(ridge, X_pairs)[side_slots].tolist()
         accuracy = evaluate.pairwise_accuracy(pairs.ids, side_scores).accuracy
         record = {

@@ -6,9 +6,14 @@ levels).  Each loader here reads one layout and the transforms map every
 labeling scheme onto a single severity scale in [0, 1], larger meaning
 more toxic, so the datasets can train one regressor.
 
-Judgment pairs are held as flat columns of sides (`Pairs`): side 2i is
-pair i's less-toxic comment and side 2i + 1 its more-toxic one.  Every
-consumer (scoring, evaluation, ensembling, search) reads that one order.
+Every reader returns flat columns, not one object per row.  A labeled
+file is a `Labeled` (`ids`, `texts`, `scores`, row i in slot i); the five
+dataset loaders differ only in their column lookup and transform, and
+share one row loop that names the file and row of a label it rejects.
+A comments file is an `(ids, texts)` pair of lists.  Judgment pairs are
+flat columns of sides (`Pairs`): side 2i is pair i's less-toxic comment
+and side 2i + 1 its more-toxic one.  Every consumer (scoring,
+evaluation, ensembling, search) reads that one order.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
-    "Comment",
-    "LabeledExample",
+    "Labeled",
     "Pairs",
     "JtcLabels",
     "DavidsonCounts",
@@ -47,27 +51,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Comment:
-    """One comment; text is kept verbatim and may be empty."""
+class Labeled:
+    """Labeled comments as three flat columns.
 
-    id: str
-    text: str
+    `ids[i]`, `texts[i]` and `scores[i]` (a severity in [0, 1]) belong to
+    row i; texts are kept verbatim and may be empty.  len() is the number
+    of rows.
+    """
 
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A comment with its severity score in [0, 1] and the dataset it came from."""
-
-    comment: Comment
-    score: float
-    source: str
+    ids: list[str]
+    texts: list[str]
+    scores: list[float]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(
-                f"severity score {self.score!r} outside [0, 1] "
-                f"for comment {self.comment.id!r}"
-            )
+        if not len(self.ids) == len(self.texts) == len(self.scores):
+            raise ValueError(f"{len(self.ids)} ids, {len(self.texts)} texts and "
+                             f"{len(self.scores)} scores do not make whole rows")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -309,16 +311,18 @@ def _pick(columns: dict[str, int], *names: str) -> int | None:
     return None
 
 
-def load_comments(path: str | Path) -> list[Comment]:
-    """Load a comments file (columns comment_id, text), order preserved.
+def load_comments(path: str | Path) -> tuple[list[str], list[str]]:
+    """Load a comments file (columns comment_id, text) as (ids, texts), in
+    file order.
 
     Text is taken verbatim, including embedded newlines inside quoted
     fields.  Duplicate ids abort with the offending row number.
     """
     columns, rows = read_csv(path, ("comment_id", "text"))
     id_col, text_col = columns["comment_id"], columns["text"]
-    unique_ids(path, [fields[id_col] for fields in rows])
-    return [Comment(id=fields[id_col], text=fields[text_col]) for fields in rows]
+    ids = [fields[id_col] for fields in rows]
+    unique_ids(path, ids)
+    return ids, [fields[text_col] for fields in rows]
 
 
 def load_pairs(path: str | Path) -> Pairs:
@@ -336,65 +340,76 @@ def load_pairs(path: str | Path) -> Pairs:
     )
 
 
-def resolve_pairs_to_ids(pairs: Pairs, comments: Iterable[Comment]) -> Pairs:
+def resolve_pairs_to_ids(pairs: Pairs, ids: Sequence[str], texts: Sequence[str]) -> Pairs:
     """The same pairs with each side's id replaced by the id of the comment
-    whose text matches exactly.
+    (`ids[i]` with text `texts[i]`) whose text matches exactly.
 
-    Duplicate texts resolve to the first occurrence in `comments`.  The
-    first side (in side order) whose text has no match aborts with its id.
+    Duplicate texts resolve to the first occurrence among the comments.
+    The first side (in side order) whose text has no match aborts with
+    its id.
     """
-    id_of: dict[str, str] = {}
-    for comment in comments:
-        id_of.setdefault(comment.text, comment.id)
-    ids = [id_of.get(text) for text in pairs.texts]
-    if None in ids:
-        side = pairs.ids[ids.index(None)]
+    # filled back to front, so the first comment with a text wins
+    id_of = dict(zip(reversed(texts), reversed(ids)))
+    side_ids = [id_of.get(text) for text in pairs.texts]
+    if None in side_ids:
+        side = pairs.ids[side_ids.index(None)]
         raise ValueError(f"no comment matches the text of pair side {side!r}")
-    return Pairs(ids=ids, texts=pairs.texts)
+    return Pairs(ids=side_ids, texts=pairs.texts)
 
 
-def save_labeled(path: str | Path, examples: Iterable[LabeledExample]) -> None:
+def save_labeled(path: str | Path, labeled: Labeled) -> None:
     """Write a labeled CSV (comment_id, text, score), score at 6 decimals."""
-    write_csv(path, ("comment_id", "text", "score"), (
-        (ex.comment.id, ex.comment.text, f"{ex.score:.6f}") for ex in examples))
+    write_csv(path, ("comment_id", "text", "score"), zip(
+        labeled.ids, labeled.texts, (f"{score:.6f}" for score in labeled.scores)))
 
 
-def load_labeled(path: str | Path, source: str | None = None) -> list[LabeledExample]:
-    """Read a labeled CSV back (columns comment_id, text, score)."""
+def _labeled(path: str | Path, columns: dict[str, int], rows: list[list[str]],
+             id_col: int | None, text_col: int, labels: Sequence[str], kind: type,
+             to_score: Callable[..., float]) -> Labeled:
+    """The one row loop of every labeled-file reader.
+
+    Each row's `labels` columns are read with `number` as `kind`, and
+    `to_score(*values)` maps them to a severity; a label it rejects is
+    named with the file and row.  Without an id column a row's id is its
+    data row number (1 for the first data row).
+    """
+    label_cols = [(name, columns[name]) for name in labels]
+    scores = []
+    for record, fields in enumerate(rows, start=2):
+        values = [number(path, record, name, fields[col], kind) for name, col in label_cols]
+        try:
+            scores.append(to_score(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} at row {record}") from None
+    ids = ([fields[id_col] for fields in rows] if id_col is not None
+           else [str(n) for n in range(1, len(rows) + 1)])
+    return Labeled(ids=ids, texts=[fields[text_col] for fields in rows], scores=scores)
+
+
+def _severity(score: float) -> float:
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"severity score {score!r} outside [0, 1]")
+    return score
+
+
+def load_labeled(path: str | Path) -> Labeled:
+    """Read a labeled CSV back (columns comment_id, text, score in [0, 1])."""
     columns, rows = read_csv(path, ("comment_id", "text", "score"))
-    id_col, text_col = columns["comment_id"], columns["text"]
-    score_col = columns["score"]
-    name = source if source is not None else Path(path).stem
-    return [
-        LabeledExample(
-            comment=Comment(id=fields[id_col], text=fields[text_col]),
-            score=number(path, record, "score", fields[score_col]),
-            source=name,
-        )
-        for record, fields in enumerate(rows, start=2)
-    ]
+    return _labeled(path, columns, rows, columns["comment_id"], columns["text"],
+                    ("score",), float, _severity)
 
 
-def load_ruddit(path: str | Path) -> list[LabeledExample]:
+def load_ruddit(path: str | Path) -> Labeled:
     """Ruddit-style file: comment_id, text, score with score in [-1, 1]."""
     columns, rows = read_csv(path, ("comment_id", "text", "score"))
-    out = []
-    for record, fields in enumerate(rows, start=2):
-        raw = number(path, record, "score", fields[columns["score"]])
-        out.append(
-            LabeledExample(
-                comment=Comment(fields[columns["comment_id"]], fields[columns["text"]]),
-                score=transform_ruddit(raw),
-                source="ruddit",
-            )
-        )
-    return out
+    return _labeled(path, columns, rows, columns["comment_id"], columns["text"],
+                    ("score",), float, transform_ruddit)
 
 
 _JTC_FLAGS = ("toxic", "severe_toxic", "obscene", "threat", "insult", "identity_hate")
 
 
-def load_jtc(path: str | Path) -> list[LabeledExample]:
+def load_jtc(path: str | Path) -> Labeled:
     """Wikipedia comments file in its published layout.
 
     Required columns: id (or comment_id), comment_text (or text), and the
@@ -406,92 +421,48 @@ def load_jtc(path: str | Path) -> list[LabeledExample]:
     text_col = _pick(columns, "comment_text", "text")
     if id_col is None or text_col is None:
         raise ValueError(f"{path}: missing id/comment_text columns")
-    out = []
-    for record, fields in enumerate(rows, start=2):
-        flags = {
-            name: number(path, record, name, fields[columns[name]], int)
-            for name in _JTC_FLAGS
-        }
-        out.append(
-            LabeledExample(
-                comment=Comment(fields[id_col], fields[text_col]),
-                score=transform_jtc(JtcLabels(**flags)),
-                source="jtc",
-            )
-        )
-    return out
+    return _labeled(path, columns, rows, id_col, text_col, _JTC_FLAGS, int,
+                    lambda *flags: transform_jtc(JtcLabels(*flags)))
 
 
-def load_unintended(path: str | Path) -> list[LabeledExample]:
+_UNINTENDED_ATTRS = ("severe_toxicity", "obscene", "threat", "insult", "identity_attack")
+
+
+def load_unintended(path: str | Path) -> Labeled:
     """Fractional-attribute file in its published layout.
 
     Required columns: id (or comment_id), comment_text (or text), target
     (or toxicity), severe_toxicity, obscene, threat, insult,
     identity_attack.  Any sexually_explicit column is ignored.
     """
-    required = ("severe_toxicity", "obscene", "threat", "insult", "identity_attack")
-    columns, rows = read_csv(path, required)
+    columns, rows = read_csv(path, _UNINTENDED_ATTRS)
     id_col = _pick(columns, "id", "comment_id")
     text_col = _pick(columns, "comment_text", "text")
     toxicity = next((name for name in ("target", "toxicity") if name in columns), None)
     if id_col is None or text_col is None or toxicity is None:
         raise ValueError(f"{path}: missing id/comment_text/target columns")
-    # transform_unintended keyword -> column name
-    attrs = {"toxicity": toxicity, **{name: name for name in required}}
-    out = []
-    for record, fields in enumerate(rows, start=2):
-        values = {
-            key: number(path, record, name, fields[columns[name]])
-            for key, name in attrs.items()
-        }
-        out.append(
-            LabeledExample(
-                comment=Comment(fields[id_col], fields[text_col]),
-                score=transform_unintended(**values),
-                source="unintended",
-            )
-        )
-    return out
+    keywords = ("toxicity", *_UNINTENDED_ATTRS)  # of transform_unintended
+    return _labeled(path, columns, rows, id_col, text_col, (toxicity, *_UNINTENDED_ATTRS),
+                    float, lambda *values: transform_unintended(**dict(zip(keywords, values))))
 
 
-def load_davidson(path: str | Path) -> list[LabeledExample]:
+_DAVIDSON_COUNTS = ("hate_speech", "offensive_language", "neither")
+
+
+def load_davidson(path: str | Path) -> Labeled:
     """Coder-count file: columns hate_speech, offensive_language, neither,
     text (or tweet), and optionally comment_id/id (row number otherwise)."""
-    required = ("hate_speech", "offensive_language", "neither")
-    columns, rows = read_csv(path, required)
+    columns, rows = read_csv(path, _DAVIDSON_COUNTS)
     text_col = _pick(columns, "text", "tweet")
     if text_col is None:
         raise ValueError(f"{path}: missing text/tweet column")
-    id_col = _pick(columns, "comment_id", "id")
-    out = []
-    for record, fields in enumerate(rows, start=2):
-        counts = DavidsonCounts(*(
-            number(path, record, name, fields[columns[name]], int) for name in required
-        ))
-        cid = fields[id_col] if id_col is not None else str(record - 1)
-        out.append(
-            LabeledExample(
-                comment=Comment(cid, fields[text_col]),
-                score=transform_davidson(counts),
-                source="davidson",
-            )
-        )
-    return out
+    return _labeled(path, columns, rows, _pick(columns, "comment_id", "id"), text_col,
+                    _DAVIDSON_COUNTS, int,
+                    lambda *counts: transform_davidson(DavidsonCounts(*counts)))
 
 
-def load_founta(path: str | Path) -> list[LabeledExample]:
+def load_founta(path: str | Path) -> Labeled:
     """Ordinal-label file: columns comment_id (or id), text, label in {0,1,2}."""
     columns, rows = read_csv(path, ("text", "label"))
-    id_col = _pick(columns, "comment_id", "id")
-    out = []
-    for record, fields in enumerate(rows, start=2):
-        label = number(path, record, "label", fields[columns["label"]], int)
-        cid = fields[id_col] if id_col is not None else str(record - 1)
-        out.append(
-            LabeledExample(
-                comment=Comment(cid, fields[columns["text"]]),
-                score=transform_founta(label),
-                source="founta",
-            )
-        )
-    return out
+    return _labeled(path, columns, rows, _pick(columns, "comment_id", "id"),
+                    columns["text"], ("label",), int, transform_founta)

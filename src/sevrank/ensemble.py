@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Pairs, csv_line, number, read_csv, unique_ids
 from .evaluate import NORMALIZATION_MODES
-from .optim import LbfgsConfig, lbfgs_minimize
+from .optim import LbfgsConfig, OptimResult, lbfgs_minimize
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -74,6 +74,8 @@ class EnsembleWeights:
     weights: np.ndarray
     mode: str = "minmax"
     temperature: float = 0.1
+    # set by fit_weights; weights built by hand have none
+    solver: OptimResult | None = None
 
     def __post_init__(self) -> None:
         _check_temperature(self.temperature)
@@ -212,6 +214,7 @@ def fit_weights(
         weights=result.x,
         mode=mode,
         temperature=temperature,
+        solver=result,
     )
 
 

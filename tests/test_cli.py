@@ -448,13 +448,12 @@ class TestPreprocessingIsSavedWithTheModel:
         got = [float(r["score"]) for r in csv.DictReader((tmp_path / "s.csv").open())]
 
         # the training-time pipeline, fit in memory as `train --stem` fits it
-        examples = corpus.load_labeled(files["labeled"])
+        labeled = corpus.load_labeled(files["labeled"])
         stem = PreprocessConfig(stem=True)
-        texts = [preprocess(ex.comment.text, stem) for ex in examples]
+        texts = [preprocess(text, stem) for text in labeled.texts]
         tfidf = features.fit_tfidf(texts, features.TfidfConfig(n_min=2, n_max=4))
-        ridge = regress.fit_ridge(features.transform(tfidf, texts),
-                                  [ex.score for ex in examples])
-        comments = [c.text for c in corpus.load_comments(files["comments"])]
+        ridge = regress.fit_ridge(features.transform(tfidf, texts), labeled.scores)
+        _, comments = corpus.load_comments(files["comments"])
         assert got == cli.score_texts(tfidf, ridge, stem, comments).tolist()
         unstemmed = cli.score_texts(tfidf, ridge, PreprocessConfig(), comments)
         assert got != unstemmed.tolist()
@@ -488,8 +487,8 @@ def search_oracle(labeled, pairs_path, trials, seed, pp):
     vectorizer, transforms, solves, and scores every pair side on its own."""
     examples = corpus.load_labeled(labeled)
     pairs = corpus.load_pairs(pairs_path)
-    texts = [preprocess(ex.comment.text, pp) for ex in examples]
-    y = [ex.score for ex in examples]
+    texts = [preprocess(text, pp) for text in examples.texts]
+    y = examples.scores
     rng = np.random.default_rng(seed)
     records = []
     for trial in range(trials):
@@ -591,6 +590,30 @@ class TestSolverWarnings:
         assert len(out.splitlines()) == 4
         assert [line.split(": ")[:3] for line in err.splitlines()] == [
             ["sevrank", "warning", f"search trial {t}"] for t in range(3)]
+
+
+    def test_ensemble_warns_when_lbfgs_stops_early(self, capsys, tmp_path):
+        # pair p3 is p2 reversed, so no weights rank every pair right
+        matrix = write_csv(tmp_path / "matrix.csv", ["comment_id", "m0", "m1"], [
+            ("p2_l", "0.1", "0.9"), ("p2_m", "0.8", "0.3"), ("p3_l", "0.8", "0.3"),
+            ("p3_m", "0.1", "0.9"), ("p4_l", "0.2", "0.4"), ("p4_m", "0.6", "0.5")])
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],
+                          [("a", "b"), ("c", "d"), ("e", "f")])
+
+        def ensemble(tag, *flags):
+            code, out, err = run(capsys, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                                 "--out-weights", tmp_path / f"{tag}-w.csv",
+                                 "--out-blend", tmp_path / f"{tag}-b.csv", *flags)
+            assert code == 0
+            return out, err
+
+        assert ensemble("full")[1] == ""
+        out, err = ensemble("cut", "--max-iter", "1")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("sevrank: warning: ensemble: L-BFGS stopped after 1 "
+                                   "iterations without converging (gradient max-norm ")
+        assert json.loads(out)["n_pairs"] == 3
 
 
 class TestFirstMissingSideIsNamed:
@@ -844,6 +867,57 @@ class TestTransform:
             "r6,worst,1.000000\n"
             "r7,nearly calm,0.050000\n"
         )
+
+    @pytest.mark.parametrize("kind, raw, counts, labeled", [
+        ("jtc",
+         "id,comment_text,toxic,severe_toxic,obscene,threat,insult,identity_hate\n"
+         "j0,calm,0,0,0,0,0,0\nj1,\"you, idiot\",1,0,0,0,1,0\n"
+         "j2,worst,1,1,1,1,1,1\nj3,rude,1,0,1,0,0,0\n",
+         [1, 0, 2, 0, 0, 0, 0, 0, 0, 1],
+         "comment_id,text,score\nj0,calm,0.000000\nj1,\"you, idiot\",0.227273\n"
+         "j2,worst,1.000000\nj3,rude,0.204545\n"),
+        ("unintended",
+         "id,target,comment_text,severe_toxicity,obscene,identity_attack,insult,"
+         "threat,sexually_explicit\nu0,0.5,words,0,0,0,0,0,0.9\n"
+         "u1,1,bad,1,1,1,1,1,0\nu2,0.25,meh,0.5,0,0.125,0.75,0,1\n",
+         [1, 0, 1, 0, 0, 0, 0, 0, 0, 1],
+         "comment_id,text,score\nu0,words,0.045455\nu1,bad,1.000000\n"
+         "u2,meh,0.286932\n"),
+        ("unintended",
+         "comment_id,text,toxicity,severe_toxicity,obscene,identity_attack,insult,threat\n"
+         "v0,ok,0,0,0,0,0,0\nv1,hm,0.3,0.1,0.2,0,0.4,0.05\n",
+         [1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+         "comment_id,text,score\nv0,ok,0.000000\nv1,hm,0.140909\n"),
+        ("davidson",
+         "count,hate_speech,offensive_language,neither,class,tweet\n"
+         "3,0,0,3,2,some tweet\n3,3,0,0,0,hateful\n4,1,2,1,1,mixed\n",
+         [1, 0, 0, 0, 0, 1, 0, 0, 0, 1],
+         "comment_id,text,score\n1,some tweet,0.000000\n2,hateful,1.000000\n"
+         "3,mixed,0.500000\n"),
+        ("davidson",
+         "id,text,hate_speech,offensive_language,neither\n"
+         "d7,one,0,1,2\nd9,\"two\nlines\",2,1,0\n",
+         [0, 1, 0, 0, 0, 0, 0, 0, 1, 0],
+         "comment_id,text,score\nd7,one,0.166667\nd9,\"two\nlines\",0.833333\n"),
+        ("founta",
+         "comment_id,text,label\nf0,fine,0\nf1,abusive,1\nf2,hateful,2\n",
+         [1, 0, 0, 0, 0, 1, 0, 0, 0, 1],
+         "comment_id,text,score\nf0,fine,0.000000\nf1,abusive,0.500000\n"
+         "f2,hateful,1.000000\n"),
+    ], ids=["jtc", "unintended-target", "unintended-toxicity", "davidson-row-ids",
+            "davidson-id-column", "founta"])
+    def test_golden_other_kinds(self, capsys, tmp_path, kind, raw, counts, labeled):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(raw, encoding="utf-8")
+        out = tmp_path / "labeled.csv"
+        code, stdout, err = run(capsys, "transform", "--kind", kind,
+                                "--in", path, "--out", out)
+        assert (code, err) == (0, "")
+        bins = [f"[{i / 10:.1f}, {(i + 1) / 10:.1f}{']' if i == 9 else ')'}"
+                for i in range(10)]
+        assert stdout == (f"rows: {sum(counts)}\nscore histogram:\n" + "".join(
+            f"  {b}: {c}\n" for b, c in zip(bins, counts)))
+        assert out.read_bytes() == labeled.encode("utf-8")
 
     def test_carriage_return_survives_transform_then_train(self, capsys, tmp_path):
         raw = tmp_path / "ruddit.csv"

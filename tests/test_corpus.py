@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from sevrank import corpus
 from sevrank.corpus import (
-    Comment,
     DavidsonCounts,
     JtcLabels,
     JTC_WEIGHT_TOTAL,
     JTC_WEIGHTS,
-    LabeledExample,
+    Labeled,
     Pairs,
     load_comments,
     load_davidson,
@@ -44,11 +43,11 @@ def write(tmp_path, name, content):
 class TestLoadComments:
     def test_rows_become_comments_in_order(self, tmp_path):
         path = write(tmp_path, "c.csv", 'comment_id,text\na,"hi"\nb,"yo"\n')
-        assert load_comments(path) == [Comment("a", "hi"), Comment("b", "yo")]
+        assert load_comments(path) == (["a", "b"], ["hi", "yo"])
 
-    def test_header_only_gives_empty_list(self, tmp_path):
+    def test_header_only_gives_empty_lists(self, tmp_path):
         path = write(tmp_path, "c.csv", "comment_id,text\n")
-        assert load_comments(path) == []
+        assert load_comments(path) == ([], [])
 
     def test_duplicate_id_names_second_row(self, tmp_path):
         path = write(
@@ -74,12 +73,12 @@ class TestLoadComments:
 
     def test_embedded_newline_kept_verbatim(self, tmp_path):
         path = write(tmp_path, "c.csv", 'comment_id,text\na,"line one\nline two"\n')
-        [comment] = load_comments(path)
-        assert comment.text == "line one\nline two"
+        _, [text] = load_comments(path)
+        assert text == "line one\nline two"
 
     def test_empty_text_allowed(self, tmp_path):
         path = write(tmp_path, "c.csv", "comment_id,text\na,\n")
-        assert load_comments(path) == [Comment("a", "")]
+        assert load_comments(path) == (["a"], [""])
 
     def test_loading_is_deterministic(self, tmp_path):
         path = write(tmp_path, "c.csv", "comment_id,text\na,hi\nb,yo\nc,sup\n")
@@ -88,11 +87,11 @@ class TestLoadComments:
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_bytes(b"comment_id,text\r\na,hi\r\nb,yo\r\n")
-        assert [c.id for c in load_comments(path)] == ["a", "b"]
+        assert load_comments(path)[0] == ["a", "b"]
 
     def test_extra_columns_allowed(self, tmp_path):
         path = write(tmp_path, "c.csv", "worker,comment_id,text\nw1,a,hi\n")
-        assert load_comments(path) == [Comment("a", "hi")]
+        assert load_comments(path) == (["a"], ["hi"])
 
 
 class TestLoadPairs:
@@ -142,20 +141,18 @@ class TestLoadPairs:
 class TestPairHelpers:
     def test_resolve_by_text_first_occurrence_wins(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nhi,yo\n")
-        comments = [Comment("c1", "hi"), Comment("c2", "yo"), Comment("c3", "hi")]
-        pairs = resolve_pairs_to_ids(load_pairs(path), comments)
+        pairs = resolve_pairs_to_ids(load_pairs(path), ["c1", "c2", "c3"], ["hi", "yo", "hi"])
         assert pairs == Pairs(ids=["c1", "c2"], texts=["hi", "yo"])
 
     def test_resolve_unmatched_text_errors_with_pair_id(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nhi,yo\n")
         with pytest.raises(ValueError, match="p2_m"):
-            resolve_pairs_to_ids(load_pairs(path), [Comment("c1", "hi")])
+            resolve_pairs_to_ids(load_pairs(path), ["c1"], ["hi"])
 
     def test_first_unmatched_side_in_flat_order_is_named(self, tmp_path):
         path = write(tmp_path, "p.csv", "less_toxic,more_toxic\nhi,yo\nno,nope\nhi,gone\n")
-        comments = [Comment("c1", "hi"), Comment("c2", "yo")]
         with pytest.raises(ValueError, match="pair side 'p3_l'"):
-            resolve_pairs_to_ids(load_pairs(path), comments)
+            resolve_pairs_to_ids(load_pairs(path), ["c1", "c2"], ["hi", "yo"])
 
 
 def jtc_oracle(flags):
@@ -313,24 +310,29 @@ class TestTransforms:
 
 class TestLabeledRoundTrip:
     def test_save_and_load(self, tmp_path):
-        examples = [
-            LabeledExample(Comment("a", "hi there"), 0.25, "toy"),
-            LabeledExample(Comment("b", 'quoted, "text"'), 1.0, "toy"),
-        ]
+        labeled = Labeled(ids=["a", "b"], texts=["hi there", 'quoted, "text"'],
+                          scores=[0.25, 1.0])
         path = tmp_path / "labeled.csv"
-        save_labeled(path, examples)
-        loaded = load_labeled(path, source="toy")
-        assert [ex.comment for ex in loaded] == [ex.comment for ex in examples]
-        assert [ex.score for ex in loaded] == [0.25, 1.0]
+        save_labeled(path, labeled)
+        assert load_labeled(path) == labeled
+        assert len(labeled) == 2
 
     def test_score_written_with_six_decimals(self, tmp_path):
         path = tmp_path / "labeled.csv"
-        save_labeled(path, [LabeledExample(Comment("a", "x"), 1 / 3, "toy")])
+        save_labeled(path, Labeled(ids=["a"], texts=["x"], scores=[1 / 3]))
         assert path.read_text().splitlines()[1] == "a,x,0.333333"
 
-    def test_out_of_range_score_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledExample(Comment("a", "x"), 1.5, "toy")
+    def test_out_of_range_score_names_file_and_row(self, tmp_path):
+        path = write(tmp_path, "l.csv", "comment_id,text,score\na,x,0.5\nb,y,1.5\n")
+        with pytest.raises(ValueError) as exc:
+            load_labeled(path)
+        assert str(exc.value) == f"{path}: severity score 1.5 outside [0, 1] at row 3"
+
+    @pytest.mark.parametrize("ids,texts,scores", [
+        (["a"], ["x", "y"], [0.5]), (["a"], ["x"], []), ([], [], [0.5])])
+    def test_columns_must_make_whole_rows(self, ids, texts, scores):
+        with pytest.raises(ValueError, match="do not make whole rows"):
+            Labeled(ids=ids, texts=texts, scores=scores)
 
 
 # ids and texts built from everything the CSV quote rule must handle
@@ -343,10 +345,10 @@ class TestCsvLayer:
     @given(st.lists(st.tuples(FIELDS, FIELDS, st.integers(0, 10**6)), max_size=8))
     def test_labeled_round_trip(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("labeled") / "l.csv"
-        examples = [LabeledExample(Comment(cid, text), k / 10**6, "toy")
-                    for cid, text, k in rows]
-        save_labeled(path, examples)
-        assert load_labeled(path, source="toy") == examples
+        labeled = Labeled(ids=[cid for cid, _, _ in rows], texts=[t for _, t, _ in rows],
+                          scores=[k / 10**6 for _, _, k in rows])
+        save_labeled(path, labeled)
+        assert load_labeled(path) == labeled
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(FIELDS.map(lambda f: f.replace("\r", "")), min_size=2, max_size=5))
@@ -380,37 +382,67 @@ class TestKindLoaders:
     def test_ruddit_loader(self, tmp_path):
         path = write(tmp_path, "r.csv",
                      "comment_id,text,score\nr1,mild,-1.0\nr2,harsh,1.0\nr3,mid,0.0\n")
-        examples = load_ruddit(path)
-        assert [ex.score for ex in examples] == [0.0, 1.0, 0.5]
-        assert examples[0].source == "ruddit"
+        assert load_ruddit(path) == Labeled(ids=["r1", "r2", "r3"],
+                                            texts=["mild", "harsh", "mid"],
+                                            scores=[0.0, 1.0, 0.5])
 
     def test_jtc_loader_published_layout(self, tmp_path):
         header = "id,comment_text,toxic,severe_toxic,obscene,threat,insult,identity_hate"
         path = write(tmp_path, "j.csv", f"{header}\nx1,some text,1,0,0,0,0,0\n")
-        [ex] = load_jtc(path)
-        assert ex.score == pytest.approx(4 / 44)
-        assert ex.comment == Comment("x1", "some text")
+        assert load_jtc(path) == Labeled(ids=["x1"], texts=["some text"], scores=[4 / 44])
 
     def test_unintended_loader_uses_target_column(self, tmp_path):
         header = ("id,target,comment_text,severe_toxicity,obscene,"
                   "identity_attack,insult,threat,sexually_explicit")
         path = write(tmp_path, "u.csv", f"{header}\nu1,0.5,words,0,0,0,0,0,0.9\n")
-        [ex] = load_unintended(path)
-        assert ex.score == pytest.approx(2 / 44)
+        assert load_unintended(path).scores == [2 / 44]
 
     def test_davidson_loader_published_layout(self, tmp_path):
         header = "count,hate_speech,offensive_language,neither,class,tweet"
         path = write(tmp_path, "d.csv", f"{header}\n3,0,0,3,2,some tweet\n")
-        [ex] = load_davidson(path)
-        assert ex.score == 0.0
-        assert ex.comment.text == "some tweet"
+        assert load_davidson(path) == Labeled(ids=["1"], texts=["some tweet"],
+                                              scores=[0.0])
 
     def test_founta_loader(self, tmp_path):
         path = write(tmp_path, "f.csv", "comment_id,text,label\nf1,words,2\n")
-        [ex] = load_founta(path)
-        assert ex.score == 1.0
+        assert load_founta(path).scores == [1.0]
 
     def test_founta_bad_label_names_row(self, tmp_path):
         path = write(tmp_path, "f.csv", "comment_id,text,label\nf1,words,9\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             load_founta(path)
+        assert str(exc.value) == f"{path}: founta label 9 not in {{0, 1, 2}} at row 2"
+
+    @pytest.mark.parametrize("loader, content, message", [
+        (load_ruddit, "comment_id,text,score\nr1,ok,0\nr2,x,2.0\n",
+         "ruddit score 2.0 outside [-1, 1] at row 3"),
+        (load_jtc, "id,comment_text,toxic,severe_toxic,obscene,threat,insult,"
+                   "identity_hate\nj1,x,2,0,0,0,0,0\n",
+         "flag toxic must be 0 or 1 at row 2"),
+        (load_unintended, "id,target,comment_text,severe_toxicity,obscene,"
+                          "identity_attack,insult,threat\nu1,1.2,x,0,0,0,0,0\n",
+         "attribute toxic value 1.2 outside [0, 1] at row 2"),
+        (load_davidson, "hate_speech,offensive_language,neither,tweet\n0,0,0,x\n",
+         "at least one coder is required at row 2"),
+        (load_davidson, "hate_speech,offensive_language,neither,tweet\n1,0,0,a\n1,-1,0,b\n",
+         "count offensive must be a nonnegative integer at row 3"),
+    ], ids=["ruddit", "jtc", "unintended", "davidson-no-coder", "davidson-negative"])
+    def test_label_outside_its_domain_names_file_and_row(self, tmp_path, loader,
+                                                         content, message):
+        path = write(tmp_path, "in.csv", content)
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_unreadable_label_keeps_the_number_message(self, tmp_path):
+        path = write(tmp_path, "d.csv", "hate_speech,offensive_language,neither,tweet\n"
+                                        "1,x,0,a\n")
+        with pytest.raises(ValueError) as exc:
+            load_davidson(path)
+        assert str(exc.value) == f"{path}: non-integer offensive_language 'x' at row 2"
+
+    def test_founta_id_column_is_optional(self, tmp_path):
+        with_id = write(tmp_path, "f.csv", "id,text,label\nf9,a,1\n")
+        without = write(tmp_path, "g.csv", "text,label\na,1\n")
+        assert load_founta(with_id) == Labeled(ids=["f9"], texts=["a"], scores=[0.5])
+        assert load_founta(without) == Labeled(ids=["1"], texts=["a"], scores=[0.5])

@@ -154,6 +154,14 @@ class TestFitAndBlend:
         assert fitted <= start
         assert weights.weights[0] > weights.weights[1]
 
+    def test_solver_report_is_kept(self):
+        cut = ensemble.fit_weights(self.matrix, self.pairs, lbfgs=LbfgsConfig(max_iter=1))
+        assert (cut.solver.iterations, cut.solver.converged) == (1, False)
+        assert np.array_equal(cut.solver.x, cut.weights)
+        full = ensemble.fit_weights(self.matrix, self.pairs)
+        assert full.solver.converged
+        assert ensemble.EnsembleWeights(["m0"], [1.0]).solver is None
+
     def test_blend_is_the_weighted_sum_in_id_order(self):
         weights = ensemble.EnsembleWeights(["m0", "m1"], [2.0, -1.0], mode="none")
         blended = ensemble.blend(self.matrix, weights)
