@@ -10,18 +10,21 @@ L-BFGS, stops before its tolerance prints one `warning:` line on stderr.
 `train` saves its preprocessing switches with the model in one
 `<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
 The file also holds the columns of every training word, so scoring
-splits into grams only the words the model never saw.
+splits into grams only the words the model never saw.  `train` takes
+its matrix from the fit's own count (`features.GramTable.matrix`), so
+it walks its texts once.
 
 `search` shares work across its trials.  It preprocesses each distinct
 text once and draws every trial's hyperparameters up front.  One
 `features.GramTable` then splits every word of the training and pair
-texts once, over the union of the drawn n-gram ranges, and counts the
-grams once; each trial only selects its vocabulary from the table.
+texts once, over the union of the drawn n-gram ranges, and counts each
+text once; each trial only selects its vocabulary from the table.
 Trials whose (n-gram range, kept grams) are equal share one training
-matrix and one matrix of the distinct pair texts.  The ridge solve,
-the predictions and the pairwise accuracy run once per trial, on the
-same float64 values as fitting each trial alone, so the records are
-the same bytes.
+matrix and one matrix of the distinct pair texts, both built from the
+table's count, so `search` calls no `features.transform`.  The ridge
+solve, the predictions and the pairwise accuracy run once per trial, on
+the same float64 values as fitting each trial alone, so the records
+are the same bytes.
 
 Commands import on use.  This module loads only the standard library and
 the numpy-free modules (`corpus`, `evaluate`, `textproc`); a command or
@@ -234,8 +237,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     texts = [preprocess(text, pp) for text in labeled.texts]
     y = labeled.scores
-    tfidf = features.fit_tfidf(texts, config)
-    X = features.transform(tfidf, texts)
+    # X comes from the fit's own count; the table is freed before the solve
+    table = features.GramTable.split(texts, config.n_min, config.n_max)
+    kept = table.select(config)
+    tfidf, X = table.model(config, kept), table.matrix(kept)
+    del table
     ridge = regress.fit_ridge(X, y, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     _warn_unconverged(ridge.solver, "train")
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
@@ -344,9 +350,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     for trial, (config, alpha) in enumerate(trials):
         key = key_of[config]
         if key not in matrices:
-            tfidf = table.model(config, np.frombuffer(key[2], dtype=np.int64))
-            matrices[key] = (features.transform(tfidf, texts),
-                             features.transform(tfidf, pair_texts))
+            kept = np.frombuffer(key[2], dtype=np.int64)
+            matrices[key] = (table.matrix(kept), table.matrix(kept, more=True))
         X, X_pairs = matrices[key] if last_use[key] > trial else matrices.pop(key)
         ridge = regress.fit_ridge(X, y, alpha=alpha, tol=1e-8, max_iter=1000)
         _warn_unconverged(ridge.solver, f"search trial {trial}")

@@ -110,8 +110,9 @@ class JtcLabels:
             "toxic", "severe_toxic", "obscene",
             "threat", "insult", "identity_hate",
         ):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"flag {name} must be 0 or 1")
+            value = getattr(self, name)
+            if value not in (0, 1):
+                raise ValueError(f"flag {name} value {value!r} not in {{0, 1}}")
 
 
 @dataclass(frozen=True)
@@ -178,19 +179,21 @@ def transform_unintended(
     sexually_explicit attribute has no weighted counterpart and is not an
     input here.
     """
-    attrs = {
-        "toxic": toxicity,
-        "severe_toxic": severe_toxicity,
-        "obscene": obscene,
-        "threat": threat,
-        "insult": insult,
-        "identity_hate": identity_attack,
-    }
-    for name, value in attrs.items():
+    values = (toxicity, severe_toxicity, obscene, threat, insult, identity_attack)
+    _check_fractions(_UNINTENDED_KEYWORDS, values)
+    total = sum(JTC_WEIGHTS[flag] * value for flag, value in zip(_JTC_FLAGS, values))
+    return total / JTC_WEIGHT_TOTAL
+
+
+# transform_unintended's attributes, in the order of the flags they stand for
+_UNINTENDED_KEYWORDS = ("toxicity", "severe_toxicity", "obscene", "threat", "insult",
+                        "identity_attack")
+
+
+def _check_fractions(names: Sequence[str], values: Sequence[float]) -> None:
+    for name, value in zip(names, values):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"attribute {name} value {value!r} outside [0, 1]")
-    total = sum(JTC_WEIGHTS[name] * value for name, value in attrs.items())
-    return total / JTC_WEIGHT_TOTAL
 
 
 def transform_davidson(counts: DavidsonCounts) -> float:
@@ -441,9 +444,13 @@ def load_unintended(path: str | Path) -> Labeled:
     toxicity = next((name for name in ("target", "toxicity") if name in columns), None)
     if id_col is None or text_col is None or toxicity is None:
         raise ValueError(f"{path}: missing id/comment_text/target columns")
-    keywords = ("toxicity", *_UNINTENDED_ATTRS)  # of transform_unintended
-    return _labeled(path, columns, rows, id_col, text_col, (toxicity, *_UNINTENDED_ATTRS),
-                    float, lambda *values: transform_unintended(**dict(zip(keywords, values))))
+    labels = (toxicity, *_UNINTENDED_ATTRS)
+
+    def to_score(*values: float) -> float:
+        _check_fractions(labels, values)  # named by the file's own columns
+        return transform_unintended(**dict(zip(_UNINTENDED_KEYWORDS, values)))
+
+    return _labeled(path, columns, rows, id_col, text_col, labels, float, to_score)
 
 
 _DAVIDSON_COUNTS = ("hate_speech", "offensive_language", "neither")

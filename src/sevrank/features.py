@@ -7,31 +7,40 @@ lexicographically and column indices follow lexicographic gram order, so
 the model is independent of corpus order.
 
 A char-wb gram never crosses a word boundary, so a document's gram counts
-are the sum of its words' gram counts.  Fit and `transform` therefore
-share one walk and one count.  A word table holds, for every word seen,
-a run of int32 ids: gram ids in a `GramTable`, in-vocabulary columns in a
-`TfidfModel`.  The walk (`_chunks`) takes CHUNK_ROWS texts at a time,
-splits the chunk's words the table lacks in one `char_wb_ngrams` call and
-adds them; the count (`_count`) then gathers every token's ids and counts
-each document's distinct ids.  A `GramTable` can split over a wider
-n-gram range than one fit needs and then serve every range inside it,
-which is how `search` fits all its trials from one split; `fit_tfidf` is
-one table and one fit.
+are the sum of its words' gram counts.  A word table holds, for every
+word seen, a run of int32 ids: gram ids in a `GramTable`, in-vocabulary
+columns in a `TfidfModel`.  Its walk (`_WordTable.walk`) takes CHUNK_ROWS
+texts at a time and gives each word it has not seen the next row; the
+count (`_count`) then gathers every token's ids and counts each
+document's distinct ids.
+
+A fit does its text work once, as arrays.  `GramTable.split` walks the
+corpus first and splits nothing; then one vectorized kernel
+(`_split_words`) splits every distinct word at once, packing each gram's
+characters into integer keys whose sort order is the grams' lexicographic
+order, so gram ids come out already in that order and only the distinct
+grams become strings.  The table keeps each document's (gram id, count)
+runs from its one count, and `GramTable.matrix` builds the training rows
+from them: `train` and `search` never transform their own texts.  A
+table can split over a wider n-gram range than one fit needs and then
+serve every range inside it, which is how `search` fits all its trials
+from one split; `fit_tfidf` is one table and one fit.
 
 A fitted model knows every word of its corpus, and the `.pipeline` file
 saves its word table with it, so `transform` splits only words it has
-never seen, once per model.  The vocabulary, the idf weights and each
-row's values are the same float64 numbers, bit for bit, as counting each
-document's grams on its own.
+never seen, once per model.  It splits them with `char_wb_ngrams`, the
+reference definition, and looks their grams up in the vocabulary: a
+scoring batch holds few new words, and over so few the kernel's fixed
+cost is larger than the work it saves.  The vocabulary, the idf weights
+and each row's values are the same float64 numbers, bit for bit, as
+counting each document's grams on its own.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, count, filterfalse, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,26 +130,44 @@ class TfidfConfig:
 class _WordTable:
     """Words, each owning a run of int32 ids, in the order they were added.
 
-    Row r (`rows[word]`) owns `ids[offsets[r]:offsets[r + 1]]`.  Both
-    arrays keep room at their end, so adding words copies them only when
-    they outgrow that room.
+    Row r (`rows[word]`) owns `ids[offsets[r]:offsets[r + 1]]`.  A word
+    gets its row first (from `walk`, or by filling `rows`) and its run
+    after (`add`).  Both arrays keep room at their end, so adding runs
+    copies them only when they outgrow that room.
     """
 
     rows: dict[str, int] = field(default_factory=dict)
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
     ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
 
-    def add(self, words: Iterable[str], counts: np.ndarray, ids: np.ndarray) -> None:
-        """Append words: word i owns the next counts[i] entries of `ids`.
-        The words must be distinct and not in the table yet; a repeat
-        leaves `rows` short of the rows added."""
-        n, k = len(self.rows), len(counts)
+    def walk(self, texts: Sequence[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+        """Walk `texts` CHUNK_ROWS at a time, giving each word the table
+        lacks the next row.
+
+        Yields (the chunk's new words in row order, table row of each
+        token, tokens per text); the new words' runs must be added before
+        the table counts the chunk.
+        """
+        rows = self.rows
+        for start in range(0, len(texts), CHUNK_ROWS):
+            split = [text.split() for text in texts[start : start + CHUNK_ROWS]]
+            words = list(chain.from_iterable(split))
+            new = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
+            rows.update(zip(new, count(len(rows))))
+            yield (new,
+                   np.fromiter(map(rows.__getitem__, words), dtype=np.int32, count=len(words)),
+                   np.fromiter(map(len, split), dtype=np.int64, count=len(split)))
+
+    def add(self, counts: np.ndarray, ids: np.ndarray) -> None:
+        """Give the last len(counts) rows their runs: row i of them owns
+        the next counts[i] entries of `ids`."""
+        k = len(counts)
+        n = len(self.rows) - k
         used = int(self.offsets[n])
         self.offsets = _room(self.offsets, n + 1, k)
         self.ids = _room(self.ids, used, len(ids))
         self.offsets[n + 1 : n + 1 + k] = used + np.cumsum(counts)
         self.ids[used : used + len(ids)] = ids
-        self.rows.update(zip(words, range(n, n + k)))
 
     def used(self) -> tuple[np.ndarray, np.ndarray]:
         """(row offsets, ids) of the words added so far, without the room."""
@@ -216,14 +243,19 @@ class GramTable:
     the wider one whose gram has a length in that range, plus the whole
     padded word when the range reaches its length (`in_range`).  For the
     same reason a gram's count in a document, and its document frequency,
-    are the same in every range that holds it.  The split walks and counts
-    the corpus as `transform` does; its word table holds each word's gram
-    ids, numbered in lexicographic gram order, so choosing and ordering a
-    vocabulary are array operations on ids.
+    are the same in every range that holds it.
 
-    Words of `more_texts` are split too, but not counted: a model fitted
-    from the table then knows their columns, so transforming those texts
-    splits no word again.
+    The split walks the corpus once, giving each distinct word a table
+    row, then splits all the words in one `_split_words` call; its word
+    table holds each word's gram ids, numbered in lexicographic gram
+    order, so choosing and ordering a vocabulary are array operations on
+    ids.  It counts each document once and keeps the counts, so `matrix`
+    builds any fit's rows without walking the text again.
+
+    The documents of `more_texts` are split and counted too, but their
+    counts add nothing to `total` or `df`: a model fitted from the table
+    knows their words' columns, and `matrix(kept, more=True)` gives their
+    rows.
     """
 
     n_min: int
@@ -235,6 +267,12 @@ class GramTable:
     whole: np.ndarray       # gram is a whole padded word
     total: np.ndarray       # count per gram over the corpus, float64
     df: np.ndarray          # corpus documents holding each gram
+    # document d, the corpus's then more_texts', holds gram doc_ids[j]
+    # doc_counts[j] times, j in [doc_offsets[d], doc_offsets[d + 1]), ids
+    # ascending; one array each, so that freeing the table frees them whole
+    _doc_offsets: np.ndarray = field(repr=False)  # int64
+    _doc_ids: np.ndarray = field(repr=False)      # int32
+    _doc_counts: np.ndarray = field(repr=False)   # int32
 
     @property
     def flat(self) -> np.ndarray:
@@ -257,36 +295,23 @@ class GramTable:
         if not 1 <= n_min <= n_max:
             raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
         table = _WordTable()
-        gram_ids: dict[str, int] = defaultdict(count().__next__)  # numbers new grams
-        ids_of = partial(map, gram_ids.__getitem__)
-        # count only once every word is split and every gram renumbered, so
-        # total and df are allocated once; keep the corpus tokens till then
-        chunks = list(_chunks(table, corpus, n_min, n_max, ids_of))
-        for _ in _chunks(table, more_texts, n_min, n_max, ids_of):
-            pass
-
-        # renumber the grams in lexicographic order, in the table's own ids
-        grams = sorted(gram_ids)
-        rank = np.empty(len(grams), dtype=np.int32)
-        rank[np.fromiter(map(gram_ids.__getitem__, grams), dtype=np.int64,
-                         count=len(grams))] = np.arange(len(grams))
-        flat = table.used()[1]
-        flat[:] = rank[flat]
-        # a word is one whole gram once the range reaches its padded length
-        whole = np.zeros(len(grams), dtype=bool)
-        whole[rank[[gram_ids[f" {w} "] for w in table.rows if len(w) + 2 <= n_max]]] = True
-        del gram_ids
-
+        chunks = [chunk[1:] for texts in (corpus, more_texts) for chunk in table.walk(texts)]
+        grams, length, whole, per_word, ids = _split_words(list(table.rows), n_min, n_max)
+        table.add(per_word, ids)
+        del ids
+        runs = [_count(table, tokens, doc_len, len(grams)) for tokens, doc_len in chunks]
         total = np.zeros(len(grams))
         df = np.zeros(len(grams), dtype=np.int64)
-        while chunks:  # free each chunk's tokens once counted; sums are exact
-            _, ids, times = _count(table, *chunks.pop(), len(grams))
-            total += np.bincount(ids, weights=times, minlength=len(grams))
+        for _, ids, times in runs[: -(-len(corpus) // CHUNK_ROWS)]:  # the corpus's chunks
+            total += np.bincount(ids, weights=times, minlength=len(grams))  # exact sums
             df += np.bincount(ids, minlength=len(grams))
+        nnz, doc_ids, doc_counts = (np.concatenate(column) for column in zip(*runs))
+        del runs
         return cls(
             n_min=n_min, n_max=n_max, n_docs=len(corpus), _table=table, grams=grams,
-            length=np.fromiter(map(len, grams), dtype=np.int64, count=len(grams)),
-            whole=whole, total=total, df=df,
+            length=length, whole=whole, total=total, df=df,
+            _doc_offsets=np.concatenate(([0], np.cumsum(nnz))), _doc_ids=doc_ids,
+            _doc_counts=doc_counts,
         )
 
     def in_range(self, n_min: int, n_max: int) -> np.ndarray:
@@ -322,21 +347,57 @@ class GramTable:
 
     def model(self, config: TfidfConfig, kept: np.ndarray) -> TfidfModel:
         """The model of the grams `kept`, knowing every table word's columns."""
-        kept_df = self.df[kept].tolist()
-        idf_of = {d: np.log((1.0 + self.n_docs) / (1.0 + d)) + 1.0
-                  for d in set(kept_df)}
         grams = self.grams
         model = TfidfModel(
             vocabulary={grams[g]: i for i, g in enumerate(kept.tolist())},
-            idf=np.array([idf_of[d] for d in kept_df]),
+            idf=self._idf(kept),
             config=config,
         )
         # every word's in-vocabulary columns, in gram order, for transform
-        column = np.full(len(grams), -1, dtype=np.int64)
-        column[kept] = np.arange(len(kept))
         offsets, ids = self._table.used()
-        model._table.add(self._table.rows, *_kept(column[ids], offsets))
+        model._table.rows.update(self._table.rows)
+        model._table.add(*_kept(self._columns(kept)[ids], offsets))
         return model
+
+    def matrix(self, kept: np.ndarray, more: bool = False) -> CsrBatch:
+        """The rows of the corpus documents (of `more_texts` if `more`)
+        under the model of the grams `kept`: the same rows, bit for bit,
+        as transforming those documents with that model."""
+        first, last = (self.n_docs, len(self._doc_offsets) - 1) if more else (0, self.n_docs)
+        column, idf = self._columns(kept), self._idf(kept)
+        chunks = []  # (entry offsets, which entries are kept, entries) per CHUNK_ROWS docs
+        for start in range(first, last, CHUNK_ROWS):
+            offsets = self._doc_offsets[start : min(start + CHUNK_ROWS, last) + 1]
+            entries = slice(offsets[0], offsets[-1])
+            chunks.append((offsets - offsets[0], column[self._doc_ids[entries]] >= 0, entries))
+        # the rows' lengths first, so the rows are written in place and no
+        # second copy of the matrix is ever held
+        nnz = np.concatenate([np.zeros(0, dtype=np.int64),
+                              *(_in_groups(found, offsets) for offsets, found, _ in chunks)])
+        indptr = np.concatenate(([0], np.cumsum(nnz)))
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        for row, (_, found, entries) in zip(range(0, len(nnz), CHUNK_ROWS), chunks):
+            rows = slice(indptr[row], indptr[min(row + CHUNK_ROWS, len(nnz))])
+            indices[rows] = column[self._doc_ids[entries][found]]
+            data[rows] = idf[indices[rows]]
+            data[rows] *= self._doc_counts[entries][found]
+            _normalize(nnz[row : row + CHUNK_ROWS], data[rows])
+        return CsrBatch(indptr=indptr, indices=indices, data=data,
+                        shape=(len(nnz), len(kept)))
+
+    def _idf(self, kept: np.ndarray) -> np.ndarray:
+        """ln((1 + N) / (1 + df)) + 1 of each gram `kept`, N the corpus size;
+        one scalar log per distinct df."""
+        dfs, which = np.unique(self.df[kept], return_inverse=True)
+        return np.array([np.log((1.0 + self.n_docs) / (1.0 + d)) + 1.0
+                         for d in dfs.tolist()])[which]
+
+    def _columns(self, kept: np.ndarray) -> np.ndarray:
+        """Column of each gram id under the model of `kept`; -1 if not kept."""
+        column = np.full(len(self.grams), -1, dtype=np.int32)
+        column[kept] = np.arange(len(kept))
+        return column
 
 
 def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
@@ -344,22 +405,26 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
 
     Raw in-vocabulary gram counts are scaled by idf and each row is
     L2-normalized; a text with no in-vocabulary gram maps to an empty
-    row.  Documents are counted CHUNK_ROWS at a time.
+    row.  Documents are counted CHUNK_ROWS at a time.  A chunk's words the
+    model has not seen are split in one char_wb_ngrams call and looked up
+    in the vocabulary.
     """
     if isinstance(texts, str):
         raise TypeError("transform takes a sequence of texts, not one str")
-    vocabulary, config = model.vocabulary, model.config
+    vocabulary, config, table = model.vocabulary, model.config, model._table
     row_nnz, indices, data = [], [], []
-    for tokens, doc_len in _chunks(model._table, texts, config.n_min, config.n_max,
-                                   lambda grams: map(vocabulary.get, grams, repeat(-1))):
-        nnz, cols, values = _count(model._table, tokens, doc_len, model.dim)
-        values = values * model.idf[cols]
-        # per-row norms, each taken exactly as for a lone row vector
-        bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
-        norms = np.ones(len(doc_len))
-        for i in np.flatnonzero(nnz).tolist():
-            norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
-        values /= np.repeat(norms, nnz)
+    for new, tokens, doc_len in table.walk(texts):
+        if new:
+            grams = char_wb_ngrams(" ".join(new), config.n_min, config.n_max)
+            padded = np.fromiter(map(len, new), dtype=np.int64, count=len(new)) + 2
+            offsets = np.concatenate(([0], np.cumsum(_grams_per_word(padded, config.n_min,
+                                                                     config.n_max))))
+            columns = np.fromiter(map(vocabulary.get, grams, repeat(-1)), dtype=np.int64,
+                                  count=len(grams))
+            table.add(*_kept(columns, offsets))
+        nnz, cols, counts = _count(table, tokens, doc_len, model.dim)
+        values = counts * model.idf[cols]
+        _normalize(nnz, values)
         row_nnz.append(nnz)
         indices.append(cols)
         data.append(values)
@@ -373,34 +438,15 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     )
 
 
-def _chunks(
-    table: _WordTable,
-    texts: Sequence[str],
-    n_min: int,
-    n_max: int,
-    ids_of: Callable[[list[str]], Iterable[int]],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Walk `texts` CHUNK_ROWS at a time, adding the words `table` lacks.
-
-    A chunk's new words are split over [n_min, n_max] in one
-    char_wb_ngrams call; `ids_of` maps their grams to ids, and an id < 0
-    is dropped.  Yields (table row of each token, tokens per text) for
-    each chunk.
-    """
-    rows = table.rows
-    for start in range(0, len(texts), CHUNK_ROWS):
-        split = [text.split() for text in texts[start : start + CHUNK_ROWS]]
-        words = list(chain.from_iterable(split))
-        new = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
-        if new:
-            grams = char_wb_ngrams(" ".join(new), n_min, n_max)
-            padded = np.fromiter(map(len, new), dtype=np.int64, count=len(new)) + 2
-            offsets = np.concatenate(([0], np.cumsum(_grams_per_word(padded, n_min,
-                                                                     n_max))))
-            ids = np.fromiter(ids_of(grams), dtype=np.int64, count=len(grams))
-            table.add(new, *_kept(ids, offsets))
-        yield (np.fromiter(map(rows.__getitem__, words), dtype=np.int32, count=len(words)),
-               np.fromiter(map(len, split), dtype=np.int64, count=len(split)))
+def _normalize(nnz: np.ndarray, values: np.ndarray) -> None:
+    """Divide `values`, row i holding the next nnz[i] of them, by their
+    rows' L2 norms in place; each norm is taken exactly as for a lone row
+    vector."""
+    bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
+    norms = np.ones(len(nnz))
+    for i in np.flatnonzero(nnz).tolist():
+        norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
+    values /= np.repeat(norms, nnz)
 
 
 def _count(
@@ -410,7 +456,8 @@ def _count(
     the table rows `tokens`, doc_len[d] of them for document d.
 
     Each document's entries are its distinct ids, ascending, as int32,
-    with how often the document holds each; every id is below `width`.
+    with how often the document holds each, as int32; every id is below
+    `width`.
     """
     width = max(width, 1)
     start = table.offsets[tokens]
@@ -423,7 +470,7 @@ def _count(
     distinct[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
     starts = np.flatnonzero(distinct)
-    times = np.diff(np.append(starts, len(keys)))
+    times = np.diff(np.append(starts, len(keys))).astype(np.int32)
     keys = keys[starts]
     docs = keys // width
     return (np.bincount(docs, minlength=len(doc_len)),
@@ -434,8 +481,12 @@ def _kept(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """(ids >= 0 per word, those ids in order, as int32) of words whose ids
     are ids[offsets[i]:offsets[i + 1]]; an id < 0 marks a dropped gram."""
     found = ids >= 0
-    inside = np.concatenate(([0], np.cumsum(found)))
-    return np.diff(inside[offsets]), ids[found].astype(np.int32)
+    return _in_groups(found, offsets), ids[found].astype(np.int32, copy=False)
+
+
+def _in_groups(found: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """How many of found[offsets[i]:offsets[i + 1]] are true, per group i."""
+    return np.diff(np.concatenate(([0], np.cumsum(found)))[offsets])
 
 
 def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
@@ -445,3 +496,70 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
     n_max reaches it."""
     k = np.maximum(np.minimum(n_max, padded - 1) - n_min + 1, 0)
     return k * (padded + 1 - n_min) - k * (k - 1) // 2 + (padded <= n_max)
+
+
+def _split_words(
+    words: list[str], n_min: int, n_max: int
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split every word over [n_min, n_max] in one array pass, as
+    char_wb_ngrams(" ".join(words), n_min, n_max) would.
+
+    Returns (the distinct grams in lexicographic order, each one's length,
+    whether it is a whole padded word, grams per word, and the id of every
+    gram in char_wb_ngrams emission order, as int32).  Each gram is a
+    window (start, length) over the padded words' code points; its
+    characters, coded as their rank in the alphabet plus one (0 past the
+    gram's end), are packed into int64 keys that sort as the grams do.
+    Only the distinct grams become strings.
+    """
+    padded = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
+    per_word = _grams_per_word(padded, n_min, n_max)
+    if not words:
+        return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), per_word, \
+            np.zeros(0, dtype=np.int32)
+    # one segment per (word, window length n), then one for the whole word
+    n = np.arange(n_min, max(min(n_max, int(padded.max()) - 1), n_min - 1) + 1)
+    fits = n < padded[:, None]
+    seg_count = np.hstack((np.where(fits, padded[:, None] - n + 1, 0),
+                           (padded <= n_max)[:, None])).ravel()
+    seg_length = np.hstack((np.broadcast_to(n, fits.shape), padded[:, None])).ravel()
+    seg_whole = np.zeros((len(words), len(n) + 1), dtype=bool)
+    seg_whole[:, -1] = True
+    word_start = np.cumsum(padded) - padded
+    # the windows, in emission order: word, n ascending, position, whole word
+    total = int(seg_count.sum())
+    first = np.cumsum(seg_count) - seg_count
+    start = np.repeat(np.repeat(word_start, len(n) + 1) - first, seg_count) + np.arange(total)
+    length = np.repeat(seg_length, seg_count)
+    whole = np.repeat(seg_whole.ravel(), seg_count)
+    del first, seg_count, seg_length, seg_whole
+
+    text = "".join(f" {w} " for w in words)
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    alphabet, rank = np.unique(points, return_inverse=True)
+    longest = int(length.max())
+    code = np.concatenate((rank.astype(np.int64) + 1, np.zeros(longest, dtype=np.int64)))
+    del points, rank
+    bits = len(alphabet).bit_length()
+    per_key = 63 // bits
+    keys = []
+    for slot in range(0, longest, per_key):
+        key = np.zeros(total, dtype=np.int64)
+        for j in range(slot, min(slot + per_key, longest)):
+            key <<= bits
+            key |= code[start + j] * (length > j)
+        keys.append(key)
+    del code
+
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+    new_gram = np.zeros(total, dtype=bool)  # in sorted order, a key unlike the last
+    new_gram[0] = True
+    for key in keys:
+        key = key[order]
+        new_gram[1:] |= key[1:] != key[:-1]
+    del keys
+    ids = np.empty(total, dtype=np.int32)
+    ids[order] = np.cumsum(new_gram) - 1
+    firsts = order[new_gram]
+    grams = [text[a : a + b] for a, b in zip(start[firsts].tolist(), length[firsts].tolist())]
+    return grams, length[firsts], whole[firsts], per_word, ids

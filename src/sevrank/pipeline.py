@@ -144,7 +144,8 @@ def load_pipeline(path: str | Path) -> Pipeline:
     if n_columns and not (columns.min() >= 0 and columns.max() < dim):
         raise fail(f"word columns must lie in [0, {dim})")
     tfidf = TfidfModel(vocabulary, numbers[:dim], config)
-    tfidf._table.add(words, counts, columns)
+    tfidf._table.rows.update(zip(words, range(n_words)))
     if tfidf.n_words != n_words:
         raise fail("words must be distinct")
+    tfidf._table.add(counts, columns)
     return Pipeline(pp, tfidf, RidgeModel(numbers[dim:], intercept, alpha))

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -512,7 +513,8 @@ def search_oracle(labeled, pairs_path, trials, seed, pp):
 
 class TestSearchMatchesPerTrialFits:
     """Every search record equals fitting and scoring that trial on its own,
-    although search splits each word once and shares matrices between trials."""
+    although search splits and counts each text once and shares matrices
+    between trials."""
 
     def search(self, capsys, monkeypatch, files, trials, seed, *flags):
         calls = []
@@ -531,9 +533,8 @@ class TestSearchMatchesPerTrialFits:
         assert records[:-1] == trials
         best = max(trials, key=lambda r: r["accuracy"])  # the first of equals
         assert records[-1] == {"best": best}
-        # one training matrix and one pair-text matrix per distinct vocabulary
-        keys = {(r["n_min"], r["n_max"], tuple(r["vocabulary"])) for r in oracle}
-        assert n_transforms == 2 * len(keys)
+        # every matrix comes from the gram table's own count
+        assert n_transforms == 0
 
     def test_trials_that_share_a_range(self, files, capsys, monkeypatch):
         records, n_transforms = self.search(capsys, monkeypatch, files, 6, 2)
@@ -564,6 +565,135 @@ class TestSearchMatchesPerTrialFits:
         self.check(records, oracle, n_transforms)
         plain = search_oracle(files["labeled"], files["pairs"], 4, 7, PreprocessConfig())
         assert oracle[0]["texts"] != plain[0]["texts"]
+
+
+GOLDEN_WORDS = MILD + HARSH + ["Don't", "can't", "It's", "won't", "I'm", "café", "naïve",
+                              "straße", "😀", "x😀y", "𝔸𝔹", "日本語", "ok", "a"]
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """More than CHUNK_ROWS labeled texts, with non-BMP words and
+    contractions, and pairs drawn from them."""
+    root = tmp_path_factory.mktemp("golden")
+    rng = np.random.default_rng(11)
+    labeled = []
+    for i in range(features.CHUNK_ROWS + 26):
+        words = rng.choice(GOLDEN_WORDS, size=int(rng.integers(1, 9))).tolist()
+        harsh = sum(w in HARSH for w in words)
+        labeled.append((f"g{i}", " ".join(words), f"{min(harsh / 3, 1.0):.6f}"))
+    # the more toxic side of a pair is the one whose label is higher, or drawn
+    pairs = [tuple(labeled[i][1] for i in sorted(
+        rng.choice(len(labeled), size=2, replace=False), key=lambda i: labeled[i][2]))
+        for _ in range(40)]
+    return {
+        "labeled": write_csv(root / "labeled.csv", ["comment_id", "text", "score"], labeled),
+        "pairs": write_csv(root / "pairs.csv", ["less_toxic", "more_toxic"], pairs),
+    }
+
+
+def float_platform():
+    """Digest of a few float64 results that differ between platforms whose
+    log or BLAS dot kernels differ: the golden digests below hold where
+    this equals GOLDEN_PLATFORM."""
+    x = np.sin(np.arange(6000.0))
+    parts = [np.log(np.arange(1.0, 300.0) / 7.0)]
+    parts += [np.array([x[:n] @ x[:n], np.linalg.norm(x[:n])]) for n in (7, 33, 1000, 5999)]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
+
+
+GOLDEN_PLATFORM = "01b7080edb086181"
+
+# train flags -> (sha256 of the .pipeline file, stdout)
+GOLDEN_TRAIN = {
+    "3-5": ((), "5f5e081be91d14c7afe3829af12cfbfe7f8184073ab762fccfd5332a49383522",
+            "training objective: 3.6765147620414917\n"),
+    "1-7-max500": (("--n-min", "1", "--n-max", "7", "--max-features", "500"),
+                   "0b46833cb247167dd119f255272d94eb508321509266565bd3ba1c8cc3de843a",
+                   "training objective: 4.163331232528511\n"),
+    "min-df-2": (("--min-df", "2"),
+                 "d2596106d662746799b01b970d0b1472cbb91c11bba3b935825139132bbc3afe",
+                 "training objective: 3.6765147620414917\n"),
+    "stem": (("--stem",), "40b4584968a9f0792a84da92de2b324f130945a6839dc74e06e44d37cfeab989",
+             "training objective: 3.6568954078456555\n"),
+}
+
+
+# search --trials 8 --seed 3 on the golden files
+GOLDEN_SEARCH = "".join(line + "\n" for line in [
+    '{"trial": 0, "n_min": 3, "n_max": 6, "max_features": 10000, '
+    '"alpha": 0.08856090101436472, "accuracy": 0.825}',
+    '{"trial": 1, "n_min": 2, "n_max": 4, "max_features": 50000, '
+    '"alpha": 2.1313174674015007, "accuracy": 0.825}',
+    '{"trial": 2, "n_min": 2, "n_max": 4, "max_features": 10000, '
+    '"alpha": 0.540141767140498, "accuracy": 0.825}',
+    '{"trial": 3, "n_min": 3, "n_max": 5, "max_features": 30000, '
+    '"alpha": 0.043546741020812206, "accuracy": 0.825}',
+    '{"trial": 4, "n_min": 3, "n_max": 6, "max_features": 50000, '
+    '"alpha": 0.02848971335587143, "accuracy": 0.825}',
+    '{"trial": 5, "n_min": 3, "n_max": 5, "max_features": 30000, '
+    '"alpha": 1.1667041172730443, "accuracy": 0.8}',
+    '{"trial": 6, "n_min": 3, "n_max": 5, "max_features": 30000, '
+    '"alpha": 2.2243047319119422, "accuracy": 0.8}',
+    '{"trial": 7, "n_min": 2, "n_max": 4, "max_features": 50000, '
+    '"alpha": 66.84501411716934, "accuracy": 0.825}',
+    '{"best": {"trial": 0, "n_min": 3, "n_max": 6, "max_features": 10000, '
+    '"alpha": 0.08856090101436472, "accuracy": 0.825}}',
+])
+
+
+class TestGoldenFits:
+    """`train` and `search` outputs, pinned as bytes on a corpus of more than
+    one chunk, so that a change to how a fit counts its text cannot change
+    what it writes."""
+
+    def train(self, capsys, tmp_path, golden, flags):
+        prefix = tmp_path / "golden"
+        code, out, err = run(capsys, "train", "--labeled", golden["labeled"],
+                             "--out-prefix", prefix, *flags)
+        assert (code, err) == (0, "")
+        return Path(f"{prefix}.pipeline").read_bytes(), out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
+    def test_train_writes_the_step_by_step_fit(self, golden, capsys, tmp_path, name):
+        flags = GOLDEN_TRAIN[name][0]
+        data, out = self.train(capsys, tmp_path, golden, flags)
+        args = cli.build_parser().parse_args(
+            ["train", "--labeled", str(golden["labeled"]), "--out-prefix", "x", *flags])
+        pp = cli._preprocess_config(args)
+        labeled = corpus.load_labeled(golden["labeled"])
+        texts = [preprocess(text, pp) for text in labeled.texts]
+        tfidf = features.fit_tfidf(texts, features.TfidfConfig(
+            n_min=args.n_min, n_max=args.n_max, max_features=args.max_features,
+            min_df=args.min_df))
+        X = features.transform(tfidf, texts)
+        ridge = regress.fit_ridge(X, labeled.scores)
+        pipeline.save_pipeline(pipeline.Pipeline(pp, tfidf, ridge), tmp_path / "ref.pipeline")
+        assert data == (tmp_path / "ref.pipeline").read_bytes()
+        objective = regress.ridge_objective(ridge, X, labeled.scores)
+        assert out == f"training objective: {objective!r}\n"
+
+    def test_train_transforms_nothing(self, golden, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = features.transform
+        monkeypatch.setattr(features, "transform",
+                            lambda model, texts: calls.append(model) or real(model, texts))
+        self.train(capsys, tmp_path, golden, ())
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
+    def test_train_golden_bytes(self, golden, capsys, tmp_path, name):
+        if float_platform() != GOLDEN_PLATFORM:
+            pytest.skip("this platform's float kernels differ from the recorded ones")
+        flags, digest, stdout = GOLDEN_TRAIN[name]
+        data, out = self.train(capsys, tmp_path, golden, flags)
+        assert (hashlib.sha256(data).hexdigest(), out) == (digest, stdout)
+
+    def test_search_golden_stdout(self, golden, capsys):
+        code, out, err = run(capsys, "search", "--labeled", golden["labeled"],
+                             "--pairs", golden["pairs"], "--trials", "8", "--seed", "3")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_SEARCH
 
 
 class TestSolverWarnings:

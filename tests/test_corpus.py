@@ -195,7 +195,7 @@ class TestTransforms:
             assert transform_jtc(JtcLabels(**flags)) == jtc_oracle(flags)
 
     def test_jtc_invalid_flag_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^flag toxic value 2 not in \{0, 1\}$"):
             JtcLabels(2, 0, 0, 0, 0, 0)
 
     def test_unintended_zeros_and_ones(self):
@@ -225,9 +225,12 @@ class TestTransforms:
             assert transform_unintended(**fractional) == transform_jtc(JtcLabels(**flags))
 
     def test_unintended_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^attribute toxicity value 1.2 outside"):
             transform_unintended(toxicity=1.2, severe_toxicity=0, obscene=0,
                                  threat=0, insult=0, identity_attack=0)
+        with pytest.raises(ValueError, match=r"^attribute identity_attack value -1 outside"):
+            transform_unintended(toxicity=0, severe_toxicity=0, obscene=0,
+                                 threat=0, insult=0, identity_attack=-1)
 
     def test_davidson_pure_votes(self):
         assert transform_davidson(DavidsonCounts(3, 0, 0)) == 1.0
@@ -418,15 +421,26 @@ class TestKindLoaders:
          "ruddit score 2.0 outside [-1, 1] at row 3"),
         (load_jtc, "id,comment_text,toxic,severe_toxic,obscene,threat,insult,"
                    "identity_hate\nj1,x,2,0,0,0,0,0\n",
-         "flag toxic must be 0 or 1 at row 2"),
+         "flag toxic value 2 not in {0, 1} at row 2"),
+        (load_jtc, "id,comment_text,toxic,severe_toxic,obscene,threat,insult,"
+                   "identity_hate\nj1,x,0,0,0,0,0,1\nj2,y,1,0,0,0,0,2\n",
+         "flag identity_hate value 2 not in {0, 1} at row 3"),
         (load_unintended, "id,target,comment_text,severe_toxicity,obscene,"
                           "identity_attack,insult,threat\nu1,1.2,x,0,0,0,0,0\n",
-         "attribute toxic value 1.2 outside [0, 1] at row 2"),
+         "attribute target value 1.2 outside [0, 1] at row 2"),
+        (load_unintended, "id,toxicity,comment_text,severe_toxicity,obscene,"
+                          "identity_attack,insult,threat\nu1,-0.5,x,0,0,0,0,0\n",
+         "attribute toxicity value -0.5 outside [0, 1] at row 2"),
+        (load_unintended, "id,target,comment_text,severe_toxicity,obscene,"
+                          "identity_attack,insult,threat\nu1,0.5,x,0,0,1.5,0,0\n",
+         "attribute identity_attack value 1.5 outside [0, 1] at row 2"),
         (load_davidson, "hate_speech,offensive_language,neither,tweet\n0,0,0,x\n",
          "at least one coder is required at row 2"),
         (load_davidson, "hate_speech,offensive_language,neither,tweet\n1,0,0,a\n1,-1,0,b\n",
          "count offensive must be a nonnegative integer at row 3"),
-    ], ids=["ruddit", "jtc", "unintended", "davidson-no-coder", "davidson-negative"])
+    ], ids=["ruddit", "jtc", "jtc-identity-hate", "unintended-target",
+            "unintended-toxicity", "unintended-identity-attack", "davidson-no-coder",
+            "davidson-negative"])
     def test_label_outside_its_domain_names_file_and_row(self, tmp_path, loader,
                                                          content, message):
         path = write(tmp_path, "in.csv", content)

@@ -13,6 +13,7 @@ from sevrank.features import (
     TfidfConfig,
     TfidfModel,
     _grams_per_word,
+    _split_words,
     fit_tfidf,
     transform,
 )
@@ -288,6 +289,13 @@ class TestGramTable:
             assert np.array_equal(getattr(transform(model, corpus + more), name),
                                   getattr(transform(fresh, corpus + more), name))
         assert set(word_columns(model)) == {w for t in corpus + more for w in t.split()}
+        # the rows built from the table's own count are transform's, bit for bit
+        kept = table.select(config)
+        for texts, of_more in ((corpus, False), (more, True)):
+            got, want = table.matrix(kept, more=of_more), transform(fresh, texts)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_total_and_df_match_a_counter_over_each_document(self):
         rng = np.random.default_rng(3)
@@ -306,12 +314,88 @@ class TestGramTable:
         assert table.df[table.grams.index("zebr")] == 0
         assert table.total[table.grams.index("quux")] == 0.0
 
+    def test_matrix_of_more_than_one_chunk_equals_transform(self):
+        rng = np.random.default_rng(5)
+        pool = "the cat sat on mat café naïve it's 日本 😀 a bb zz\x00 q\ud800q".split()
+        corpus = [" ".join(rng.choice(pool, size=rng.integers(0, 12)))
+                  for _ in range(2 * CHUNK_ROWS + 3)]
+        more = corpus[:CHUNK_ROWS + 1] + ["brand new", ""]
+        table = GramTable.split(corpus, 1, 6, more)
+        for config in (TfidfConfig(n_min=2, n_max=5, max_features=60),
+                       TfidfConfig(n_min=3, n_max=3, min_df=4), TfidfConfig(n_min=1, n_max=6)):
+            kept = table.select(config)
+            fresh = TfidfModel(*reference_fit(corpus, config), config=config)
+            for texts, of_more in ((corpus, False), (more, True)):
+                got, want = table.matrix(kept, more=of_more), transform(fresh, texts)
+                assert got.shape == want.shape
+                for name in ("indptr", "indices", "data"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_documents_without_words(self):
+        table = GramTable.split(["", " ", "\n"], 1, 3, [""])
+        assert table.grams == [] and len(table.total) == 0 and len(table.df) == 0
+        kept = table.select(TfidfConfig(n_min=1, n_max=3))
+        assert table.matrix(kept).shape == (3, 0)
+        assert table.matrix(kept, more=True).shape == (1, 0)
+        model = table.model(TfidfConfig(n_min=1, n_max=3), kept)
+        assert model.dim == 0 and transform(model, ["ab"]).shape == (1, 0)
+
     def test_range_outside_the_table_rejected(self):
         table = GramTable.split(["ab"], 2, 4)
         with pytest.raises(ValueError, match="not inside"):
             table.in_range(1, 4)
         with pytest.raises(ValueError, match="not inside"):
             table.select(TfidfConfig(n_min=3, n_max=5))
+
+
+# words holding NUL, a lone surrogate and astral characters, some of them
+# shorter than n_min once padded; drawing from all of Unicode too makes
+# alphabets wide enough that a gram's key spans two int64 words
+KERNEL_WORDS = st.text(st.one_of(
+    st.sampled_from("ab\x00\ud800\u00e9\U0001F600\U0001D538"),
+    st.characters(min_codepoint=0x21).filter(lambda c: not c.isspace())),
+    min_size=1, max_size=14)
+RANGES = st.lists(st.integers(1, 12), min_size=2, max_size=2).map(sorted)
+
+
+class TestSplitWords:
+    """The one-pass kernel splits words as char_wb_ngrams does, and numbers
+    the grams in lexicographic order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(KERNEL_WORDS, max_size=8), RANGES)
+    def test_ids_are_the_ranks_of_the_emitted_grams(self, words, ranges):
+        n_min, n_max = ranges
+        grams, length, whole, per_word, ids = _split_words(words, n_min, n_max)
+        emitted = char_wb_ngrams(" ".join(words), n_min, n_max)
+        assert grams == sorted(set(emitted))
+        rank = {gram: i for i, gram in enumerate(grams)}
+        assert ids.dtype == np.int32
+        assert ids.tolist() == [rank[gram] for gram in emitted]
+        assert per_word.tolist() == [len(char_wb_ngrams(w, n_min, n_max)) for w in words]
+        assert length.tolist() == [len(gram) for gram in grams]
+        assert whole.tolist() == [gram in {f" {w} " for w in words} for gram in grams]
+
+    def test_keys_of_three_int64_words(self):
+        # 5000 characters take 13 bits each, so four fit in one int64 word
+        rng = np.random.default_rng(2)
+        alphabet = [chr(c) for c in range(0x4E00, 0x4E00 + 5000)]
+        words = ["".join(rng.choice(alphabet, size=rng.integers(1, 15))) for _ in range(300)]
+        words += [w[:-1] + "a" for w in words[:50]] + [w[:4] for w in words[:50]]
+        grams, _, _, _, ids = _split_words(words, 1, 12)
+        emitted = char_wb_ngrams(" ".join(words), 1, 12)
+        assert grams == sorted(set(emitted))
+        assert [grams[i] for i in ids.tolist()] == emitted
+
+    def test_no_words(self):
+        grams, length, whole, per_word, ids = _split_words([], 2, 5)
+        assert grams == []
+        assert [len(length), len(whole), len(per_word), len(ids)] == [0, 0, 0, 0]
+
+    def test_n_min_above_every_padded_length(self):
+        grams, _, whole, per_word, ids = _split_words(["ab", "\U0001F600"], 9, 12)
+        assert grams == [" ab ", " \U0001F600 "]
+        assert whole.all() and per_word.tolist() == [1, 1] and ids.tolist() == [0, 1]
 
 
 class TestTransform:
