@@ -8,7 +8,7 @@ perturbation-based local linear models.
 
 Quick start::
 
-    from sevrank import corpus, features, regress, evaluate
+    from sevrank import corpus, features, load_pipeline, regress
     from sevrank.textproc import preprocess
 
     labeled = corpus.load_labeled("labeled.csv")
@@ -16,6 +16,11 @@ Quick start::
     tfidf = features.fit_tfidf(texts)
     model = regress.fit_ridge(features.transform(tfidf, texts), labeled.scores)
     scores = regress.predict(model, features.transform(tfidf, texts))
+
+A model saved by `sevrank train` scores raw texts, with its own
+preprocessing, through `Pipeline.score`::
+
+    scores = load_pipeline("model.pipeline").score(["you idiot"])
 
 The `sevrank` console script exposes the same pipelines as subcommands
 (transform, train, score, evaluate, ensemble, search, explain).

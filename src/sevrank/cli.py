@@ -3,9 +3,10 @@
 Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
 outputs.  Every command that scores text with a saved model goes through
-`score_texts`.  Exit codes: 0 on success, 1 on runtime failure, 2 on
-usage errors.  A ridge fit whose conjugate gradient, or a blend fit whose
-L-BFGS, stops before its tolerance prints one `warning:` line on stderr.
+`pipeline.Pipeline.score`.  Exit codes: 0 on success, 1 on runtime
+failure, 2 on usage errors.  A ridge fit whose conjugate gradient, or a
+blend fit whose L-BFGS, stops before its tolerance prints one `warning:`
+line on stderr.
 
 `train` saves its preprocessing switches with the model in one
 `<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
@@ -47,8 +48,6 @@ from . import corpus, evaluate
 from .textproc import PreprocessConfig, preprocess
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import features, optim, regress
 
 _KIND_LOADERS = {
@@ -69,27 +68,16 @@ def write_scores_csv(path: str | Path, scores: Iterable[tuple[str, float]]) -> N
                      ((cid, repr(score)) for cid, score in scores))
 
 
-def read_scores_csv(path: str | Path) -> dict[str, float]:
-    """comment_id -> score; ids must be unique and scores finite numbers."""
-    columns, rows = corpus.read_csv(path, ("comment_id", "score"))
-    id_col, score_col = columns["comment_id"], columns["score"]
-    ids = [fields[id_col] for fields in rows]
-    corpus.unique_ids(path, ids)
+def read_scores_csv(path: str | Path, key: str = "comment_id") -> dict[str, float]:
+    """`key` column -> score: comment ids, or the texts of `explain
+    --scores-lookup`.  Keys must be unique and scores finite numbers."""
+    columns, rows = corpus.read_csv(path, (key, "score"))
+    key_col, score_col = columns[key], columns["score"]
+    keys = [fields[key_col] for fields in rows]
+    corpus.unique_ids(path, keys, key.replace("_", " "))
     return {
-        cid: corpus.number(path, record, "score", fields[score_col])
-        for record, (cid, fields) in enumerate(zip(ids, rows), start=2)
-    }
-
-
-def read_lookup_csv(path: str | Path) -> dict[str, float]:
-    """text -> score table for `explain --scores-lookup`; texts must be
-    unique and scores finite."""
-    columns, rows = corpus.read_csv(path, ("text", "score"))
-    text_col, score_col = columns["text"], columns["score"]
-    corpus.unique_ids(path, [fields[text_col] for fields in rows], "text")
-    return {
-        fields[text_col]: corpus.number(path, record, "score", fields[score_col])
-        for record, fields in enumerate(rows, start=2)
+        k: corpus.number(path, record, "score", fields[score_col])
+        for record, (k, fields) in enumerate(zip(keys, rows), start=2)
     }
 
 
@@ -141,32 +129,6 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lowercase", action="store_true")
     parser.add_argument("--no-strip-urls", action="store_true")
     parser.add_argument("--no-contractions", action="store_true")
-
-
-def score_texts(
-    tfidf: features.TfidfModel,
-    ridge: regress.RidgeModel,
-    pp: PreprocessConfig,
-    texts: Sequence[str],
-) -> np.ndarray:
-    """Scores of `texts`, in input order.
-
-    Each distinct text is preprocessed with `pp` and scored once,
-    features.CHUNK_ROWS texts at a time, so no matrix of the whole input
-    is ever held.
-    """
-    import numpy as np
-
-    from . import features, regress
-
-    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    distinct = [preprocess(text, pp) for text in slot]
-    scores = np.empty(len(distinct))
-    for start in range(0, len(distinct), features.CHUNK_ROWS):
-        X = features.transform(tfidf, distinct[start : start + features.CHUNK_ROWS])
-        scores[start : start + X.shape[0]] = regress.predict(ridge, X)
-    return scores[np.fromiter(map(slot.__getitem__, texts), dtype=np.int64,
-                              count=len(texts))]
 
 
 def _warn_unconverged(solver: regress.CgReport | optim.OptimResult, what: str) -> None:
@@ -261,7 +223,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         pairs = corpus.load_pairs(args.pairs)
         ids, texts = pairs.ids, pairs.texts
-    scores = score_texts(model.tfidf, model.ridge, model.preprocess, texts)
+    scores = model.score(texts)
     write_scores_csv(args.out, zip(ids, scores.tolist()))
     print(f"scored {len(ids)} comments")
     return 0
@@ -272,8 +234,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.model_prefix:
         from . import pipeline
         model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
-        scores = score_texts(model.tfidf, model.ridge, model.preprocess,
-                             pairs.texts).tolist()
+        scores = model.score(pairs.texts).tolist()
     else:
         score_of = read_scores_csv(args.scores)
         if args.comments:
@@ -375,12 +336,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     if args.model_prefix:
         from . import pipeline
-        model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
-
-        def scorer(variants: list[str]) -> np.ndarray:
-            return score_texts(model.tfidf, model.ridge, model.preprocess, variants)
+        scorer = pipeline.load_pipeline(f"{args.model_prefix}.pipeline").score
     else:
-        lookup = read_lookup_csv(args.scores_lookup)
+        lookup = read_scores_csv(args.scores_lookup, "text")
 
         def scorer(variants: list[str]) -> np.ndarray:
             for text in variants:

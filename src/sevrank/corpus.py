@@ -242,25 +242,37 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 def read_csv(path: str | Path, required: Sequence[str]) -> tuple[dict[str, int], list[list[str]]]:
     """Read a CSV and check its header; return (column index by name, data rows).
 
-    The data row at list index i is row i + 2.
+    The data row at list index i is row i + 2.  A record the csv module
+    cannot read (a field over its size limit) or a file that is not UTF-8
+    raises ValueError naming the file, and the row or the byte offset.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a CSV header") from None
-        columns = {name: i for i, name in enumerate(header)}
-        if len(columns) != len(header):
-            repeated = next(name for name in header if header.count(name) > 1)
-            raise ValueError(f"{path}: column {repeated!r} appears twice in the header")
-        for name in required:
-            if name not in columns:
-                raise ValueError(f"{path}: missing required column {name!r}")
-        rows = list(reader)
+    header, rows = None, []
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a CSV header")
+            columns = {name: i for i, name in enumerate(header)}
+            if len(columns) != len(header):
+                repeated = next(name for name in header if header.count(name) > 1)
+                raise ValueError(f"{path}: column {repeated!r} appears twice in the header")
+            for name in required:
+                if name not in columns:
+                    raise ValueError(f"{path}: missing required column {name!r}")
+            rows.extend(reader)  # on an error, keeps the rows read before it
+    except csv.Error as exc:
+        record = 1 if header is None else len(rows) + 2
+        raise ValueError(f"{path}: malformed CSV row {record}: {exc}") from None
+    except UnicodeDecodeError:
+        try:  # a text stream's decoder counts from its last chunk, not the file's start
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+        raise
     for record, fields in enumerate(rows, start=2):
         if len(fields) != len(header):
             raise ValueError(

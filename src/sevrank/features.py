@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -212,8 +212,21 @@ class TfidfModel:
         """Words in the word table."""
         return len(self._table.rows)
 
+    @classmethod
+    def with_words(cls, vocabulary: dict[str, int], idf: np.ndarray, config: TfidfConfig,
+                   words: Iterable[str], counts: np.ndarray, columns: np.ndarray) -> TfidfModel:
+        """The model whose word table gives the i-th of `words` the next
+        counts[i] entries of `columns`; one word per count, no word twice."""
+        model = cls(vocabulary, idf, config)
+        model._table.rows.update(zip(words, count()))
+        if model.n_words != len(counts):
+            raise ValueError("words must be distinct")
+        model._table.add(counts, columns)
+        return model
+
     def word_table(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """(words in row order, columns per word, all columns) of the table."""
+        """(words in row order, columns per word, all columns) of the table;
+        `with_words` builds the model back from them."""
         offsets, columns = self._table.used()
         return list(self._table.rows), np.diff(offsets), columns
 
@@ -273,11 +286,6 @@ class GramTable:
     _doc_offsets: np.ndarray = field(repr=False)  # int64
     _doc_ids: np.ndarray = field(repr=False)      # int32
     _doc_counts: np.ndarray = field(repr=False)   # int32
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Every word's gram ids, concatenated in table row order."""
-        return self._table.used()[1]
 
     @classmethod
     def split(
@@ -348,16 +356,11 @@ class GramTable:
     def model(self, config: TfidfConfig, kept: np.ndarray) -> TfidfModel:
         """The model of the grams `kept`, knowing every table word's columns."""
         grams = self.grams
-        model = TfidfModel(
-            vocabulary={grams[g]: i for i, g in enumerate(kept.tolist())},
-            idf=self._idf(kept),
-            config=config,
-        )
         # every word's in-vocabulary columns, in gram order, for transform
         offsets, ids = self._table.used()
-        model._table.rows.update(self._table.rows)
-        model._table.add(*_kept(self._columns(kept)[ids], offsets))
-        return model
+        return TfidfModel.with_words({grams[g]: i for i, g in enumerate(kept.tolist())},
+                                     self._idf(kept), config, self._table.rows,
+                                     *_kept(self._columns(kept)[ids], offsets))
 
     def matrix(self, kept: np.ndarray, more: bool = False) -> CsrBatch:
         """The rows of the corpus documents (of `more_texts` if `more`)

@@ -24,6 +24,11 @@ benchmark model the file grows from 483 KB to 978 KB.
 `load_pipeline` checks every part; a defect raises ValueError naming the
 file.  A v1 file, which has no word table, is refused with a request to
 retrain.
+
+`Pipeline.score` is the one way a model scores texts, always with its own
+preprocessing.  It calls `textproc.preprocess`, `features.transform` and
+`regress.predict` through their modules, so a patched function is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .features import TfidfConfig, TfidfModel
-from .regress import RidgeModel
-from .textproc import PreprocessConfig
+from . import features, regress, textproc
 
 __all__ = ["Pipeline", "save_pipeline", "load_pipeline"]
 
@@ -48,9 +52,25 @@ _KEYS = ("preprocess", "tfidf", "alpha", "intercept", "dim", "grams_bytes",
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    preprocess: PreprocessConfig
-    tfidf: TfidfModel
-    ridge: RidgeModel
+    preprocess: textproc.PreprocessConfig
+    tfidf: features.TfidfModel
+    ridge: regress.RidgeModel
+
+    def score(self, texts: Sequence[str]) -> np.ndarray:
+        """Scores of `texts`, in input order.
+
+        Each distinct text is preprocessed with the model's switches and
+        scored once, features.CHUNK_ROWS texts at a time, so no matrix of
+        the whole input is ever held.
+        """
+        slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+        distinct = [textproc.preprocess(text, self.preprocess) for text in slot]
+        scores = np.empty(len(distinct))
+        for start in range(0, len(distinct), features.CHUNK_ROWS):
+            X = features.transform(self.tfidf, distinct[start : start + features.CHUNK_ROWS])
+            scores[start : start + X.shape[0]] = regress.predict(self.ridge, X)
+        return scores[np.fromiter(map(slot.__getitem__, texts), dtype=np.int64,
+                                  count=len(texts))]
 
 
 def save_pipeline(model: Pipeline, path: str | Path) -> None:
@@ -90,15 +110,15 @@ def load_pipeline(path: str | Path) -> Pipeline:
         raise fail("manifest line is not JSON") from None
     if not isinstance(manifest, dict) or sorted(manifest) != sorted(_KEYS):
         raise fail(f"manifest must hold exactly {', '.join(_KEYS)}")
-    for key, cls, kind in (("preprocess", PreprocessConfig, bool),
-                           ("tfidf", TfidfConfig, int)):
+    for key, cls, kind in (("preprocess", textproc.PreprocessConfig, bool),
+                           ("tfidf", features.TfidfConfig, int)):
         names, values = [f.name for f in fields(cls)], manifest[key]
         if (not isinstance(values, dict) or sorted(values) != sorted(names)
                 or any(type(v) is not kind for v in values.values())):
             raise fail(f"manifest {key!r} must set exactly {', '.join(names)} "
                        f"to {kind.__name__} values")
-    pp = PreprocessConfig(**manifest["preprocess"])
-    config = TfidfConfig(**manifest["tfidf"])
+    pp = textproc.PreprocessConfig(**manifest["preprocess"])
+    config = features.TfidfConfig(**manifest["tfidf"])
     if not 1 <= config.n_min <= config.n_max:
         raise fail(f"invalid n-gram range ({config.n_min}, {config.n_max})")
     alpha, intercept, dim, grams_bytes, words_bytes, n_words, n_columns = (
@@ -143,9 +163,9 @@ def load_pipeline(path: str | Path) -> Pipeline:
         raise fail(f"word column counts must be >= 0 and sum to {n_columns}")
     if n_columns and not (columns.min() >= 0 and columns.max() < dim):
         raise fail(f"word columns must lie in [0, {dim})")
-    tfidf = TfidfModel(vocabulary, numbers[:dim], config)
-    tfidf._table.rows.update(zip(words, range(n_words)))
-    if tfidf.n_words != n_words:
-        raise fail("words must be distinct")
-    tfidf._table.add(counts, columns)
-    return Pipeline(pp, tfidf, RidgeModel(numbers[dim:], intercept, alpha))
+    try:
+        tfidf = features.TfidfModel.with_words(vocabulary, numbers[:dim], config,
+                                               words, counts, columns)
+    except ValueError as exc:  # a word repeats
+        raise fail(str(exc)) from None
+    return Pipeline(pp, tfidf, regress.RidgeModel(numbers[dim:], intercept, alpha))

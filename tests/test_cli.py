@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevrank
-from sevrank import cli, corpus, evaluate, features, pipeline, regress
+from sevrank import cli, corpus, evaluate, explain, features, pipeline, regress, textproc
 from sevrank.textproc import PreprocessConfig, char_wb_ngrams, preprocess
 
 MILD = ["nice", "thanks", "great", "friendly", "agree", "helpful", "kind", "fair"]
@@ -143,8 +143,8 @@ class TestScoring:
             seen.append(text)
             return preprocess(text, config)
 
-        monkeypatch.setattr(cli, "preprocess", counting_preprocess)
-        got = cli.score_texts(tfidf, ridge, pp, texts)
+        monkeypatch.setattr(textproc, "preprocess", counting_preprocess)
+        got = model.score(texts)
         assert sorted(seen) == sorted(set(texts))
         for text, score in zip(texts, got):
             alone = regress.predict(ridge, features.transform(tfidf, [preprocess(text, pp)]))
@@ -180,17 +180,30 @@ class TestScoring:
 class TestExplain:
     def test_scorer_called_once_with_every_sample(self, files, capsys, monkeypatch):
         calls = []
-        real = cli.score_texts
+        real = pipeline.Pipeline.score
 
-        def counting(tfidf, ridge, pp, texts):
+        def counting(model, texts):
             calls.append(len(texts))
-            return real(tfidf, ridge, pp, texts)
+            return real(model, texts)
 
-        monkeypatch.setattr(cli, "score_texts", counting)
+        monkeypatch.setattr(pipeline.Pipeline, "score", counting)
         code, out, err = run(capsys, "explain", "--model-prefix", files["model"],
                              "--text", "you stupid clown", "--num-samples", "40")
         assert code == 0, err
         assert calls == [40]
+
+    def test_html_out_is_the_explanation_html(self, files, capsys, tmp_path):
+        text = "you stupid clown, thanks you"
+        code, out, err = run(capsys, "explain", "--model-prefix", files["model"],
+                             "--text", text, "--num-samples", "40", "--seed", "2",
+                             "--html-out", tmp_path / "x.html")
+        assert code == 0, err
+        model = pipeline.load_pipeline(f"{files['model']}.pipeline")
+        result = explain.lime_explain(model.score, text,
+                                      explain.ExplainConfig(num_samples=40, seed=2))
+        assert out == explain.explanation_json(result) + "\n"
+        assert (tmp_path / "x.html").read_text(encoding="utf-8") == (
+            explain.explanation_html(result) + "\n")
 
     def lookup(self, tmp_path, scores):
         return write_csv(tmp_path / "lookup.csv", ["text", "score"], scores.items())
@@ -455,8 +468,8 @@ class TestPreprocessingIsSavedWithTheModel:
         tfidf = features.fit_tfidf(texts, features.TfidfConfig(n_min=2, n_max=4))
         ridge = regress.fit_ridge(features.transform(tfidf, texts), labeled.scores)
         _, comments = corpus.load_comments(files["comments"])
-        assert got == cli.score_texts(tfidf, ridge, stem, comments).tolist()
-        unstemmed = cli.score_texts(tfidf, ridge, PreprocessConfig(), comments)
+        assert got == pipeline.Pipeline(stem, tfidf, ridge).score(comments).tolist()
+        unstemmed = pipeline.Pipeline(PreprocessConfig(), tfidf, ridge).score(comments)
         assert got != unstemmed.tolist()
 
     @pytest.mark.parametrize("flag", PREPROCESS_FLAGS)
@@ -809,6 +822,18 @@ class TestScoresCsv:
         assert code == 1
         assert "non-finite score 'nan' at row 4" in err
 
+    def test_tie_credit_counts_a_tied_pair_as_half(self, capsys, tmp_path):
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],
+                          [("a", "b"), ("c", "d")])
+        scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"],
+                           [("p2_l", "0.5"), ("p2_m", "0.5"),
+                            ("p3_l", "0.1"), ("p3_m", "0.9")])
+        code, out, err = run(capsys, "evaluate", "--scores", scores, "--pairs", pairs,
+                             "--tie-credit", "0.5")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"accuracy": 0.75, "n_pairs": 2, "n_correct": 1,
+                                   "n_ties": 1}
+
     def test_non_numeric_score_rejected_with_its_row(self, capsys, tmp_path):
         scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"],
                            [("a", "0.5"), ("b", "high")])
@@ -835,6 +860,46 @@ class TestScoresCsv:
         scores = dict(zip(ids, values))
         cli.write_scores_csv(path, scores.items())
         assert cli.read_scores_csv(path) == scores
+
+
+class TestUnreadableCsv:
+    """A file the csv module or the UTF-8 decoder cannot read stops with one
+    error line naming it, exit code 1 and no traceback."""
+
+    def score(self, files, capsys, tmp_path, comments):
+        code, out, err = run(capsys, "score", "--model-prefix", files["model"],
+                             "--comments", comments, "--out", tmp_path / "s.csv")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"sevrank: error: {comments}: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_field_over_the_csv_size_limit_names_its_row(self, files, capsys, tmp_path):
+        limit = csv.field_size_limit()
+        comments = write_csv(tmp_path / "c.csv", ["comment_id", "text"],
+                             [("c0", "fine"), ("c1", "x" * 140000), ("c2", "fine")])
+        err = self.score(files, capsys, tmp_path, comments)
+        assert err.endswith(f": malformed CSV row 3: field larger than field limit "
+                            f"({limit})\n")
+        assert csv.field_size_limit() == limit
+
+    def test_header_over_the_csv_size_limit_is_row_1(self, files, capsys, tmp_path):
+        comments = tmp_path / "c.csv"
+        comments.write_text("comment_id,text," + "x" * 140000 + "\n", encoding="utf-8")
+        err = self.score(files, capsys, tmp_path, comments)
+        assert ": malformed CSV row 1: field larger than field limit" in err
+
+    @pytest.mark.parametrize("rows", [0, 3000])
+    def test_non_utf8_byte_named_by_its_offset_in_the_file(self, files, capsys, tmp_path,
+                                                           rows):
+        # 3000 rows put the bad byte past the text stream's first chunk
+        head = b"comment_id,text\n" + b"".join(b"c%d,ok\n" % i for i in range(rows))
+        comments = tmp_path / "c.csv"
+        comments.write_bytes(head + b"bad,caf\xe9 x\n")
+        err = self.score(files, capsys, tmp_path, comments)
+        offset = len(head) + len(b"bad,caf")
+        assert err.endswith(f": not UTF-8: invalid continuation byte at byte offset "
+                            f"{offset}\n")
 
 
 class TestMatrixFiles:

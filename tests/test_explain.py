@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from sevrank.explain import ExplainConfig, lime_explain
+from sevrank.explain import ExplainConfig, Explanation, explanation_html, lime_explain
 
 
 class RecordingScorer:
@@ -89,3 +91,36 @@ class TestConfig:
     def test_kernel_width_must_be_positive(self, width):
         with pytest.raises(ValueError, match="kernel_width must be positive"):
             ExplainConfig(kernel_width=width)
+
+
+class TestHtml:
+    def html(self, tokens, importances):
+        return explanation_html(Explanation(" ".join(tokens), tokens, importances,
+                                            intercept=0.0, local_r2=1.0))
+
+    def test_tokens_are_escaped(self):
+        got = self.html(["a<b", "&c"], [("a<b", 0.5), ("&c", -0.25)])
+        assert "a&lt;b" in got and "&amp;c" in got
+        assert "a<b" not in got and "&c" not in got
+
+    def test_top_word_is_full_red_and_others_scale_by_weight(self):
+        got = self.html(["mild", "rude"], [("rude", -0.8), ("mild", 0.2)])
+        assert got == ('<div class="sevrank-explanation">'
+                       '<span style="background-color: rgba(255,0,0,0.250)">mild</span> '
+                       '<span style="background-color: rgba(255,0,0,1.000)">rude</span>'
+                       '</div>')
+
+    def test_repeated_word_colours_only_its_first_occurrence(self):
+        got = self.html(["x", "y", "x"], [("x", 1.0), ("y", 0.5)])
+        assert got.split("</span> ") == [
+            '<div class="sevrank-explanation">'
+            '<span style="background-color: rgba(255,0,0,1.000)">x',
+            '<span style="background-color: rgba(255,0,0,0.500)">y',
+            '<span style="background-color: rgba(255,0,0,0.000)">x</span></div>']
+        # a word listed twice (once per position) colours its occurrences in turn
+        got = self.html(["x", "y", "x"], [("x", 1.0), ("y", 0.5), ("x", 0.25)])
+        assert re.findall(r"rgba\(255,0,0,([\d.]+)\)", got) == ["1.000", "0.500", "0.250"]
+
+    def test_all_zero_weights_give_zero_everywhere(self):
+        got = self.html(["a", "b", "a"], [("a", 0.0), ("b", 0.0)])
+        assert got.count("rgba(255,0,0,0.000)") == 3

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevrank import cli
 from sevrank.features import TfidfConfig, TfidfModel, fit_tfidf, transform
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import fit_ridge
@@ -46,8 +45,8 @@ class TestRoundTrip:
         save_pipeline(model, tmp_path / "m.pipeline")
         loaded = load_pipeline(tmp_path / "m.pipeline")
         texts = TEXTS + ["a clown's über notes", "", "zzz"]
-        before = cli.score_texts(model.tfidf, model.ridge, model.preprocess, texts)
-        after = cli.score_texts(loaded.tfidf, loaded.ridge, loaded.preprocess, texts)
+        before = model.score(texts)
+        after = loaded.score(texts)
         assert after.tobytes() == before.tobytes()
 
     def test_empty_vocabulary(self, tmp_path):
@@ -96,6 +95,6 @@ class TestSavedWordTable:
         # scoring with the table gives the bits of splitting every word anew
         queries = docs + ["über clowns zz", "unseen words", ""]
         emptied = TfidfModel(dict(vocabulary), loaded.tfidf.idf.copy(), config)
-        with_table = cli.score_texts(loaded.tfidf, loaded.ridge, pp, queries)
-        without = cli.score_texts(emptied, loaded.ridge, pp, queries)
+        with_table = loaded.score(queries)
+        without = Pipeline(pp, emptied, loaded.ridge).score(queries)
         assert with_table.tobytes() == without.tobytes()
