@@ -45,7 +45,7 @@ _EXPORTS = {
     "explain": ("ExplainConfig", "Explanation", "lime_explain"),
     "features": ("CsrBatch", "GramTable", "TfidfConfig", "TfidfModel", "fit_tfidf",
                  "transform"),
-    "optim": ("LbfgsConfig", "OptimResult", "check_gradient", "lbfgs_minimize"),
+    "optim": ("OptimResult", "check_gradient", "lbfgs_minimize"),
     "pipeline": ("Pipeline", "load_pipeline", "save_pipeline"),
     "regress": ("CgReport", "RidgeModel", "fit_ridge", "predict"),
     "textproc": ("PreprocessConfig", "char_wb_ngrams", "porter_stem", "preprocess"),

@@ -2,11 +2,12 @@
 
 Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
-outputs.  Every command that scores text with a saved model goes through
-`pipeline.Pipeline.score`.  Exit codes: 0 on success, 1 on runtime
-failure, 2 on usage errors.  A ridge fit whose conjugate gradient, or a
-blend fit whose L-BFGS, stops before its tolerance prints one `warning:`
-line on stderr.
+outputs, whatever the BLAS thread count (for `explain`, on texts of up to
+64 words).  Every command that scores text with a saved model goes
+through `pipeline.Pipeline.score`.  Exit codes: 0 on success, 1 on
+runtime failure, 2 on usage errors.  A ridge fit whose conjugate
+gradient, or a blend fit whose L-BFGS, stops before its tolerance prints
+one `warning:` line on stderr.
 
 `train` saves its preprocessing switches with the model in one
 `<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
@@ -255,13 +256,12 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     blend's accuracy on the same pairs.  That accuracy is in-sample: it is
     measured on the pairs the weights were fitted on."""
     from . import ensemble
-    from .optim import LbfgsConfig
 
     matrix = ensemble.load_score_matrix(args.matrix)
     pairs = corpus.load_pairs(args.pairs)
     weights = ensemble.fit_weights(
         matrix, pairs, mode=args.mode, temperature=args.temperature,
-        lbfgs=LbfgsConfig(max_iter=args.max_iter),
+        max_iter=args.max_iter,
     )
     _warn_unconverged(weights.solver, "ensemble")
     blended = ensemble.blend(matrix, weights)

@@ -244,14 +244,15 @@ def read_csv(path: str | Path, required: Sequence[str]) -> tuple[dict[str, int],
 
     The data row at list index i is row i + 2.  A record the csv module
     cannot read (a field over its size limit) or a file that is not UTF-8
-    raises ValueError naming the file, and the row or the byte offset.
+    raises ValueError naming the file, and the row or the byte offset from
+    the file's start.  A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     header, rows = None, []
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

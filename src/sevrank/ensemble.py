@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Pairs, csv_line, number, read_csv, unique_ids
 from .evaluate import NORMALIZATION_MODES
-from .optim import LbfgsConfig, OptimResult, lbfgs_minimize
+from .optim import OptimResult, lbfgs_minimize
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -189,13 +189,13 @@ def fit_weights(
     pairs: Pairs,
     mode: str = "minmax",
     temperature: float = 0.1,
-    lbfgs: LbfgsConfig = LbfgsConfig(),
+    max_iter: int = 200,
 ) -> EnsembleWeights:
     """Fit blend weights on annotated pairs.
 
     Normalizes the matrix per mode, starts from uniform weights
-    1/n_models, and minimizes the surrogate loss; the fitted loss never
-    exceeds the loss at initialization.
+    1/n_models, and minimizes the surrogate loss in at most max_iter L-BFGS
+    steps; the fitted loss never exceeds the loss at initialization.
     """
     _check_temperature(temperature)
     if len(matrix.model_names) < 1:
@@ -207,7 +207,7 @@ def fit_weights(
     diffs = normalized.values[more] - normalized.values[less]
     x0 = np.full(len(matrix.model_names), 1.0 / len(matrix.model_names))
     result = lbfgs_minimize(
-        lambda w: _loss_from_diffs(w, diffs, temperature), x0, lbfgs
+        lambda w: _loss_from_diffs(w, diffs, temperature), x0, max_iter
     )
     return EnsembleWeights(
         model_names=list(matrix.model_names),

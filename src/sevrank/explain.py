@@ -130,7 +130,10 @@ def _weighted_ridge(
 
     A constant y is fitted exactly by the intercept alone: all-zero
     coefficients and R^2 = 1.0.  (Its weighted mean need not round to the
-    constant, which would leave tiny coefficients and R^2 = 0.)
+    constant, which would leave tiny coefficients and R^2 = 0.)  The normal
+    equations are summed by einsum, not a threaded BLAS gemm; LAPACK's solve
+    of them was thread-independent at 64 words but not at 300, so only texts
+    of up to 64 words are known to explain alike on any BLAS thread count.
     """
     if np.all(y == y[0]):
         return np.zeros(Z.shape[1]), float(y[0]), 1.0
@@ -139,8 +142,9 @@ def _weighted_ridge(
     y_mean = float(sw @ y) / total
     Zc = Z - z_mean
     yc = y - y_mean
-    gram = (Zc * sw[:, None]).T @ Zc + alpha * np.eye(Z.shape[1])
-    coef = np.linalg.solve(gram, (Zc * sw[:, None]).T @ yc)
+    weighted = Zc * sw[:, None]
+    gram = np.einsum("ij,ik->jk", weighted, Zc) + alpha * np.eye(Z.shape[1])
+    coef = np.linalg.solve(gram, np.einsum("ij,i->j", weighted, yc))
     intercept = y_mean - float(z_mean @ coef)
     fitted = Z @ coef + intercept
     rss = float(sw @ (y - fitted) ** 2)

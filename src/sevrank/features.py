@@ -443,13 +443,18 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
 
 def _normalize(nnz: np.ndarray, values: np.ndarray) -> None:
     """Divide `values`, row i holding the next nnz[i] of them, by their
-    rows' L2 norms in place; each norm is taken exactly as for a lone row
-    vector."""
-    bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
-    norms = np.ones(len(nnz))
-    for i in np.flatnonzero(nnz).tolist():
-        norms[i] = np.linalg.norm(values[bounds[i] : bounds[i + 1]])
-    values /= np.repeat(norms, nnz)
+    rows' L2 norms (summed by `row_sums`) in place."""
+    values /= np.repeat(np.sqrt(row_sums(values * values, nnz)), nnz)
+
+
+def row_sums(values: np.ndarray, nnz: np.ndarray) -> np.ndarray:
+    """Sum of each row, row i holding the next nnz[i] `values`; 0 if empty.
+    One `np.add.reduceat` segment per row, in an order set by the row's own
+    values: a row sums to the same bits alone or anywhere in any batch."""
+    sums = np.zeros(len(nnz))
+    full = np.asarray(nnz) > 0
+    sums[full] = np.add.reduceat(values, (np.cumsum(nnz) - nnz)[full])
+    return sums
 
 
 def _count(

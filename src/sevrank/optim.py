@@ -1,11 +1,11 @@
-"""Limited-memory BFGS minimizer with backtracking line search.
+"""Limited-memory BFGS minimizer with a weak-Wolfe line search.
 
 General-purpose and deterministic: the objective is a callable returning
-(value, gradient), the inverse-Hessian approximation lives in the last m
-(s, y) displacement pairs via the standard two-loop recursion, and steps
-are chosen by Armijo backtracking from a unit step.  Pairs with
-non-positive curvature s.y are skipped, which keeps the implicit Hessian
-approximation positive definite and every accepted step a descent step.
+(value, gradient), the inverse-Hessian approximation lives in the last
+MEMORY (s, y) displacement pairs via the standard two-loop recursion, and
+steps are found by the weak-Wolfe bisection of Lewis and Overton (Math.
+Programming 2013) from a unit step.  A Wolfe step has s.y > 0, which keeps
+the implicit Hessian positive definite, also off convex objectives.
 """
 
 from __future__ import annotations
@@ -16,29 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LbfgsConfig", "OptimResult", "lbfgs_minimize", "check_gradient"]
+__all__ = ["OptimResult", "lbfgs_minimize", "check_gradient"]
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-_CURVATURE_EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class LbfgsConfig:
-    memory: int = 10
-    max_iter: int = 200
-    grad_tol: float = 1e-6       # on the max-norm of the gradient
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 50
-
-    def __post_init__(self) -> None:
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+MEMORY = 10          # (s, y) pairs kept
+GRAD_TOL = 1e-6      # on the max-norm of the gradient
+ARMIJO_C = 1e-4      # sufficient decrease: f(x + t d) <= f(x) + ARMIJO_C t g.d
+CURVATURE_C = 0.9    # weak Wolfe: g(x + t d).d >= CURVATURE_C g.d
+MAX_TRIALS = 50      # step lengths tried per line search
 
 
 @dataclass(eq=False)
@@ -82,14 +68,14 @@ def _search_direction(
 def lbfgs_minimize(
     f: Objective,
     x0: np.ndarray,
-    config: LbfgsConfig = LbfgsConfig(),
+    max_iter: int = 200,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> OptimResult:
     """Minimize f from x0; f maps a vector to (value, gradient).
 
-    Returns once the gradient max-norm falls to grad_tol or max_iter
-    accepted steps have run.  If Armijo backtracking exhausts
-    max_backtracks the best point so far is returned with
+    Returns once the gradient max-norm falls to GRAD_TOL or max_iter
+    accepted steps have run.  If a line search finds no weak-Wolfe step
+    in MAX_TRIALS tries the best point so far is returned with
     converged=False.  Non-finite objective values or gradients abort
     with the iteration index at which they were produced.  The sequence
     of accepted objective values is nonincreasing, and identical inputs
@@ -98,16 +84,14 @@ def lbfgs_minimize(
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     fx, grad = _evaluate(f, x, 0)
-    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(
-        maxlen=config.memory
-    )
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
     gamma = 1.0
     iteration = 0
     while True:
         grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if grad_norm <= config.grad_tol:
+        if grad_norm <= GRAD_TOL:
             return OptimResult(x, fx, grad_norm, iteration, converged=True)
-        if iteration >= config.max_iter:
+        if iteration >= max_iter:
             return OptimResult(x, fx, grad_norm, iteration, converged=False)
 
         direction = -_search_direction(grad, history, gamma)
@@ -117,22 +101,25 @@ def lbfgs_minimize(
             direction = -grad
             slope = -float(grad @ grad)
 
-        step = 1.0
-        accepted = False
-        for _ in range(config.max_backtracks + 1):
+        # bisect [low, high] until sufficient decrease and a raised slope
+        low, high, step = 0.0, np.inf, 1.0
+        for _ in range(MAX_TRIALS):
             x_new = x + step * direction
             f_new, grad_new = _evaluate(f, x_new, iteration)
-            if f_new <= fx + config.armijo_c * step * slope:
-                accepted = True
+            if f_new > fx + ARMIJO_C * step * slope:
+                high = step
+            elif float(grad_new @ direction) < CURVATURE_C * slope:
+                low = step
+            else:
                 break
-            step *= config.backtrack_factor
-        if not accepted:
+            step = (low + high) / 2.0 if high < np.inf else 2.0 * low
+        else:
             return OptimResult(x, fx, grad_norm, iteration, converged=False)
 
         s = x_new - x
         y = grad_new - grad
         sy = float(s @ y)
-        if sy > _CURVATURE_EPS:
+        if sy > 0.0:  # Wolfe makes it positive, up to rounding
             history.append((s, y, 1.0 / sy))
             gamma = sy / float(y @ y)
         x, fx, grad = x_new, f_new, grad_new

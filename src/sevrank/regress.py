@@ -10,9 +10,9 @@ sparsity, so the solution differs from implementations that also center
 the design matrix (see fit_ridge).  Matrix products are formed as
 X^T (X p) on the fly; X^T X is never materialized.
 
-`predict` scores a whole `CsrBatch` at once.  Each row's score is the
-same dot product, in the same summation order, as scoring that row on
-its own, so batch size never changes a prediction's bits.
+Every sum, from a row's score to CG's inner products, is a fixed-order
+`features.row_sums`: a row predicts to the same bits alone or in any
+batch, and no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import CsrBatch
+from .features import CsrBatch, row_sums
 
 __all__ = ["CgReport", "RidgeModel", "fit_ridge", "predict", "ridge_objective"]
 
@@ -99,7 +99,7 @@ def fit_ridge(
     # overflow and nan are caught below, by value; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.bincount(col, weights=val * yc[row], minlength=dim)
-        b_norm = np.linalg.norm(b)
+        b_norm = math.sqrt(_dot(b, b))
         if not math.isfinite(b_norm):
             raise ValueError(f"X^T (y - mean(y)) has norm {b_norm}; "
                              "features or targets are too large or not finite")
@@ -111,13 +111,13 @@ def fit_ridge(
 
         r = b.copy()
         p = r.copy()
-        rs = float(r @ r)
+        rs = _dot(r, r)
         threshold = tol * b_norm
         iterations = 0
         broke_down = False
         while iterations < max_iter and not np.sqrt(rs) <= threshold:
             ap = matvec(p)
-            curvature = float(p @ ap)
+            curvature = _dot(p, ap)
             # X^T X + alpha I is positive definite; anything else is overflow
             if not (math.isfinite(curvature) and curvature > 0.0):
                 broke_down = True
@@ -125,7 +125,7 @@ def fit_ridge(
             step = rs / curvature
             w += step * p
             r -= step * ap
-            rs_next = float(r @ r)
+            rs_next = _dot(r, r)
             p = r + (rs_next / rs) * p
             rs = rs_next
             iterations += 1
@@ -140,14 +140,9 @@ def predict(model: RidgeModel, X: CsrBatch) -> np.ndarray:
         raise ValueError(
             f"batch dim {X.shape[1]} does not match model dim {len(model.weights)}"
         )
-    picked = model.weights[X.indices]
-    bounds = X.indptr.tolist()
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        lo, hi = bounds[i], bounds[i + 1]
-        out[i] = picked[lo:hi] @ X.data[lo:hi]
-    out += model.intercept
-    return out
+    products = model.weights[X.indices]
+    products *= X.data
+    return row_sums(products, np.diff(X.indptr)) + model.intercept
 
 
 def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float:
@@ -155,4 +150,9 @@ def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float
     y_arr = np.asarray(y, dtype=np.float64)
     yc = y_arr - model.intercept
     resid = predict(model, X) - model.intercept - yc
-    return float(resid @ resid) + model.alpha * float(model.weights @ model.weights)
+    return _dot(resid, resid) + model.alpha * _dot(model.weights, model.weights)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed by `row_sums` as one row."""
+    return float(row_sums(a * b, [a.size])[0])

@@ -619,15 +619,15 @@ GOLDEN_PLATFORM = "01b7080edb086181"
 
 # train flags -> (sha256 of the .pipeline file, stdout)
 GOLDEN_TRAIN = {
-    "3-5": ((), "5f5e081be91d14c7afe3829af12cfbfe7f8184073ab762fccfd5332a49383522",
-            "training objective: 3.6765147620414917\n"),
+    "3-5": ((), "caf4795b4a95d93097e2fa2982e5fca904098c88b24521591a1a51450480dc8c",
+            "training objective: 3.6765147620414913\n"),
     "1-7-max500": (("--n-min", "1", "--n-max", "7", "--max-features", "500"),
-                   "0b46833cb247167dd119f255272d94eb508321509266565bd3ba1c8cc3de843a",
+                   "c8744e0621febeb5e2c632d3a1252d80bbfc96a969ab9e4841c055d09d829861",
                    "training objective: 4.163331232528511\n"),
     "min-df-2": (("--min-df", "2"),
-                 "d2596106d662746799b01b970d0b1472cbb91c11bba3b935825139132bbc3afe",
-                 "training objective: 3.6765147620414917\n"),
-    "stem": (("--stem",), "40b4584968a9f0792a84da92de2b324f130945a6839dc74e06e44d37cfeab989",
+                 "5a235ea90250867193b00f6017d358269293f9b2f8a3bdb956089b59f64a01a1",
+                 "training objective: 3.6765147620414913\n"),
+    "stem": (("--stem",), "6618a675aeed4971e75ba1aa6b6106e1c411c95b16af4680f45dc0fd556b1000",
              "training objective: 3.6568954078456555\n"),
 }
 
@@ -900,6 +900,71 @@ class TestUnreadableCsv:
         offset = len(head) + len(b"bad,caf")
         assert err.endswith(f": not UTF-8: invalid continuation byte at byte offset "
                             f"{offset}\n")
+
+
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """A CSV that starts with a UTF-8 byte-order mark reads as the same
+    file without it; writers write none."""
+
+    def with_and_without_bom(self, tmp_path, name, text):
+        plain, marked = tmp_path / f"{name}.csv", tmp_path / f"bom_{name}.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(BOM + text.encode())
+        return plain, marked
+
+    def evaluate(self, capsys, scores, pairs):
+        code, out, err = run(capsys, "evaluate", "--scores", scores, "--pairs", pairs)
+        assert (code, err) == (0, "")
+        return out
+
+    def test_pairs_file(self, capsys, tmp_path):
+        plain, marked = self.with_and_without_bom(tmp_path, "pairs",
+                                                  "less_toxic,more_toxic\na,b\n")
+        scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"],
+                           [("p2_l", "0.1"), ("p2_m", "0.9")])
+        out = self.evaluate(capsys, scores, marked)
+        assert json.loads(out)["n_correct"] == 1
+        assert out == self.evaluate(capsys, scores, plain)
+
+    def test_scores_file(self, capsys, tmp_path):
+        plain, marked = self.with_and_without_bom(tmp_path, "scores",
+                                                  "comment_id,score\np2_l,0.1\np2_m,0.9\n")
+        pairs = write_csv(tmp_path / "p.csv", ["less_toxic", "more_toxic"], [("a", "b")])
+        out = self.evaluate(capsys, marked, pairs)
+        assert json.loads(out)["n_correct"] == 1
+        assert out == self.evaluate(capsys, plain, pairs)
+
+    def test_labeled_file(self, files, capsys, tmp_path):
+        plain, marked = self.with_and_without_bom(
+            tmp_path, "labeled", Path(files["labeled"]).read_text(encoding="utf-8"))
+        written = []
+        for labeled in (plain, marked):
+            prefix = tmp_path / labeled.stem
+            code, out, err = run(capsys, "train", "--labeled", labeled, "--out-prefix", prefix)
+            assert (code, err) == (0, "")
+            written.append((out, Path(f"{prefix}.pipeline").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_non_utf8_offset_counts_the_mark(self, files, capsys, tmp_path):
+        comments = tmp_path / "c.csv"
+        head = BOM + b"comment_id,text\nbad,caf"
+        comments.write_bytes(head + b"\xe9 x\n")
+        code, out, err = run(capsys, "score", "--model-prefix", files["model"],
+                             "--comments", comments, "--out", tmp_path / "s.csv")
+        assert (code, out) == (1, "")
+        assert err.endswith(f": not UTF-8: invalid continuation byte at byte offset "
+                            f"{len(head)}\n")
+
+    def test_writers_write_no_mark(self, files, capsys, tmp_path):
+        marked = tmp_path / "bom_comments.csv"
+        marked.write_bytes(BOM + Path(files["comments"]).read_bytes())
+        code, _, err = run(capsys, "score", "--model-prefix", files["model"],
+                           "--comments", marked, "--out", tmp_path / "s.csv")
+        assert (code, err) == (0, "")
+        assert (tmp_path / "s.csv").read_bytes().startswith(b"comment_id,score\n")
 
 
 class TestMatrixFiles:
@@ -1209,3 +1274,61 @@ class TestColdStart:
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             sevrank.nope
 
+
+SYLLABLES = [c + v for c in "bdgklmnprstvz" for v in "aeiou"] + ["dra", "gli", "pho", "str"]
+
+
+def run_blas_threads(threads, cwd, *argv):
+    """stdout of `python -m sevrank.cli ARGV` in a new interpreter whose
+    BLAS runs `threads` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "sevrank.cli", *map(str, argv)],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """1000 labeled texts of 24 to 64 words over a Zipfian vocabulary of
+    pseudo-words, so that the model has over 10000 columns, where OpenBLAS
+    splits a dot product over threads; the model trained on them under one
+    BLAS thread, with its stdout; and a 44-word text to explain."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(7)
+    parts = rng.integers(0, len(SYLLABLES), size=(6000, 3))
+    words = np.array(list(dict.fromkeys(
+        "".join(SYLLABLES[p] for p in row[: 1 + i % 3]) for i, row in enumerate(parts))))
+    probs = 1.0 / np.arange(3.7, len(words) + 3.7) ** 1.07
+    probs /= probs.sum()
+    severity = np.where(rng.random(len(words)) < 0.05, rng.random(len(words)), 0.0)
+    labeled = []
+    for i in range(1000):
+        drawn = rng.choice(len(words), size=int(rng.integers(24, 65)), p=probs)
+        score = min(severity[drawn].sum() / 3.0, 1.0)
+        labeled.append((f"w{i}", " ".join(words[drawn]), f"{score:.6f}"))
+    path = write_csv(root / "labeled.csv", ["comment_id", "text", "score"], labeled)
+    out = run_blas_threads(1, root, "train", "--labeled", path, "--out-prefix", root / "t1")
+    return {"labeled": path, "model": root / "t1", "train_out": out,
+            "text": " ".join(words[rng.choice(len(words), size=44, p=probs)])}
+
+
+class TestBlasThreadsChangeNoByte:
+    """`train` and `explain` write the same bytes under one and two BLAS
+    threads."""
+
+    def test_train(self, wide, tmp_path):
+        data = Path(f"{wide['model']}.pipeline").read_bytes()
+        assert pipeline.load_pipeline(f"{wide['model']}.pipeline").tfidf.dim > 10000
+        out = run_blas_threads(2, tmp_path, "train", "--labeled", wide["labeled"],
+                               "--out-prefix", tmp_path / "t2")
+        assert (out, (tmp_path / "t2.pipeline").read_bytes()) == (wide["train_out"], data)
+
+    def test_explain(self, wide, tmp_path):
+        assert len(wide["text"].split()) == 44
+        outputs = [run_blas_threads(threads, tmp_path, "explain", "--model-prefix",
+                                    wide["model"], "--text", wide["text"])
+                   for threads in (1, 2)]
+        assert outputs[0] == outputs[1]

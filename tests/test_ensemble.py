@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sevrank import corpus, ensemble
 from sevrank.corpus import Pairs
-from sevrank.optim import LbfgsConfig, check_gradient
+from sevrank.optim import check_gradient
 
 
 def loop_ranks(column):
@@ -147,7 +147,7 @@ class TestFitAndBlend:
     @pytest.mark.parametrize("mode", ensemble.NORMALIZATION_MODES)
     def test_fitted_loss_at_most_the_uniform_start(self, mode):
         weights = ensemble.fit_weights(self.matrix, self.pairs, mode=mode,
-                                       lbfgs=LbfgsConfig(max_iter=50))
+                                       max_iter=50)
         normalized = ensemble.normalize_scores(self.matrix, mode)
         start, _ = ensemble.surrogate_loss([0.5, 0.5], normalized, self.pairs, 0.1)
         fitted, _ = ensemble.surrogate_loss(weights.weights, normalized, self.pairs, 0.1)
@@ -155,7 +155,7 @@ class TestFitAndBlend:
         assert weights.weights[0] > weights.weights[1]
 
     def test_solver_report_is_kept(self):
-        cut = ensemble.fit_weights(self.matrix, self.pairs, lbfgs=LbfgsConfig(max_iter=1))
+        cut = ensemble.fit_weights(self.matrix, self.pairs, max_iter=1)
         assert (cut.solver.iterations, cut.solver.converged) == (1, False)
         assert np.array_equal(cut.solver.x, cut.weights)
         full = ensemble.fit_weights(self.matrix, self.pairs)

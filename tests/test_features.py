@@ -15,6 +15,7 @@ from sevrank.features import (
     _grams_per_word,
     _split_words,
     fit_tfidf,
+    row_sums,
     transform,
 )
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
@@ -94,7 +95,8 @@ def reference_fit(corpus, config):
 
 def reference_row(model, text):
     """One text vectorized on its own: Counter of its grams, sorted by
-    column, scaled by idf, divided by its norm."""
+    column, scaled by idf, divided by its norm, the norm summed by
+    `row_sums` over this lone row."""
     counts = Counter(char_wb_ngrams(text, model.config.n_min, model.config.n_max))
     entries = sorted(
         (model.vocabulary[g], c) for g, c in counts.items() if g in model.vocabulary
@@ -103,7 +105,7 @@ def reference_row(model, text):
     values = np.array([c for _, c in entries], dtype=np.float64)
     if len(values):
         values *= model.idf[indices]
-        values /= np.linalg.norm(values)
+        values /= np.sqrt(row_sums(values * values, [len(values)]))
     return indices, values
 
 
@@ -552,6 +554,22 @@ class TestBatchTransform:
         csr.check_format(full_check=True)
         assert csr.has_canonical_format
         np.testing.assert_array_equal(csr.toarray(), batch.to_dense())
+
+
+class TestRowSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6), max_size=40), max_size=12))
+    def test_each_row_sums_as_it_does_alone(self, rows):
+        nnz = np.array([len(r) for r in rows], dtype=np.int64)
+        values = np.array([v for r in rows for v in r])
+        got = row_sums(values, nnz)
+        assert got.shape == (len(rows),)
+        for i, r in enumerate(rows):
+            assert got[i] == row_sums(np.array(r), [len(r)])[0]
+            assert math.isclose(got[i], math.fsum(r), rel_tol=1e-9, abs_tol=1e-6)
+
+    def test_no_rows(self):
+        assert row_sums(np.zeros(0), np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 class TestCsrBatch:

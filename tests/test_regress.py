@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sevrank.features import CsrBatch, TfidfConfig, TfidfModel
+from sevrank.features import CsrBatch, TfidfConfig, TfidfModel, row_sums
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import (
     CgReport,
@@ -228,7 +228,9 @@ class TestPredict:
         got = predict(model, X)
         for i, values in enumerate(dense):
             idx = np.flatnonzero(values).astype(np.int32)
-            expected = float(model.weights[idx] @ values[idx]) + model.intercept
+            # the lone row, summed by the same helper
+            expected = float(row_sums(model.weights[idx] * values[idx], [idx.size])[0])
+            expected += model.intercept
             assert got[i] == expected
 
     def test_matches_scipy_product(self):
