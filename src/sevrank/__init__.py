@@ -36,12 +36,11 @@ from importlib import import_module
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "corpus": ("DavidsonCounts", "JtcLabels", "Labeled", "Pairs",
-               "load_comments", "load_pairs",
+    "corpus": ("Labeled", "Pairs", "load_comments", "load_pairs",
                "transform_davidson", "transform_founta", "transform_jtc",
                "transform_ruddit", "transform_unintended"),
     "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),
-    "evaluate": ("EvalReport", "RankedError", "pairwise_accuracy", "rank_errors"),
+    "evaluate": ("EvalReport", "pairwise_accuracy", "rank_errors"),
     "explain": ("ExplainConfig", "Explanation", "lime_explain"),
     "features": ("CsrBatch", "GramTable", "TfidfConfig", "TfidfModel", "fit_tfidf",
                  "transform"),

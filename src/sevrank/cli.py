@@ -245,7 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(evaluate.report_json(report))
     if args.top_errors:
         errors = evaluate.rank_errors(pairs.ids, scores, args.top_errors)
-        evaluate.write_errors_csv(args.errors_out, errors, pairs)
+        evaluate.write_errors_csv(args.errors_out, errors, pairs, scores)
         print(f"wrote {len(errors)} ranked errors to {args.errors_out}",
               file=sys.stderr)
     return 0
@@ -264,11 +264,11 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         max_iter=args.max_iter,
     )
     _warn_unconverged(weights.solver, "ensemble")
-    blended = ensemble.blend(matrix, weights)
+    blended = dict(zip(matrix.comment_ids, ensemble.blend(matrix, weights).tolist()))
     ensemble.save_weights(weights, args.out_weights)
-    write_scores_csv(args.out_blend, blended)
+    write_scores_csv(args.out_blend, blended.items())
     report = evaluate.pairwise_accuracy(
-        pairs.ids, evaluate.scores_for(pairs.ids, dict(blended)))
+        pairs.ids, evaluate.scores_for(pairs.ids, blended))
     print(evaluate.report_json(report))
     return 0
 

@@ -4,12 +4,16 @@ Heterogeneous toxicity datasets label comments in incompatible ways
 (real-valued offensiveness, binary flag sets, coder counts, ordinal
 levels).  Each loader here reads one layout and the transforms map every
 labeling scheme onto a single severity scale in [0, 1], larger meaning
-more toxic, so the datasets can train one regressor.
+more toxic, so the datasets can train one regressor.  A transform takes
+one row's labels as plain numbers, each parameter named as its column in
+the dataset's published layout, and checks their domain once; a value
+outside it raises ValueError naming its column.
 
 Every reader returns flat columns, not one object per row.  A labeled
 file is a `Labeled` (`ids`, `texts`, `scores`, row i in slot i); the five
 dataset loaders differ only in their column lookup and transform, and
-share one row loop that names the file and row of a label it rejects.
+share one row loop that passes each row's labels to the transform and
+names the file and row of a label it rejects.
 A comments file is an `(ids, texts)` pair of lists.  Judgment pairs are
 flat columns of sides (`Pairs`): side 2i is pair i's less-toxic comment
 and side 2i + 1 its more-toxic one.  Every consumer (scoring,
@@ -19,6 +23,7 @@ evaluation, ensembling, search) reads that one order.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -28,8 +33,6 @@ from typing import Callable, Iterable, Sequence
 __all__ = [
     "Labeled",
     "Pairs",
-    "JtcLabels",
-    "DavidsonCounts",
     "JTC_WEIGHTS",
     "JTC_WEIGHT_TOTAL",
     "load_comments",
@@ -94,44 +97,6 @@ class Pairs:
         return len(self.ids) // 2
 
 
-@dataclass(frozen=True)
-class JtcLabels:
-    """The six binary toxicity flags of the Wikipedia comments dataset."""
-
-    toxic: int
-    severe_toxic: int
-    obscene: int
-    threat: int
-    insult: int
-    identity_hate: int
-
-    def __post_init__(self) -> None:
-        for name in (
-            "toxic", "severe_toxic", "obscene",
-            "threat", "insult", "identity_hate",
-        ):
-            value = getattr(self, name)
-            if value not in (0, 1):
-                raise ValueError(f"flag {name} value {value!r} not in {{0, 1}}")
-
-
-@dataclass(frozen=True)
-class DavidsonCounts:
-    """Per-tweet coder counts: hate speech / offensive / neither votes."""
-
-    hate: int
-    offensive: int
-    neither: int
-
-    def __post_init__(self) -> None:
-        for name in ("hate", "offensive", "neither"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"count {name} must be a nonnegative integer")
-        if self.hate + self.offensive + self.neither < 1:
-            raise ValueError("at least one coder is required")
-
-
 # Flag weights for the Wikipedia comments labels; the divisor is the
 # largest attainable weighted sum, which pins scores to [0, 1].
 JTC_WEIGHTS = {
@@ -143,6 +108,13 @@ JTC_WEIGHTS = {
     "toxic": 4,
 }
 JTC_WEIGHT_TOTAL = sum(JTC_WEIGHTS.values())  # 44
+
+# Label columns in the order of their transform's parameters.  The
+# fractional attributes stand for the last five flags; the first one's
+# column is target or toxicity, whichever the file has.
+_JTC_FLAGS = ("toxic", "severe_toxic", "obscene", "threat", "insult", "identity_hate")
+_UNINTENDED_ATTRS = ("severe_toxicity", "obscene", "threat", "insult", "identity_attack")
+_DAVIDSON_COUNTS = ("hate_speech", "offensive_language", "neither")
 
 
 # ---------------------------------------------------------------------------
@@ -156,55 +128,54 @@ def transform_ruddit(raw: float) -> float:
     return (raw + 1.0) / 2.0
 
 
-def transform_jtc(labels: JtcLabels) -> float:
-    """Weighted sum of the active flags, divided by the maximum sum (44)."""
-    total = sum(
-        weight * getattr(labels, name) for name, weight in JTC_WEIGHTS.items()
-    )
+def _weighted_severity(binary: bool, names: Sequence[str], *values: float) -> float:
+    """The JTC_WEIGHTS-weighted sum of one value per flag (in the order of
+    `_JTC_FLAGS`, named `names`), divided by the maximum sum.
+
+    Each value must lie in {0, 1} when `binary`, else in [0, 1].
+    """
+    for name, value in zip(names, values):
+        if binary and value not in (0, 1):
+            raise ValueError(f"flag {name} value {value!r} not in {{0, 1}}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"attribute {name} value {value!r} outside [0, 1]")
+    total = sum(JTC_WEIGHTS[flag] * value for flag, value in zip(_JTC_FLAGS, values))
     return total / JTC_WEIGHT_TOTAL
 
 
-def transform_unintended(
-    *,
-    toxicity: float,
-    severe_toxicity: float,
-    obscene: float,
-    threat: float,
-    insult: float,
-    identity_attack: float,
-) -> float:
-    """Same weighting as the binary-flag transform, on fractional attributes.
+def transform_jtc(toxic: int, severe_toxic: int, obscene: int, threat: int,
+                  insult: int, identity_hate: int) -> float:
+    """Weighted sum of the six binary flags, divided by the maximum sum (44)."""
+    return _weighted_severity(True, _JTC_FLAGS, toxic, severe_toxic, obscene, threat,
+                              insult, identity_hate)
+
+
+def transform_unintended(toxicity: float, severe_toxicity: float, obscene: float,
+                         threat: float, insult: float, identity_attack: float) -> float:
+    """Same weighting as the binary-flag transform, on fractions in [0, 1].
 
     identity_attack stands in for the identity-hate flag.  The datasets'
     sexually_explicit attribute has no weighted counterpart and is not an
     input here.
     """
-    values = (toxicity, severe_toxicity, obscene, threat, insult, identity_attack)
-    _check_fractions(_UNINTENDED_KEYWORDS, values)
-    total = sum(JTC_WEIGHTS[flag] * value for flag, value in zip(_JTC_FLAGS, values))
-    return total / JTC_WEIGHT_TOTAL
+    return _weighted_severity(False, ("toxicity", *_UNINTENDED_ATTRS), toxicity,
+                              severe_toxicity, obscene, threat, insult, identity_attack)
 
 
-# transform_unintended's attributes, in the order of the flags they stand for
-_UNINTENDED_KEYWORDS = ("toxicity", "severe_toxicity", "obscene", "threat", "insult",
-                        "identity_attack")
-
-
-def _check_fractions(names: Sequence[str], values: Sequence[float]) -> None:
-    for name, value in zip(names, values):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"attribute {name} value {value!r} outside [0, 1]")
-
-
-def transform_davidson(counts: DavidsonCounts) -> float:
+def transform_davidson(hate_speech: int, offensive_language: int, neither: int) -> float:
     """Coder-vote average with weights hate=3 / offensive=2 / neither=1.
 
+    The counts are nonnegative integers with at least one coder in all.
     The raw average lands in [1, 3]; (raw - 1) / 2 rescales it onto [0, 1].
     """
-    total = counts.hate + counts.offensive + counts.neither
+    counts = (hate_speech, offensive_language, neither)
+    for name, count in zip(_DAVIDSON_COUNTS, counts):
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"count {name} must be a nonnegative integer")
+    total = sum(counts)
     if total < 1:
-        raise ValueError("zero coders")
-    raw = (3 * counts.hate + 2 * counts.offensive + counts.neither) / total
+        raise ValueError("at least one coder is required")
+    raw = (3 * hate_speech + 2 * offensive_language + neither) / total
     return (raw - 1.0) / 2.0
 
 
@@ -422,9 +393,6 @@ def load_ruddit(path: str | Path) -> Labeled:
                     ("score",), float, transform_ruddit)
 
 
-_JTC_FLAGS = ("toxic", "severe_toxic", "obscene", "threat", "insult", "identity_hate")
-
-
 def load_jtc(path: str | Path) -> Labeled:
     """Wikipedia comments file in its published layout.
 
@@ -437,11 +405,7 @@ def load_jtc(path: str | Path) -> Labeled:
     text_col = _pick(columns, "comment_text", "text")
     if id_col is None or text_col is None:
         raise ValueError(f"{path}: missing id/comment_text columns")
-    return _labeled(path, columns, rows, id_col, text_col, _JTC_FLAGS, int,
-                    lambda *flags: transform_jtc(JtcLabels(*flags)))
-
-
-_UNINTENDED_ATTRS = ("severe_toxicity", "obscene", "threat", "insult", "identity_attack")
+    return _labeled(path, columns, rows, id_col, text_col, _JTC_FLAGS, int, transform_jtc)
 
 
 def load_unintended(path: str | Path) -> Labeled:
@@ -449,7 +413,8 @@ def load_unintended(path: str | Path) -> Labeled:
 
     Required columns: id (or comment_id), comment_text (or text), target
     (or toxicity), severe_toxicity, obscene, threat, insult,
-    identity_attack.  Any sexually_explicit column is ignored.
+    identity_attack.  Any sexually_explicit column is ignored.  A value
+    outside [0, 1] is named by the file's own column, target or toxicity.
     """
     columns, rows = read_csv(path, _UNINTENDED_ATTRS)
     id_col = _pick(columns, "id", "comment_id")
@@ -458,15 +423,8 @@ def load_unintended(path: str | Path) -> Labeled:
     if id_col is None or text_col is None or toxicity is None:
         raise ValueError(f"{path}: missing id/comment_text/target columns")
     labels = (toxicity, *_UNINTENDED_ATTRS)
-
-    def to_score(*values: float) -> float:
-        _check_fractions(labels, values)  # named by the file's own columns
-        return transform_unintended(**dict(zip(_UNINTENDED_KEYWORDS, values)))
-
-    return _labeled(path, columns, rows, id_col, text_col, labels, float, to_score)
-
-
-_DAVIDSON_COUNTS = ("hate_speech", "offensive_language", "neither")
+    return _labeled(path, columns, rows, id_col, text_col, labels, float,
+                    functools.partial(_weighted_severity, False, labels))
 
 
 def load_davidson(path: str | Path) -> Labeled:
@@ -477,8 +435,7 @@ def load_davidson(path: str | Path) -> Labeled:
     if text_col is None:
         raise ValueError(f"{path}: missing text/tweet column")
     return _labeled(path, columns, rows, _pick(columns, "comment_id", "id"), text_col,
-                    _DAVIDSON_COUNTS, int,
-                    lambda *counts: transform_davidson(DavidsonCounts(*counts)))
+                    _DAVIDSON_COUNTS, int, transform_davidson)
 
 
 def load_founta(path: str | Path) -> Labeled:

@@ -8,8 +8,9 @@ the margin is the weighted score difference between the more- and
 less-toxic side.  Pairs name their sides by matrix row id, in the flat
 side order of `corpus.Pairs` (side 2i less toxic, side 2i + 1 more
 toxic).  Columns are normalized first since raw model outputs live on
-incomparable scales.  Reported quality always uses the exact
-accuracy metric, never the surrogate.
+incomparable scales; the normalized values and the blend are plain float64
+arrays, row i belonging to the matrix's comment_ids[i].  Reported quality
+always uses the exact accuracy metric, never the surrogate.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ def _average_ranks(column: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def normalize_scores(matrix: ScoreMatrix, mode: str) -> ScoreMatrix:
-    """Per-column rescaling; degenerate columns have fixed fallbacks.
+def normalize_scores(matrix: ScoreMatrix, mode: str) -> np.ndarray:
+    """The matrix values rescaled per column, as a new array of their shape.
 
-    minmax maps a constant column to all 0.5, zscore maps zero spread to
-    all zeros, and rank divides tie-averaged zero-based ranks by N - 1
-    (0.5 for a single row).
+    Degenerate columns have fixed fallbacks: minmax maps a constant column
+    to all 0.5, zscore maps zero spread to all zeros, and rank divides
+    tie-averaged zero-based ranks by N - 1 (0.5 for a single row).
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -126,22 +127,24 @@ def normalize_scores(matrix: ScoreMatrix, mode: str) -> ScoreMatrix:
                 values[:, k] = (
                     0.5 if n == 1 else _average_ranks(col) / (n - 1)
                 )
-    return ScoreMatrix(
-        comment_ids=list(matrix.comment_ids),
-        model_names=list(matrix.model_names),
-        values=values,
-    )
+    if not np.all(np.isfinite(values)):  # a column whose spread overflows
+        raise ValueError("score matrix contains non-finite cells")
+    return values
 
 
-def _pair_rows(matrix: ScoreMatrix, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix rows of every pair's less-toxic and more-toxic side."""
-    row_of = {cid: i for i, cid in enumerate(matrix.comment_ids)}
+def _pair_diffs(comment_ids: Sequence[str], values: np.ndarray, pairs: Pairs) -> np.ndarray:
+    """values[more] - values[less] for every pair, one row per pair.
+
+    Row j of `values` belongs to comment_ids[j]; the first side id (in
+    side order) with no row is named.
+    """
+    row_of = {cid: i for i, cid in enumerate(comment_ids)}
     try:
         rows = np.fromiter(map(row_of.__getitem__, pairs.ids), dtype=np.int64,
                            count=len(pairs.ids))
     except KeyError as exc:
         raise ValueError(f"id {exc.args[0]!r} not present in the score matrix") from None
-    return rows[0::2], rows[1::2]
+    return values[rows[1::2]] - values[rows[0::2]]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -179,9 +182,8 @@ def surrogate_loss(
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(matrix.model_names):
         raise ValueError("one weight per model required")
-    less, more = _pair_rows(matrix, pairs)
-    diffs = matrix.values[more] - matrix.values[less]
-    return _loss_from_diffs(w, diffs, temperature)
+    return _loss_from_diffs(w, _pair_diffs(matrix.comment_ids, matrix.values, pairs),
+                            temperature)
 
 
 def fit_weights(
@@ -202,9 +204,7 @@ def fit_weights(
         raise ValueError("need at least one model column")
     if len(pairs) < 1:
         raise ValueError("need at least one judgment pair")
-    normalized = normalize_scores(matrix, mode)
-    less, more = _pair_rows(normalized, pairs)
-    diffs = normalized.values[more] - normalized.values[less]
+    diffs = _pair_diffs(matrix.comment_ids, normalize_scores(matrix, mode), pairs)
     x0 = np.full(len(matrix.model_names), 1.0 / len(matrix.model_names))
     result = lbfgs_minimize(
         lambda w: _loss_from_diffs(w, diffs, temperature), x0, max_iter
@@ -218,10 +218,9 @@ def fit_weights(
     )
 
 
-def blend(
-    matrix: ScoreMatrix, weights: EnsembleWeights
-) -> list[tuple[str, float]]:
-    """Weighted blend per comment, in matrix id order.
+def blend(matrix: ScoreMatrix, weights: EnsembleWeights) -> np.ndarray:
+    """Weighted blend per comment: a float64 array, entry i for
+    matrix.comment_ids[i].
 
     The matrix is normalized with the mode stored in the weights before
     the weighted sum is taken.
@@ -231,9 +230,7 @@ def blend(
             f"weight count {len(weights.weights)} does not match "
             f"{len(matrix.model_names)} model columns"
         )
-    normalized = normalize_scores(matrix, weights.mode)
-    blended = normalized.values @ weights.weights
-    return list(zip(matrix.comment_ids, blended.tolist()))
+    return normalize_scores(matrix, weights.mode) @ weights.weights
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ its more-toxic side, with `ids` naming the sides.  A score that is not a
 finite number stops the evaluation with the comment id of the first such
 side, so NaN never counts as a wrong answer.  Misordered pairs can be
 ranked by how badly they were misordered, which is the entry point for
-manual error audits.
+manual error audits: `rank_errors` gives the pair indices, worst first,
+and `write_errors_csv` reads each one's texts from the pairs and its
+scores and margin from the flat scores.
 
 NORMALIZATION_MODES names the ways `ensemble` can rescale score columns
 before blending them; it lives here, in a numpy-free module, so the CLI
@@ -29,7 +31,6 @@ from .corpus import Pairs, write_csv
 __all__ = [
     "NORMALIZATION_MODES",
     "EvalReport",
-    "RankedError",
     "pairwise_accuracy",
     "rank_errors",
     "report_json",
@@ -45,19 +46,6 @@ class EvalReport:
     n_pairs: int
     n_correct: int
     n_ties: int
-
-
-@dataclass(frozen=True)
-class RankedError:
-    """A misordered (or tied) pair; margin = score_less - score_more >= 0.
-
-    `index` is the pair's position i, so its sides are 2i and 2i + 1.
-    """
-
-    index: int
-    score_less: float
-    score_more: float
-    margin: float
 
 
 def scores_for(ids: Sequence[str], scores: Mapping[str, float]) -> list[float]:
@@ -102,12 +90,13 @@ def pairwise_accuracy(
     )
 
 
-def rank_errors(ids: Sequence[str], scores: Sequence[float], k: int) -> list[RankedError]:
-    """The k worst misordered pairs, largest margin first.
+def rank_errors(ids: Sequence[str], scores: Sequence[float], k: int) -> list[int]:
+    """The indices of the k worst misordered pairs, largest margin first.
 
-    Collects every pair with margin >= 0 (wrong or tied), sorts by margin
-    descending with first-occurrence order breaking ties, and returns the
-    first min(k, count).
+    Pair i's margin is scores[2i] - scores[2i + 1] (less-toxic minus
+    more-toxic side).  Collects every pair with margin >= 0 (wrong or
+    tied), sorts by margin descending with first-occurrence order breaking
+    ties, and returns the first min(k, count) pair indices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -115,8 +104,7 @@ def rank_errors(ids: Sequence[str], scores: Sequence[float], k: int) -> list[Ran
     margins = list(map(operator.sub, scores[0::2], scores[1::2]))
     wrong = [i for i, margin in enumerate(margins) if margin >= 0.0]
     wrong.sort(key=lambda i: -margins[i])  # stable: ties keep input order
-    return [RankedError(index=i, score_less=scores[2 * i], score_more=scores[2 * i + 1],
-                        margin=margins[i]) for i in wrong[:k]]
+    return wrong[:k]
 
 
 def report_json(report: EvalReport) -> str:
@@ -130,17 +118,21 @@ def report_json(report: EvalReport) -> str:
     )
 
 
-def write_errors_csv(path: str | Path, errors: Sequence[RankedError], pairs: Pairs) -> None:
+def write_errors_csv(path: str | Path, errors: Sequence[int], pairs: Pairs,
+                     scores: Sequence[float]) -> None:
     """Ranked-error listing: rank,less_text,more_text,score_less,score_more,margin.
 
-    The texts of each error's pair are read from `pairs`.
+    `errors` holds pair indices, as `rank_errors` returns them; pair i's
+    texts are read from `pairs` and its side scores from the flat
+    `scores` (sides 2i and 2i + 1), with margin = score_less - score_more.
     """
     write_csv(
         path,
         ("rank", "less_text", "more_text", "score_less", "score_more", "margin"),
         (
-            (str(rank), pairs.texts[2 * err.index], pairs.texts[2 * err.index + 1],
-             repr(err.score_less), repr(err.score_more), repr(err.margin))
-            for rank, err in enumerate(errors, start=1)
+            (str(rank), pairs.texts[2 * i], pairs.texts[2 * i + 1],
+             repr(scores[2 * i]), repr(scores[2 * i + 1]),
+             repr(scores[2 * i] - scores[2 * i + 1]))
+            for rank, i in enumerate(errors, start=1)
         ),
     )

@@ -15,6 +15,7 @@ as running it over the whole text.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -50,26 +51,19 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
 # keeps the scan linear in the text length
 _APOSTROPHE_RUN_RE = re.compile(r"(?<![\w'])[\w']*'[\w']*")
 
-_contraction_map: dict[str, str] | None = None
-_contraction_re: re.Pattern | None = None
 
-
+@functools.cache
 def _load_contractions() -> tuple[dict[str, str], re.Pattern]:
-    global _contraction_map, _contraction_re
-    if _contraction_map is None:
-        data = resources.files("sevrank.data").joinpath("contractions.csv")
-        with resources.as_file(data) as path:
-            columns, rows = read_csv(path, ("contraction", "expansion"))
-        key, value = columns["contraction"], columns["expansion"]
-        table = {fields[key]: fields[value] for fields in rows}
-        # longest key first so "couldn't've" wins over "couldn't"
-        keys = sorted(table, key=len, reverse=True)
-        pattern = "|".join(re.escape(k) for k in keys)
-        _contraction_map = table
-        _contraction_re = re.compile(
-            rf"(?<!\w)(?:{pattern})(?!\w)", re.IGNORECASE
-        )
-    return _contraction_map, _contraction_re
+    """The contraction table and its regex, read once on first use."""
+    data = resources.files("sevrank.data").joinpath("contractions.csv")
+    with resources.as_file(data) as path:
+        columns, rows = read_csv(path, ("contraction", "expansion"))
+    key, value = columns["contraction"], columns["expansion"]
+    table = {fields[key]: fields[value] for fields in rows}
+    # longest key first so "couldn't've" wins over "couldn't"
+    keys = sorted(table, key=len, reverse=True)
+    pattern = "|".join(re.escape(k) for k in keys)
+    return table, re.compile(rf"(?<!\w)(?:{pattern})(?!\w)", re.IGNORECASE)
 
 
 def preprocess(text: str, config: PreprocessConfig = PreprocessConfig()) -> str:

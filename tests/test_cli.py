@@ -1242,6 +1242,13 @@ def run_fresh(tmp_path, *argv):
 
 # what `python -m sevrank.cli` may load besides itself (run as __main__)
 NUMPY_FREE = ["sevrank", "sevrank.corpus", "sevrank.evaluate", "sevrank.textproc"]
+# the sevrank modules a command that scores with a saved model loads
+SCORING = ["corpus", "evaluate", "features", "pipeline", "regress", "textproc"]
+
+
+def sevrank_modules(modules):
+    """The sevrank submodules among `modules`, by their short names."""
+    return [m.split(".", 1)[1] for m in modules if m.startswith("sevrank.")]
 
 
 class TestColdStart:
@@ -1263,6 +1270,30 @@ class TestColdStart:
                                  "--pairs", pairs, "--comments", comments)
         assert json.loads(out[-1])["n_correct"] == 1
         assert modules == NUMPY_FREE
+
+    def test_score_loads_the_scoring_modules(self, files, tmp_path):
+        out, modules = run_fresh(tmp_path, "score", "--model-prefix", files["model"],
+                                 "--comments", files["comments"], "--out", tmp_path / "s.csv")
+        assert out == ["scored 15 comments"]
+        assert sevrank_modules(modules) == SCORING
+
+    def test_explain_loads_the_scoring_modules_and_explain(self, files, tmp_path):
+        out, modules = run_fresh(tmp_path, "explain", "--model-prefix", files["model"],
+                                 "--text", "you idiot", "--num-samples", "20")
+        assert json.loads(out[-1])["tokens"] == ["you", "idiot"]
+        assert sevrank_modules(modules) == sorted([*SCORING, "explain"])
+
+    def test_ensemble_loads_no_feature_or_ridge_module(self, tmp_path):
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],
+                          [("nice", "idiot")])
+        matrix = write_csv(tmp_path / "matrix.csv", ["comment_id", "a", "b"],
+                           [("p2_l", "0.1", "0.3"), ("p2_m", "0.9", "0.2")])
+        out, modules = run_fresh(tmp_path, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                                 "--out-weights", tmp_path / "w.csv",
+                                 "--out-blend", tmp_path / "b.csv")
+        assert json.loads(out[-1])["n_pairs"] == 1
+        assert sevrank_modules(modules) == ["corpus", "ensemble", "evaluate", "optim",
+                                            "textproc"]
 
     def test_every_public_name_resolves(self):
         namespace = {}

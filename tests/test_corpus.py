@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from sevrank import corpus
 from sevrank.corpus import (
-    DavidsonCounts,
-    JtcLabels,
     JTC_WEIGHT_TOTAL,
     JTC_WEIGHTS,
     Labeled,
@@ -175,15 +173,14 @@ class TestTransforms:
             transform_ruddit(-1.01)
 
     def test_jtc_all_zero(self):
-        assert transform_jtc(JtcLabels(0, 0, 0, 0, 0, 0)) == 0.0
+        assert transform_jtc(0, 0, 0, 0, 0, 0) == 0.0
 
     def test_jtc_toxic_only(self):
-        labels = JtcLabels(toxic=1, severe_toxic=0, obscene=0, threat=0,
-                           insult=0, identity_hate=0)
-        assert transform_jtc(labels) == pytest.approx(4 / 44)
+        assert transform_jtc(toxic=1, severe_toxic=0, obscene=0, threat=0,
+                             insult=0, identity_hate=0) == pytest.approx(4 / 44)
 
     def test_jtc_all_flags(self):
-        assert transform_jtc(JtcLabels(1, 1, 1, 1, 1, 1)) == 1.0
+        assert transform_jtc(1, 1, 1, 1, 1, 1) == 1.0
 
     def test_jtc_weight_total_is_44(self):
         assert JTC_WEIGHT_TOTAL == 44
@@ -192,11 +189,14 @@ class TestTransforms:
     def test_jtc_exhaustive_against_oracle(self):
         for bits in itertools.product((0, 1), repeat=6):
             flags = dict(zip(FLAG_NAMES, bits))
-            assert transform_jtc(JtcLabels(**flags)) == jtc_oracle(flags)
+            assert transform_jtc(**flags) == jtc_oracle(flags)
+            assert transform_jtc(*bits) == jtc_oracle(flags)
 
     def test_jtc_invalid_flag_rejected(self):
         with pytest.raises(ValueError, match=r"^flag toxic value 2 not in \{0, 1\}$"):
-            JtcLabels(2, 0, 0, 0, 0, 0)
+            transform_jtc(2, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"^flag insult value 0.5 not in \{0, 1\}$"):
+            transform_jtc(0, 0, 0, 0, 0.5, 0)
 
     def test_unintended_zeros_and_ones(self):
         zeros = dict(toxicity=0.0, severe_toxicity=0.0, obscene=0.0,
@@ -222,7 +222,8 @@ class TestTransforms:
                 insult=float(flags["insult"]),
                 identity_attack=float(flags["identity_hate"]),
             )
-            assert transform_unintended(**fractional) == transform_jtc(JtcLabels(**flags))
+            assert transform_unintended(**fractional) == transform_jtc(**flags)
+            assert transform_unintended(*fractional.values()) == transform_jtc(*bits)
 
     def test_unintended_domain_error(self):
         with pytest.raises(ValueError, match=r"^attribute toxicity value 1.2 outside"):
@@ -233,13 +234,20 @@ class TestTransforms:
                                  threat=0, insult=0, identity_attack=-1)
 
     def test_davidson_pure_votes(self):
-        assert transform_davidson(DavidsonCounts(3, 0, 0)) == 1.0
-        assert transform_davidson(DavidsonCounts(0, 0, 3)) == 0.0
-        assert transform_davidson(DavidsonCounts(1, 1, 1)) == 0.5
+        assert transform_davidson(3, 0, 0) == 1.0
+        assert transform_davidson(0, 0, 3) == 0.0
+        assert transform_davidson(hate_speech=1, offensive_language=1, neither=1) == 0.5
 
     def test_davidson_requires_a_coder(self):
-        with pytest.raises(ValueError):
-            DavidsonCounts(0, 0, 0)
+        with pytest.raises(ValueError, match="^at least one coder is required$"):
+            transform_davidson(0, 0, 0)
+
+    # the loader test below covers negative hate_speech and offensive_language
+    @pytest.mark.parametrize("counts, name", [((1, 0, -1), "neither"),
+                                              ((1, 0.5, 0), "offensive_language")])
+    def test_davidson_bad_count_names_its_column(self, counts, name):
+        with pytest.raises(ValueError, match=f"^count {name} must be a nonnegative integer$"):
+            transform_davidson(*counts)
 
     def test_davidson_grid_matches_formula(self):
         for h in range(7):
@@ -249,7 +257,7 @@ class TestTransforms:
                         continue
                     raw = (3 * h + 2 * o + n) / (h + o + n)
                     expected = (raw - 1) / 2
-                    got = transform_davidson(DavidsonCounts(h, o, n))
+                    got = transform_davidson(h, o, n)
                     assert got == pytest.approx(expected, abs=1e-12)
 
     def test_founta_levels(self):
@@ -274,9 +282,8 @@ class TestTransforms:
                 obscene=rng.random(), threat=rng.random(),
                 insult=rng.random(), identity_attack=rng.random(),
             ) <= 1.0
-            counts = DavidsonCounts(rng.randint(0, 9), rng.randint(0, 9),
-                                    rng.randint(1, 9))
-            assert 0.0 <= transform_davidson(counts) <= 1.0
+            counts = (rng.randint(0, 9), rng.randint(0, 9), rng.randint(1, 9))
+            assert 0.0 <= transform_davidson(*counts) <= 1.0
 
     def test_monotone_in_each_component(self):
         # flipping any flag 0 -> 1 never lowers the score (checked over all
@@ -284,11 +291,11 @@ class TestTransforms:
         # along grid steps
         for bits in itertools.product((0, 1), repeat=6):
             flags = dict(zip(FLAG_NAMES, bits))
-            base = transform_jtc(JtcLabels(**flags))
+            base = transform_jtc(**flags)
             for name in FLAG_NAMES:
                 if flags[name] == 0:
                     raised = dict(flags, **{name: 1})
-                    assert transform_jtc(JtcLabels(**raised)) >= base
+                    assert transform_jtc(**raised) >= base
         grid = [i / 10 for i in range(11)]
         assert all(
             transform_ruddit(2 * b - 1) >= transform_ruddit(2 * a - 1)
@@ -303,12 +310,12 @@ class TestTransforms:
                 for n in range(4):
                     if h + o + n < 1:
                         continue
-                    base = transform_davidson(DavidsonCounts(h, o, n))
-                    assert transform_davidson(DavidsonCounts(h + 1, o, n)) >= base
+                    base = transform_davidson(h, o, n)
+                    assert transform_davidson(h + 1, o, n) >= base
                     if n > 0:
-                        assert transform_davidson(DavidsonCounts(h, o + 1, n - 1)) >= base
+                        assert transform_davidson(h, o + 1, n - 1) >= base
                     if o > 0:
-                        assert transform_davidson(DavidsonCounts(h + 1, o - 1, n)) >= base
+                        assert transform_davidson(h + 1, o - 1, n) >= base
 
 
 class TestLabeledRoundTrip:
@@ -437,10 +444,12 @@ class TestKindLoaders:
         (load_davidson, "hate_speech,offensive_language,neither,tweet\n0,0,0,x\n",
          "at least one coder is required at row 2"),
         (load_davidson, "hate_speech,offensive_language,neither,tweet\n1,0,0,a\n1,-1,0,b\n",
-         "count offensive must be a nonnegative integer at row 3"),
+         "count offensive_language must be a nonnegative integer at row 3"),
+        (load_davidson, "hate_speech,offensive_language,neither,tweet\n-2,1,0,a\n",
+         "count hate_speech must be a nonnegative integer at row 2"),
     ], ids=["ruddit", "jtc", "jtc-identity-hate", "unintended-target",
             "unintended-toxicity", "unintended-identity-attack", "davidson-no-coder",
-            "davidson-negative"])
+            "davidson-negative", "davidson-negative-hate-speech"])
     def test_label_outside_its_domain_names_file_and_row(self, tmp_path, loader,
                                                          content, message):
         path = write(tmp_path, "in.csv", content)

@@ -54,7 +54,7 @@ class TestRanks:
     @given(st.lists(VALUES, min_size=1, max_size=60))
     def test_rank_mode_stays_in_unit_interval_and_ties_share_their_mean(self, values):
         column = np.array(values)
-        got = ensemble.normalize_scores(matrix_of(column), "rank").values[:, 0]
+        got = ensemble.normalize_scores(matrix_of(column), "rank")[:, 0]
         assert np.all((got >= 0.0) & (got <= 1.0))
         n = len(column)
         if n == 1:
@@ -78,9 +78,9 @@ class TestRanks:
 class TestNormalize:
     def test_degenerate_columns(self):
         matrix = matrix_of([[2.0, 5.0], [2.0, 5.0], [2.0, 5.0]])
-        assert np.all(ensemble.normalize_scores(matrix, "minmax").values == 0.5)
-        assert np.all(ensemble.normalize_scores(matrix, "zscore").values == 0.0)
-        assert np.all(ensemble.normalize_scores(matrix, "rank").values == 0.5)
+        assert np.all(ensemble.normalize_scores(matrix, "minmax") == 0.5)
+        assert np.all(ensemble.normalize_scores(matrix, "zscore") == 0.0)
+        assert np.all(ensemble.normalize_scores(matrix, "rank") == 0.5)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown normalization mode"):
@@ -90,8 +90,15 @@ class TestNormalize:
         matrix = matrix_of([[1.0, 4.0], [3.0, 2.0]])
         before = matrix.values.copy()
         for mode in ensemble.NORMALIZATION_MODES:
-            ensemble.normalize_scores(matrix, mode)
+            normalized = ensemble.normalize_scores(matrix, mode)
+            assert normalized.dtype == np.float64 and normalized.shape == (2, 2)
+            assert not np.shares_memory(normalized, matrix.values)
         assert np.array_equal(matrix.values, before)
+
+    def test_overflowing_column_is_rejected(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite cells"):
+            ensemble.normalize_scores(matrix_of([1e308, -1e308, 0.0]), "minmax")
 
 
 class TestSurrogate:
@@ -125,9 +132,11 @@ class TestSurrogate:
             ensemble.fit_weights(matrix_of([0.1, 0.2]), pairs)
 
     def test_rows_are_the_sides_split_into_less_and_more(self):
-        less, more = ensemble._pair_rows(matrix_of([0.1, 0.2, 0.3]),
-                                         pairs_of([("c2", "c0"), ("c1", "c1")]))
-        assert (less.tolist(), more.tolist()) == ([2, 1], [0, 1])
+        matrix = matrix_of([[0.1, 1.0], [0.2, 4.0], [0.3, 9.0]])
+        diffs = ensemble._pair_diffs(matrix.comment_ids, matrix.values,
+                                     pairs_of([("c2", "c0"), ("c1", "c1")]))
+        assert diffs.tobytes() == np.array([[0.1 - 0.3, 1.0 - 9.0],
+                                            [0.0, 0.0]]).tobytes()
 
 
 class TestFitAndBlend:
@@ -148,7 +157,8 @@ class TestFitAndBlend:
     def test_fitted_loss_at_most_the_uniform_start(self, mode):
         weights = ensemble.fit_weights(self.matrix, self.pairs, mode=mode,
                                        max_iter=50)
-        normalized = ensemble.normalize_scores(self.matrix, mode)
+        normalized = ensemble.ScoreMatrix(self.matrix.comment_ids, self.matrix.model_names,
+                                          ensemble.normalize_scores(self.matrix, mode))
         start, _ = ensemble.surrogate_loss([0.5, 0.5], normalized, self.pairs, 0.1)
         fitted, _ = ensemble.surrogate_loss(weights.weights, normalized, self.pairs, 0.1)
         assert fitted <= start
@@ -165,9 +175,9 @@ class TestFitAndBlend:
     def test_blend_is_the_weighted_sum_in_id_order(self):
         weights = ensemble.EnsembleWeights(["m0", "m1"], [2.0, -1.0], mode="none")
         blended = ensemble.blend(self.matrix, weights)
-        assert [cid for cid, _ in blended] == self.matrix.comment_ids
+        assert blended.dtype == np.float64 and blended.shape == (40,)
         expected = self.matrix.values @ np.array([2.0, -1.0])
-        assert [score for _, score in blended] == expected.tolist()
+        assert blended.tobytes() == expected.tobytes()
 
     def test_weights_file_golden_bytes(self, tmp_path):
         weights = ensemble.EnsembleWeights(["m0", 'tf-idf, "char"'], [0.5, -0.1],

@@ -68,6 +68,13 @@ def ref_rank_errors(scores, pair_ids, k):
     return errors[:k]
 
 
+def errors_csv_rows(path, errors, pairs, flat):
+    """The data rows of the errors CSV written for `errors`."""
+    evaluate.write_errors_csv(path, errors, pairs, flat)
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 def outcome(call):
     """The call's result, or the message of the ValueError it raised."""
     try:
@@ -92,15 +99,21 @@ PAIRS = PAIR_IDS.map(lambda ids: pairs_of(*ids))
 class TestEqualsThePerPairReference:
     @settings(max_examples=300, deadline=None)
     @given(SCORES, PAIR_IDS, st.sampled_from([0.0, 0.5]), st.integers(1, 50))
-    def test_accuracy_and_ranked_errors(self, scores, pair_ids, credit, k):
+    def test_accuracy_and_ranked_errors(self, tmp_path_factory, scores, pair_ids,
+                                        credit, k):
         pairs = pairs_of(*pair_ids)
         flat = side_scores(scores, pairs)
         assert (evaluate.pairwise_accuracy(pairs.ids, flat, credit)
                 == ref_accuracy(scores, pair_ids, credit))
-        got = [(e.index, *map(bits, (e.score_less, e.score_more, e.margin)))
-               for e in evaluate.rank_errors(pairs.ids, flat, k)]
-        want = [(i, *map(bits, rest)) for i, *rest in ref_rank_errors(scores, pair_ids, k)]
-        assert got == want
+        errors = evaluate.rank_errors(pairs.ids, flat, k)
+        want = ref_rank_errors(scores, pair_ids, k)
+        assert errors == [i for i, *_ in want]
+        # the CSV's scores and margin, down to the sign of a zero margin
+        rows = errors_csv_rows(tmp_path_factory.mktemp("errors") / "e.csv", errors,
+                               pairs, flat)
+        assert [(row[:3], *map(bits, map(float, row[3:]))) for row in rows] == [
+            ([str(rank), pairs.texts[2 * i], pairs.texts[2 * i + 1]], *map(bits, rest))
+            for rank, (i, *rest) in enumerate(want, start=1)]
 
     @settings(max_examples=100, deadline=None)
     @given(SCORES, PAIR_IDS, st.sampled_from(IDS), st.sampled_from(
@@ -112,9 +125,8 @@ class TestEqualsThePerPairReference:
         flat = side_scores(scores, pairs)
         assert (outcome(lambda: evaluate.pairwise_accuracy(pairs.ids, flat))
                 == outcome(lambda: ref_accuracy(scores, pair_ids, 0.0)))
-        assert (outcome(lambda: [(e.index, e.score_less, e.score_more, e.margin)
-                                 for e in evaluate.rank_errors(pairs.ids, flat, 5)])
-                == outcome(lambda: ref_rank_errors(scores, pair_ids, 5)))
+        assert (outcome(lambda: evaluate.rank_errors(pairs.ids, flat, 5))
+                == outcome(lambda: [i for i, *_ in ref_rank_errors(scores, pair_ids, 5)]))
 
 
 class TestPairwiseAccuracy:
@@ -183,13 +195,12 @@ class TestRankErrors:
                   for less, more in zip(pairs.ids[0::2], pairs.ids[1::2])]
         wrong = [i for i in range(len(pairs)) if margin[i] >= 0.0]
         assert len(errors) == min(k, len(wrong))
-        margins = [e.margin for e in errors]
+        margins = [margin[i] for i in errors]
         assert margins == sorted(margins, reverse=True)
-        for e in errors:
-            assert e.margin == e.score_less - e.score_more >= 0.0
+        assert all(m >= 0.0 for m in margins)
         # equal margins keep input order
         expected = sorted(wrong, key=lambda i: -margin[i])
-        assert [e.index for e in errors] == expected[:k]
+        assert errors == expected[:k]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_score_names_the_comment(self, bad):
@@ -204,7 +215,8 @@ class TestRankErrors:
         scores = {"a": 0.9, "b": 0.1, "c": 0.5}
         pairs = pairs_of(("a", "b"), ("c", "b"))
         errors = errors_of(scores, pairs, 5)
-        evaluate.write_errors_csv(tmp_path / "e.csv", errors, pairs)
+        evaluate.write_errors_csv(tmp_path / "e.csv", errors, pairs,
+                                  side_scores(scores, pairs))
         with (tmp_path / "e.csv").open(encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["rank", "less_text", "more_text", "score_less",
