@@ -39,6 +39,7 @@ pays only for the modules its command runs.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import sys
@@ -148,22 +149,15 @@ def _warn_unconverged(solver: regress.CgReport | optim.OptimResult, what: str) -
 def score_histogram(scores: Iterable[float]) -> tuple[list[int], list[float]]:
     """Counts in ten equal bins over [0, 1], and the eleven bin edges.
 
-    Equal to np.histogram(scores, bins=10, range=(0.0, 1.0)), by numpy's
-    rule for equal bins: values outside [0, 1] (and NaN) are left out,
-    the last bin is closed, and a value goes to bin int(10 * v) moved one
-    down or up if rounding put it on the wrong side of an edge.
+    Equal to np.histogram(scores, bins=10, range=(0.0, 1.0)): values
+    outside [0, 1] (and NaN) are left out, a value goes to the bin of the
+    last edge at or below it, and the last bin is closed.
     """
     edges = [i * 0.1 for i in range(10)] + [1.0]
     counts = [0] * 10
     for v in scores:
-        if not 0.0 <= v <= 1.0:
-            continue
-        k = min(int(v * 10), 9)
-        if v < edges[k]:
-            k -= 1
-        elif k != 9 and v >= edges[k + 1]:
-            k += 1
-        counts[k] += 1
+        if 0.0 <= v <= 1.0:
+            counts[min(bisect.bisect_right(edges, v), 10) - 1] += 1
     return counts, edges
 
 

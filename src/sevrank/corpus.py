@@ -26,7 +26,6 @@ import csv
 import functools
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -53,20 +52,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Labeled:
     """Labeled comments as three flat columns.
 
     `ids[i]`, `texts[i]` and `scores[i]` (a severity in [0, 1]) belong to
     row i; texts are kept verbatim and may be empty.  len() is the number
-    of rows.
+    of rows; == compares the columns.
     """
 
-    ids: list[str]
-    texts: list[str]
-    scores: list[float]
+    __slots__ = ("ids", "texts", "scores")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ids: list[str], texts: list[str], scores: list[float]) -> None:
+        self.ids, self.texts, self.scores = ids, texts, scores
         if not len(self.ids) == len(self.texts) == len(self.scores):
             raise ValueError(f"{len(self.ids)} ids, {len(self.texts)} texts and "
                              f"{len(self.scores)} scores do not make whole rows")
@@ -74,27 +71,36 @@ class Labeled:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Labeled:
+            return NotImplemented
+        return (self.ids, self.texts, self.scores) == (other.ids, other.texts, other.scores)
 
-@dataclass(frozen=True)
+
 class Pairs:
     """Annotated pairs as two flat columns over their sides.
 
     Side 2i is pair i's less-toxic comment and side 2i + 1 its more-toxic
     one; `ids[j]` and `texts[j]` belong to side j.  Identical texts on both
     sides are allowed (they occur in the task data).  len() is the number
-    of pairs.
+    of pairs; == compares the columns.
     """
 
-    ids: list[str]
-    texts: list[str]
+    __slots__ = ("ids", "texts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ids: list[str], texts: list[str]) -> None:
+        self.ids, self.texts = ids, texts
         if len(self.ids) != len(self.texts) or len(self.ids) % 2:
             raise ValueError(f"{len(self.ids)} side ids and {len(self.texts)} "
                              "side texts do not make whole pairs")
 
     def __len__(self) -> int:
         return len(self.ids) // 2
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Pairs:
+            return NotImplemented
+        return (self.ids, self.texts) == (other.ids, other.texts)
 
 
 # Flag weights for the Wikipedia comments labels; the divisor is the

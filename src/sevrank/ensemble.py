@@ -16,7 +16,6 @@ always uses the exact accuracy metric, never the surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -44,16 +43,15 @@ def _check_temperature(temperature: float) -> None:
         raise ValueError(f"temperature must be a finite number > 0, got {temperature!r}")
 
 
-@dataclass(eq=False)
 class ScoreMatrix:
     """Comments x named score sources; all cells finite, ids/names unique."""
 
-    comment_ids: list[str]
-    model_names: list[str]
-    values: np.ndarray  # shape (len(comment_ids), len(model_names))
+    __slots__ = ("comment_ids", "model_names", "values")
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, comment_ids: list[str], model_names: list[str],
+                 values: np.ndarray) -> None:
+        self.comment_ids, self.model_names = comment_ids, model_names
+        self.values = np.asarray(values, dtype=np.float64)  # ids x models
         if self.values.shape != (len(self.comment_ids), len(self.model_names)):
             raise ValueError(
                 f"values shape {self.values.shape} does not match "
@@ -67,20 +65,18 @@ class ScoreMatrix:
             raise ValueError("score matrix contains non-finite cells")
 
 
-@dataclass(eq=False)
 class EnsembleWeights:
-    """Fitted per-model blend weights (unconstrained reals)."""
+    """Fitted per-model blend weights (unconstrained reals); `solver` is set
+    by fit_weights, and weights built by hand have none."""
 
-    model_names: list[str]
-    weights: np.ndarray
-    mode: str = "minmax"
-    temperature: float = 0.1
-    # set by fit_weights; weights built by hand have none
-    solver: OptimResult | None = None
+    __slots__ = ("model_names", "weights", "mode", "temperature", "solver")
 
-    def __post_init__(self) -> None:
+    def __init__(self, model_names: list[str], weights: np.ndarray, mode: str = "minmax",
+                 temperature: float = 0.1, solver: OptimResult | None = None) -> None:
+        self.model_names, self.mode, self.temperature, self.solver = (
+            model_names, mode, temperature, solver)
         _check_temperature(self.temperature)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = np.asarray(weights, dtype=np.float64)
         if len(self.weights) != len(self.model_names):
             raise ValueError("one weight per model required")
         if self.mode not in NORMALIZATION_MODES:
@@ -106,29 +102,32 @@ def normalize_scores(matrix: ScoreMatrix, mode: str) -> np.ndarray:
 
     Degenerate columns have fixed fallbacks: minmax maps a constant column
     to all 0.5, zscore maps zero spread to all zeros, and rank divides
-    tie-averaged zero-based ranks by N - 1 (0.5 for a single row).
+    tie-averaged zero-based ranks by N - 1 (0.5 for a single row).  A
+    column whose spread (max - min, or standard deviation) overflows
+    float64 raises ValueError naming it.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if mode == "none":
-        values = matrix.values.copy()
-    else:
-        values = np.empty_like(matrix.values)
-        n = len(matrix.comment_ids)
-        for k in range(len(matrix.model_names)):
-            col = matrix.values[:, k]
+        return matrix.values.copy()
+    values = np.empty_like(matrix.values)
+    n = len(matrix.comment_ids)
+    for k, name in enumerate(matrix.model_names):
+        col = matrix.values[:, k]
+        if mode == "rank":
+            values[:, k] = 0.5 if n == 1 else _average_ranks(col) / (n - 1)
+            continue
+        # an overflowing spread is refused by value; numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
             if mode == "minmax":
-                lo, hi = col.min(), col.max()
-                values[:, k] = 0.5 if hi == lo else (col - lo) / (hi - lo)
-            elif mode == "zscore":
-                std = col.std()
-                values[:, k] = 0.0 if std == 0.0 else (col - col.mean()) / std
-            else:  # rank
-                values[:, k] = (
-                    0.5 if n == 1 else _average_ranks(col) / (n - 1)
-                )
-    if not np.all(np.isfinite(values)):  # a column whose spread overflows
-        raise ValueError("score matrix contains non-finite cells")
+                center, fallback = col.min(), 0.5
+                spread = col.max() - center
+            else:  # zscore
+                center, spread, fallback = col.mean(), col.std(), 0.0
+        if not math.isfinite(spread):
+            raise ValueError(f"score column {name!r} is too widely spread "
+                             f"for {mode} normalization")
+        values[:, k] = fallback if spread == 0.0 else (col - center) / spread
     return values
 
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Pairs, write_csv
 
@@ -40,8 +39,7 @@ __all__ = [
 NORMALIZATION_MODES = ("none", "minmax", "zscore", "rank")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     accuracy: float
     n_pairs: int
     n_correct: int
@@ -108,14 +106,7 @@ def rank_errors(ids: Sequence[str], scores: Sequence[float], k: int) -> list[int
 
 
 def report_json(report: EvalReport) -> str:
-    return json.dumps(
-        {
-            "accuracy": report.accuracy,
-            "n_pairs": report.n_pairs,
-            "n_correct": report.n_correct,
-            "n_ties": report.n_ties,
-        }
-    )
+    return json.dumps(report._asdict())
 
 
 def write_errors_csv(path: str | Path, errors: Sequence[int], pairs: Pairs,

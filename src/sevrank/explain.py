@@ -16,8 +16,7 @@ from __future__ import annotations
 import html
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,12 +24,11 @@ __all__ = ["ExplainConfig", "Explanation", "lime_explain",
            "explanation_json", "explanation_html"]
 
 
-@dataclass(frozen=True)
-class ExplainConfig:
-    """num_samples perturbations, top num_features words reported.
+class ExplainConfig(NamedTuple):
+    """num_samples perturbations (>= 10), top num_features words reported (>= 1).
 
     kernel_width=None resolves to 0.75 * sqrt(word count) with a floor of
-    1.0 at explain time.
+    1.0 at explain time; a set width must be > 0.  `lime_explain` checks all three.
     """
 
     num_samples: int = 1000
@@ -38,20 +36,11 @@ class ExplainConfig:
     kernel_width: float | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.num_samples < 10:
-            raise ValueError("num_samples must be >= 10")
-        if self.num_features < 1:
-            raise ValueError("num_features must be >= 1")
-        if self.kernel_width is not None and not self.kernel_width > 0:
-            raise ValueError("kernel_width must be positive")
 
-
-@dataclass(eq=False)
-class Explanation:
+class Explanation(NamedTuple):
     text: str
     tokens: list[str]
-    importances: list[tuple[str, float]]  # (word, weight), |weight| descending
+    importances: list[tuple[int, float]]  # (token index, weight), |weight| descending
     intercept: float
     local_r2: float
 
@@ -75,6 +64,12 @@ def lime_explain(
     reported, most important first.  A constant scorer yields all-zero
     importances with local_r2 = 1.0.
     """
+    if config.num_samples < 10:
+        raise ValueError("num_samples must be >= 10")
+    if config.num_features < 1:
+        raise ValueError("num_features must be >= 1")
+    if config.kernel_width is not None and not config.kernel_width > 0:
+        raise ValueError("kernel_width must be positive")
     tokens = text.split()
     n_words = len(tokens)
     if n_words == 0:
@@ -111,9 +106,7 @@ def lime_explain(
     )
 
     order = sorted(range(n_words), key=lambda i: (-abs(coef[i]), i))
-    importances = [
-        (tokens[i], float(coef[i])) for i in order[: config.num_features]
-    ]
+    importances = [(i, float(coef[i])) for i in order[: config.num_features]]
     return Explanation(
         text=text,
         tokens=tokens,
@@ -160,8 +153,8 @@ def explanation_json(explanation: Explanation) -> str:
             "text": explanation.text,
             "tokens": explanation.tokens,
             "importances": [
-                {"word": word, "weight": weight}
-                for word, weight in explanation.importances
+                {"word": explanation.tokens[i], "weight": weight}
+                for i, weight in explanation.importances
             ],
             "intercept": explanation.intercept,
             "local_r2": explanation.local_r2,
@@ -170,15 +163,9 @@ def explanation_json(explanation: Explanation) -> str:
 
 
 def explanation_html(explanation: Explanation) -> str:
-    """Snippet with per-word background intensity proportional to |weight|."""
-    weight_of: dict[int, float] = {}
-    assigned: set[int] = set()
-    for word, weight in explanation.importances:
-        for i, tok in enumerate(explanation.tokens):
-            if tok == word and i not in assigned:
-                weight_of[i] = weight
-                assigned.add(i)
-                break
+    """Snippet with per-word background intensity proportional to |weight|;
+    each importance colours the token at its index."""
+    weight_of = dict(explanation.importances)
     peak = max((abs(w) for w in weight_of.values()), default=0.0)
     spans = []
     for i, tok in enumerate(explanation.tokens):

@@ -38,9 +38,8 @@ counting each document's grams on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +61,6 @@ __all__ = [
 CHUNK_ROWS = 64
 
 
-@dataclass(frozen=True, eq=False)
 class CsrBatch:
     """Rows of sparse real vectors in compressed sparse row layout.
 
@@ -72,18 +70,14 @@ class CsrBatch:
     this, and the shape, with whole-array operations.
     """
 
-    indptr: np.ndarray   # int64, n_rows + 1 offsets into indices/data
-    indices: np.ndarray  # int32 column indices
-    data: np.ndarray     # float64 values
-    shape: tuple[int, int]
+    __slots__ = ("indptr", "indices", "data", "shape")
 
-    def __post_init__(self) -> None:
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int32)
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "data", data)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]) -> None:
+        self.indptr = indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = indices = np.asarray(indices, dtype=np.int32)
+        self.data = data = np.asarray(data, dtype=np.float64)
+        self.shape = shape
         n_rows, dim = self.shape
         nnz = len(indices)
         if n_rows < 0 or dim < 0:
@@ -118,15 +112,13 @@ class CsrBatch:
         return dense
 
 
-@dataclass(frozen=True)
-class TfidfConfig:
+class TfidfConfig(NamedTuple):
     n_min: int = 3
     n_max: int = 5
     max_features: int = 30000
     min_df: int = 1
 
 
-@dataclass(eq=False)
 class _WordTable:
     """Words, each owning a run of int32 ids, in the order they were added.
 
@@ -136,9 +128,12 @@ class _WordTable:
     copies them only when they outgrow that room.
     """
 
-    rows: dict[str, int] = field(default_factory=dict)
-    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    __slots__ = ("rows", "offsets", "ids")
+
+    def __init__(self) -> None:
+        self.rows: dict[str, int] = {}
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.ids = np.empty(0, dtype=np.int32)
 
     def walk(self, texts: Sequence[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
         """Walk `texts` CHUNK_ROWS at a time, giving each word the table
@@ -185,7 +180,6 @@ def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
     return grown
 
 
-@dataclass(eq=False)
 class TfidfModel:
     """Fitted vectorizer: gram -> column index, per-column idf weights.
 
@@ -198,10 +192,12 @@ class TfidfModel:
     the distinct words seen.
     """
 
-    vocabulary: dict[str, int]
-    idf: np.ndarray
-    config: TfidfConfig
-    _table: _WordTable = field(default_factory=_WordTable, init=False, repr=False)
+    __slots__ = ("vocabulary", "idf", "config", "_table")
+
+    def __init__(self, vocabulary: dict[str, int], idf: np.ndarray,
+                 config: TfidfConfig) -> None:
+        self.vocabulary, self.idf, self.config = vocabulary, idf, config
+        self._table = _WordTable()
 
     @property
     def dim(self) -> int:
@@ -245,7 +241,6 @@ def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     return table.model(config, table.select(config))
 
 
-@dataclass(eq=False)
 class GramTable:
     """Every distinct word of a corpus split once into char-wb grams, and
     every gram counted over the corpus.
@@ -271,21 +266,26 @@ class GramTable:
     rows.
     """
 
-    n_min: int
-    n_max: int
-    n_docs: int
-    _table: _WordTable      # each word's gram ids, in char_wb_ngrams order
-    grams: list[str]        # the gram of each id; ids ascend lexicographically
-    length: np.ndarray      # characters per gram
-    whole: np.ndarray       # gram is a whole padded word
-    total: np.ndarray       # count per gram over the corpus, float64
-    df: np.ndarray          # corpus documents holding each gram
-    # document d, the corpus's then more_texts', holds gram doc_ids[j]
-    # doc_counts[j] times, j in [doc_offsets[d], doc_offsets[d + 1]), ids
-    # ascending; one array each, so that freeing the table frees them whole
-    _doc_offsets: np.ndarray = field(repr=False)  # int64
-    _doc_ids: np.ndarray = field(repr=False)      # int32
-    _doc_counts: np.ndarray = field(repr=False)   # int32
+    __slots__ = ("n_min", "n_max", "n_docs", "_table", "grams", "length", "whole", "total",
+                 "df", "_doc_offsets", "_doc_ids", "_doc_counts")
+
+    def __init__(self, n_min: int, n_max: int, n_docs: int, table: _WordTable,
+                 grams: list[str], length: np.ndarray, whole: np.ndarray,
+                 total: np.ndarray, df: np.ndarray, doc_offsets: np.ndarray,
+                 doc_ids: np.ndarray, doc_counts: np.ndarray) -> None:
+        self.n_min, self.n_max, self.n_docs = n_min, n_max, n_docs
+        self._table = table    # each word's gram ids, in char_wb_ngrams order
+        self.grams = grams     # the gram of each id; ids ascend lexicographically
+        self.length = length   # characters per gram
+        self.whole = whole     # gram is a whole padded word
+        self.total = total     # count per gram over the corpus, float64
+        self.df = df           # corpus documents holding each gram
+        # document d, the corpus's then more_texts', holds gram doc_ids[j]
+        # doc_counts[j] times, j in [doc_offsets[d], doc_offsets[d + 1]), ids
+        # ascending; one array each, so that freeing the table frees them whole
+        self._doc_offsets = doc_offsets  # int64
+        self._doc_ids = doc_ids          # int32
+        self._doc_counts = doc_counts    # int32
 
     @classmethod
     def split(
@@ -316,10 +316,10 @@ class GramTable:
         nnz, doc_ids, doc_counts = (np.concatenate(column) for column in zip(*runs))
         del runs
         return cls(
-            n_min=n_min, n_max=n_max, n_docs=len(corpus), _table=table, grams=grams,
+            n_min=n_min, n_max=n_max, n_docs=len(corpus), table=table, grams=grams,
             length=length, whole=whole, total=total, df=df,
-            _doc_offsets=np.concatenate(([0], np.cumsum(nnz))), _doc_ids=doc_ids,
-            _doc_counts=doc_counts,
+            doc_offsets=np.concatenate(([0], np.cumsum(nnz))), doc_ids=doc_ids,
+            doc_counts=doc_counts,
         )
 
     def in_range(self, n_min: int, n_max: int) -> np.ndarray:

@@ -11,8 +11,7 @@ the implicit Hessian positive definite, also off convex objectives.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ CURVATURE_C = 0.9    # weak Wolfe: g(x + t d).d >= CURVATURE_C g.d
 MAX_TRIALS = 50      # step lengths tried per line search
 
 
-@dataclass(eq=False)
-class OptimResult:
+class OptimResult(NamedTuple):
     x: np.ndarray
     f_value: float
     grad_norm: float     # max-norm at x

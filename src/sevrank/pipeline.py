@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +49,7 @@ _KEYS = ("preprocess", "tfidf", "alpha", "intercept", "dim", "grams_bytes",
          "words_bytes", "n_words", "n_columns")
 
 
-@dataclass(frozen=True, eq=False)
-class Pipeline:
+class Pipeline(NamedTuple):
     preprocess: textproc.PreprocessConfig
     tfidf: features.TfidfModel
     ridge: regress.RidgeModel
@@ -78,7 +76,7 @@ def save_pipeline(model: Pipeline, path: str | Path) -> None:
     blob = "\n".join(sorted(vocabulary, key=vocabulary.__getitem__)).encode("utf-8")
     words, counts, columns = model.tfidf.word_table()
     words_blob = "\n".join(words).encode("utf-8")
-    manifest = {"preprocess": asdict(model.preprocess), "tfidf": asdict(model.tfidf.config),
+    manifest = {"preprocess": model.preprocess._asdict(), "tfidf": model.tfidf.config._asdict(),
                 "alpha": float(model.ridge.alpha), "intercept": float(model.ridge.intercept),
                 "dim": len(vocabulary), "grams_bytes": len(blob),
                 "words_bytes": len(words_blob), "n_words": len(words),
@@ -112,7 +110,7 @@ def load_pipeline(path: str | Path) -> Pipeline:
         raise fail(f"manifest must hold exactly {', '.join(_KEYS)}")
     for key, cls, kind in (("preprocess", textproc.PreprocessConfig, bool),
                            ("tfidf", features.TfidfConfig, int)):
-        names, values = [f.name for f in fields(cls)], manifest[key]
+        names, values = cls._fields, manifest[key]
         if (not isinstance(values, dict) or sorted(values) != sorted(names)
                 or any(type(v) is not kind for v in values.values())):
             raise fail(f"manifest {key!r} must set exactly {', '.join(names)} "

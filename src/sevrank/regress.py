@@ -18,8 +18,7 @@ batch, and no result depends on the BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .features import CsrBatch, row_sums
 __all__ = ["CgReport", "RidgeModel", "fit_ridge", "predict", "ridge_objective"]
 
 
-@dataclass(frozen=True)
-class CgReport:
+class CgReport(NamedTuple):
     """How the conjugate-gradient solve of `fit_ridge` ended.
 
     rel_residual is CG's updated residual norm over ||X^T (y - mean(y))||
@@ -41,15 +39,14 @@ class CgReport:
     converged: bool
 
 
-@dataclass(eq=False)
 class RidgeModel:
-    weights: np.ndarray
-    intercept: float
-    alpha: float
-    # set by fit_ridge; a model loaded from a file has none
-    solver: CgReport | None = None
+    """Ridge weights; `solver` is set by fit_ridge, a loaded model has none."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("weights", "intercept", "alpha", "solver")
+
+    def __init__(self, weights: np.ndarray, intercept: float, alpha: float,
+                 solver: CgReport | None = None) -> None:
+        self.weights, self.intercept, self.alpha, self.solver = weights, intercept, alpha, solver
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
 

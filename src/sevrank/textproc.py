@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .corpus import read_csv
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(NamedTuple):
     """Switches for the normalization steps, applied in a fixed order.
 
     Stemming is off by default: char-wb n-grams already absorb most

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -216,6 +217,18 @@ class TestExplain:
         result = json.loads(out)
         assert result["tokens"] == ["a", "b"]
         assert [w["word"] for w in result["importances"]] == ["b", "a"]
+
+    def test_scores_lookup_html_colours_the_fitted_position(self, capsys, tmp_path):
+        # every variant ending in "you" scores 1: the last "you" carries the weight
+        path = self.lookup(tmp_path, {"you idiot you": 1.0, "idiot you": 1.0, "you you": 1.0,
+                                      "you": 1.0, "you idiot": 0.0, "idiot": 0.0, "": 0.0})
+        code, out, err = run(capsys, "explain", "--scores-lookup", path,
+                             "--text", "you idiot you", "--num-features", "1",
+                             "--html-out", tmp_path / "x.html")
+        assert code == 0, err
+        assert [w["word"] for w in json.loads(out)["importances"]] == ["you"]
+        html = (tmp_path / "x.html").read_text(encoding="utf-8")
+        assert re.findall(r"rgba\(255,0,0,([\d.]+)\)", html) == ["0.000", "0.000", "1.000"]
 
     def test_scores_lookup_missing_variant(self, capsys, tmp_path):
         path = self.lookup(tmp_path, {"a b": 1.0, "a": 0.25})
@@ -759,6 +772,21 @@ class TestSolverWarnings:
         assert json.loads(out)["n_pairs"] == 3
 
 
+class TestOverflowingBlendColumn:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_is_named_and_nothing_else_is_printed(self, capsys, tmp_path, mode):
+        matrix = write_csv(tmp_path / "matrix.csv", ["comment_id", "a", "b"],
+                           [("p2_l", "0.1", "1e308"), ("p2_m", "0.9", "-1e308")])
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"], [("x", "y")])
+        code, out, err = run(capsys, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                             "--mode", mode, "--out-weights", tmp_path / "w.csv",
+                             "--out-blend", tmp_path / "b.csv")
+        assert (code, out) == (1, "")
+        assert err == (f"sevrank: error: score column 'b' is too widely spread "
+                       f"for {mode} normalization\n")
+
+
 class TestFirstMissingSideIsNamed:
     """Both sides of pair p2 (the first data row) are missing, and so is a
     later side: every command names the first side in flat order, p2_l."""
@@ -1220,7 +1248,8 @@ SRC = Path(sevrank.__file__).resolve().parents[1]
 
 def run_fresh(tmp_path, *argv):
     """Run `python -m sevrank.cli ARGV` in a new interpreter; return its
-    stdout lines and the sevrank and numpy modules it had loaded."""
+    stdout lines and the sevrank, numpy and dataclasses modules it had
+    loaded."""
     program = (
         "import runpy, sys\n"
         "try:\n"
@@ -1228,7 +1257,7 @@ def run_fresh(tmp_path, *argv):
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('numpy', 'sevrank')))\n"
+        "             if m.split('.')[0] in ('numpy', 'sevrank', 'dataclasses')))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
@@ -1276,12 +1305,14 @@ class TestColdStart:
                                  "--comments", files["comments"], "--out", tmp_path / "s.csv")
         assert out == ["scored 15 comments"]
         assert sevrank_modules(modules) == SCORING
+        assert "dataclasses" not in modules
 
     def test_explain_loads_the_scoring_modules_and_explain(self, files, tmp_path):
         out, modules = run_fresh(tmp_path, "explain", "--model-prefix", files["model"],
                                  "--text", "you idiot", "--num-samples", "20")
         assert json.loads(out[-1])["tokens"] == ["you", "idiot"]
         assert sevrank_modules(modules) == sorted([*SCORING, "explain"])
+        assert "dataclasses" not in modules
 
     def test_ensemble_loads_no_feature_or_ridge_module(self, tmp_path):
         pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],
@@ -1294,6 +1325,7 @@ class TestColdStart:
         assert json.loads(out[-1])["n_pairs"] == 1
         assert sevrank_modules(modules) == ["corpus", "ensemble", "evaluate", "optim",
                                             "textproc"]
+        assert "dataclasses" not in modules
 
     def test_every_public_name_resolves(self):
         namespace = {}

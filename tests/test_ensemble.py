@@ -95,10 +95,34 @@ class TestNormalize:
             assert not np.shares_memory(normalized, matrix.values)
         assert np.array_equal(matrix.values, before)
 
-    def test_overflowing_column_is_rejected(self):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite cells"):
-            ensemble.normalize_scores(matrix_of([1e308, -1e308, 0.0]), "minmax")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_column_whose_spread_overflows_is_named(self, mode):
+        matrix = matrix_of([[0.1, 1e308], [0.9, -1e308], [0.5, 0.0]])
+        with pytest.raises(ValueError, match=f"score column 'm1' is too widely spread "
+                                             f"for {mode} normalization"):
+            ensemble.normalize_scores(matrix, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(VALUES, st.floats(-1e300, 1e300)), min_size=1, max_size=40),
+           st.sampled_from(["minmax", "zscore"]))
+    def test_a_finite_spread_keeps_the_formula_bits(self, values, mode):
+        column = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode == "minmax":
+                lo, hi = column.min(), column.max()
+                spread = hi - lo
+                want = np.full(len(column), 0.5) if hi == lo else (column - lo) / spread
+            else:
+                spread = column.std()
+                want = (np.zeros(len(column)) if spread == 0.0
+                        else (column - column.mean()) / spread)
+        if not np.isfinite(spread):
+            with pytest.raises(ValueError, match="score column 'm0'"):
+                ensemble.normalize_scores(matrix_of(column), mode)
+        else:
+            got = ensemble.normalize_scores(matrix_of(column), mode)[:, 0]
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSurrogate:

@@ -49,7 +49,7 @@ class TestBatchedScorer:
 
     def test_attributes_the_toxic_words(self):
         result = lime_explain(RecordingScorer(), "you stupid little idiot", CONFIG)
-        words = [w for w, _ in result.importances]
+        words = [result.tokens[i] for i, _ in result.importances]
         assert words[:2] == ["idiot", "stupid"]
         assert result.local_r2 == pytest.approx(1.0, abs=1e-3)
 
@@ -80,7 +80,7 @@ class TestConstantScorer:
     def test_zero_importances_and_perfect_fit(self, value):
         result = lime_explain(lambda variants: np.full(len(variants), value),
                               "a b c", CONFIG)
-        assert [w for w, _ in result.importances] == ["a", "b", "c"]
+        assert [i for i, _ in result.importances] == [0, 1, 2]
         assert all(weight == 0.0 for _, weight in result.importances)
         assert result.intercept == value
         assert result.local_r2 == 1.0
@@ -90,7 +90,17 @@ class TestConfig:
     @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
     def test_kernel_width_must_be_positive(self, width):
         with pytest.raises(ValueError, match="kernel_width must be positive"):
-            ExplainConfig(kernel_width=width)
+            lime_explain(RecordingScorer(), "a b", ExplainConfig(kernel_width=width))
+
+    @pytest.mark.parametrize("config, message", [
+        (ExplainConfig(num_samples=9), "num_samples must be >= 10"),
+        (ExplainConfig(num_features=0), "num_features must be >= 1"),
+    ])
+    def test_counts_are_checked_before_scoring(self, config, message):
+        scorer = RecordingScorer()
+        with pytest.raises(ValueError, match=message):
+            lime_explain(scorer, "a b", config)
+        assert scorer.batches == []
 
 
 class TestHtml:
@@ -99,28 +109,30 @@ class TestHtml:
                                             intercept=0.0, local_r2=1.0))
 
     def test_tokens_are_escaped(self):
-        got = self.html(["a<b", "&c"], [("a<b", 0.5), ("&c", -0.25)])
+        got = self.html(["a<b", "&c"], [(0, 0.5), (1, -0.25)])
         assert "a&lt;b" in got and "&amp;c" in got
         assert "a<b" not in got and "&c" not in got
 
     def test_top_word_is_full_red_and_others_scale_by_weight(self):
-        got = self.html(["mild", "rude"], [("rude", -0.8), ("mild", 0.2)])
+        got = self.html(["mild", "rude"], [(1, -0.8), (0, 0.2)])
         assert got == ('<div class="sevrank-explanation">'
                        '<span style="background-color: rgba(255,0,0,0.250)">mild</span> '
                        '<span style="background-color: rgba(255,0,0,1.000)">rude</span>'
                        '</div>')
 
-    def test_repeated_word_colours_only_its_first_occurrence(self):
-        got = self.html(["x", "y", "x"], [("x", 1.0), ("y", 0.5)])
-        assert got.split("</span> ") == [
-            '<div class="sevrank-explanation">'
-            '<span style="background-color: rgba(255,0,0,1.000)">x',
-            '<span style="background-color: rgba(255,0,0,0.500)">y',
-            '<span style="background-color: rgba(255,0,0,0.000)">x</span></div>']
-        # a word listed twice (once per position) colours its occurrences in turn
-        got = self.html(["x", "y", "x"], [("x", 1.0), ("y", 0.5), ("x", 0.25)])
-        assert re.findall(r"rgba\(255,0,0,([\d.]+)\)", got) == ["1.000", "0.500", "0.250"]
+    def test_a_repeated_word_colours_the_fitted_position(self):
+        # the score depends on whether the variant ends in "you", so the
+        # last token, not the first with the same text, carries the weight
+        result = lime_explain(
+            lambda variants: np.array([float(v.split()[-1:] == ["you"]) for v in variants]),
+            "you idiot you", ExplainConfig(num_features=1))
+        assert [i for i, _ in result.importances] == [2]
+        got = explanation_html(result)
+        assert re.findall(r"rgba\(255,0,0,([\d.]+)\)", got) == ["0.000", "0.000", "1.000"]
+        # each position listed is coloured by its own weight
+        got = self.html(["x", "y", "x"], [(2, 1.0), (1, 0.5), (0, 0.25)])
+        assert re.findall(r"rgba\(255,0,0,([\d.]+)\)", got) == ["0.250", "0.500", "1.000"]
 
     def test_all_zero_weights_give_zero_everywhere(self):
-        got = self.html(["a", "b", "a"], [("a", 0.0), ("b", 0.0)])
+        got = self.html(["a", "b", "a"], [(0, 0.0), (1, 0.0)])
         assert got.count("rgba(255,0,0,0.000)") == 3
