@@ -2,9 +2,10 @@
 
 Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
-outputs, whatever the BLAS thread count (for `explain`, on texts of up to
-64 words).  Every command that scores text with a saved model goes
-through `pipeline.Pipeline.score`.  Exit codes: 0 on success, 1 on
+outputs, whatever the BLAS thread count.  Every command that scores text
+with a saved model goes through `pipeline.Pipeline.score`, except
+`explain`, whose word-drop variants the model scores as keep masks
+(`pipeline.Pipeline.score_masks`).  Exit codes: 0 on success, 1 on
 runtime failure, 2 on usage errors.  A ridge fit whose conjugate
 gradient, or a blend fit whose L-BFGS, stops before its tolerance prints
 one `warning:` line on stderr.
@@ -328,9 +329,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     from . import explain
 
+    config = explain.ExplainConfig(
+        num_samples=args.num_samples,
+        num_features=args.num_features,
+        kernel_width=args.kernel_width,
+        seed=args.seed,
+    )
     if args.model_prefix:
         from . import pipeline
-        scorer = pipeline.load_pipeline(f"{args.model_prefix}.pipeline").score
+        model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
+        result = explain.lime_explain_masks(model.score_masks, args.text, config)
     else:
         lookup = read_scores_csv(args.scores_lookup, "text")
 
@@ -340,13 +348,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                     raise ValueError(f"no lookup score for variant {text!r}")
             return np.array([lookup[text] for text in variants])
 
-    config = explain.ExplainConfig(
-        num_samples=args.num_samples,
-        num_features=args.num_features,
-        kernel_width=args.kernel_width,
-        seed=args.seed,
-    )
-    result = explain.lime_explain(scorer, args.text, config)
+        result = explain.lime_explain(scorer, args.text, config)
     payload = explain.explanation_json(result)
     print(payload)
     if args.json_out:

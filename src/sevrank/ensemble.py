@@ -131,19 +131,27 @@ def normalize_scores(matrix: ScoreMatrix, mode: str) -> np.ndarray:
     return values
 
 
-def _pair_diffs(comment_ids: Sequence[str], values: np.ndarray, pairs: Pairs) -> np.ndarray:
+def _pair_diffs(matrix: ScoreMatrix, values: np.ndarray, pairs: Pairs) -> np.ndarray:
     """values[more] - values[less] for every pair, one row per pair.
 
-    Row j of `values` belongs to comment_ids[j]; the first side id (in
-    side order) with no row is named.
+    Row j of `values` belongs to matrix.comment_ids[j] and column k to
+    matrix.model_names[k]; the first side id (in side order) with no row
+    is named, and so is the first column where a difference overflows.
     """
-    row_of = {cid: i for i, cid in enumerate(comment_ids)}
+    row_of = {cid: i for i, cid in enumerate(matrix.comment_ids)}
     try:
         rows = np.fromiter(map(row_of.__getitem__, pairs.ids), dtype=np.int64,
                            count=len(pairs.ids))
     except KeyError as exc:
         raise ValueError(f"id {exc.args[0]!r} not present in the score matrix") from None
-    return values[rows[1::2]] - values[rows[0::2]]
+    # an overflowing difference is refused by value; numpy need not warn
+    with np.errstate(over="ignore"):
+        diffs = values[rows[1::2]] - values[rows[0::2]]
+    overflow = np.flatnonzero(~np.isfinite(diffs).all(axis=0))
+    if overflow.size:
+        raise ValueError(f"score column {matrix.model_names[overflow[0]]!r} is too widely "
+                         f"spread for pair differences")
+    return diffs
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -181,7 +189,7 @@ def surrogate_loss(
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(matrix.model_names):
         raise ValueError("one weight per model required")
-    return _loss_from_diffs(w, _pair_diffs(matrix.comment_ids, matrix.values, pairs),
+    return _loss_from_diffs(w, _pair_diffs(matrix, matrix.values, pairs),
                             temperature)
 
 
@@ -203,7 +211,7 @@ def fit_weights(
         raise ValueError("need at least one model column")
     if len(pairs) < 1:
         raise ValueError("need at least one judgment pair")
-    diffs = _pair_diffs(matrix.comment_ids, normalize_scores(matrix, mode), pairs)
+    diffs = _pair_diffs(matrix, normalize_scores(matrix, mode), pairs)
     x0 = np.full(len(matrix.model_names), 1.0 / len(matrix.model_names))
     result = lbfgs_minimize(
         lambda w: _loss_from_diffs(w, diffs, temperature), x0, max_iter

@@ -1,14 +1,31 @@
 """Local explanations of a scorer's prediction on one comment.
 
-The comment is perturbed by dropping random subsets of its words, the
-(black-box) scorer rates all perturbed variants in one batched call
-(`list[str] -> ndarray`, the `classifier_fn` contract of Ribeiro, Singh
-and Guestrin's reference LIME, arXiv:1602.04938), and a locally weighted
+The comment is perturbed by dropping random subsets of its words, every
+perturbed variant is scored in one batched call, and a locally weighted
 ridge fit on the keep/drop indicators attributes the prediction to
 individual words.  Samples closer to the intact comment (cosine
 similarity of the keep-mask to the all-ones mask) get larger fit weight
 through an RBF kernel.  Everything is driven by one seeded generator, so
 a given (scorer, text, config) always yields the same explanation.
+
+There are two entry points, one per kind of scorer:
+
+- `lime_explain_masks(score_masks, text, config)` is the method.  Its
+  scorer takes the text's tokens and the (samples x tokens) 0/1 keep
+  masks and returns one score per mask.  A saved model scores masks
+  itself without building a variant text, to within rounding of scoring
+  the variants (`pipeline.Pipeline.score_masks`), so `explain
+  --model-prefix` calls this one.
+- `lime_explain(scorer, text, config)` takes a black-box text scorer
+  (`list[str] -> ndarray`, the `classifier_fn` contract of Ribeiro, Singh
+  and Guestrin's reference LIME, arXiv:1602.04938).  It builds each
+  mask's variant, the kept words joined by single spaces, and calls
+  `scorer` once with all of them; `explain --scores-lookup` uses it.
+
+Given the same scores, both give the same explanation.  The fit makes no
+BLAS call: its products are einsums and its normal equations are solved
+by a Cholesky factorization written in numpy, so no bit of an
+explanation depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["ExplainConfig", "Explanation", "lime_explain",
+__all__ = ["ExplainConfig", "Explanation", "lime_explain", "lime_explain_masks",
            "explanation_json", "explanation_html"]
 
 
@@ -28,7 +45,8 @@ class ExplainConfig(NamedTuple):
     """num_samples perturbations (>= 10), top num_features words reported (>= 1).
 
     kernel_width=None resolves to 0.75 * sqrt(word count) with a floor of
-    1.0 at explain time; a set width must be > 0.  `lime_explain` checks all three.
+    1.0 at explain time; a set width must be > 0.  `lime_explain_masks`
+    checks all three.
     """
 
     num_samples: int = 1000
@@ -50,13 +68,31 @@ def lime_explain(
     text: str,
     config: ExplainConfig = ExplainConfig(),
 ) -> Explanation:
+    """Explain the score of `text` given by a text scorer.
+
+    `lime_explain_masks`, with each mask scored by calling `scorer` once
+    with the list of all reconstructed variants (the kept words joined by
+    single spaces), in sample order.
+    """
+    def score_masks(tokens: list[str], masks: np.ndarray) -> np.ndarray:
+        return scorer([" ".join(tok for tok, keep in zip(tokens, mask) if keep)
+                       for mask in masks.tolist()])
+
+    return lime_explain_masks(score_masks, text, config)
+
+
+def lime_explain_masks(
+    score_masks: Callable[[list[str], np.ndarray], np.ndarray],
+    text: str,
+    config: ExplainConfig = ExplainConfig(),
+) -> Explanation:
     """Explain the score of `text` via word-drop perturbations.
 
     Tokens are the whitespace-separated words of `text`, punctuation
     kept.  Draws num_samples binary keep-masks (each word kept with
-    probability 0.5; sample 0 is always the intact text) and calls
-    `scorer` once with the list of all reconstructed variants, in sample
-    order; it must return one finite score per variant.  Then weights
+    probability 0.5; sample 0 is always the intact text) as an int8
+    (num_samples x words) array and calls `score_masks(tokens, masks)`
+    once; it must return one finite score per mask.  Then weights
     samples by exp(-d^2 / kernel_width^2) with d the cosine distance
     between the mask and the all-ones mask, and fits a weighted ridge
     (alpha=1) of the scores on the mask indicators.  The
@@ -82,11 +118,7 @@ def lime_explain(
     masks = np.ones((config.num_samples, n_words), dtype=np.int8)
     masks[1:] = rng.integers(0, 2, size=(config.num_samples - 1, n_words), dtype=np.int8)
 
-    variants = [
-        " ".join(tok for tok, keep in zip(tokens, mask) if keep)
-        for mask in masks.tolist()
-    ]
-    y = np.asarray(scorer(variants), dtype=np.float64)
+    y = np.asarray(score_masks(tokens, masks), dtype=np.float64)
     if y.shape != (config.num_samples,):
         raise ValueError(
             f"scorer returned {y.shape} scores for {config.num_samples} variants"
@@ -123,28 +155,48 @@ def _weighted_ridge(
 
     A constant y is fitted exactly by the intercept alone: all-zero
     coefficients and R^2 = 1.0.  (Its weighted mean need not round to the
-    constant, which would leave tiny coefficients and R^2 = 0.)  The normal
-    equations are summed by einsum, not a threaded BLAS gemm; LAPACK's solve
-    of them was thread-independent at 64 words but not at 300, so only texts
-    of up to 64 words are known to explain alike on any BLAS thread count.
+    constant, which would leave tiny coefficients and R^2 = 0.)  Every
+    product is an einsum, not a threaded BLAS call, and the normal
+    equations are solved by `_solve_spd`, so the fit has the same bits on
+    any BLAS thread count.
     """
     if np.all(y == y[0]):
         return np.zeros(Z.shape[1]), float(y[0]), 1.0
     total = sw.sum()
-    z_mean = sw @ Z / total
-    y_mean = float(sw @ y) / total
+    z_mean = np.einsum("i,ij->j", sw, Z) / total
+    y_mean = float(np.einsum("i,i->", sw, y)) / total
     Zc = Z - z_mean
     yc = y - y_mean
     weighted = Zc * sw[:, None]
     gram = np.einsum("ij,ik->jk", weighted, Zc) + alpha * np.eye(Z.shape[1])
-    coef = np.linalg.solve(gram, np.einsum("ij,i->j", weighted, yc))
-    intercept = y_mean - float(z_mean @ coef)
-    fitted = Z @ coef + intercept
-    rss = float(sw @ (y - fitted) ** 2)
-    tss = float(sw @ yc ** 2)
+    coef = _solve_spd(gram, np.einsum("ij,i->j", weighted, yc))
+    intercept = y_mean - float(np.einsum("j,j->", z_mean, coef))
+    fitted = np.einsum("ij,j->i", Z, coef) + intercept
+    rss = float(np.einsum("i,i->", sw, (y - fitted) ** 2))
+    tss = float(np.einsum("i,i->", sw, yc ** 2))
     if tss == 0.0:
         return coef, intercept, 1.0
     return coef, intercept, min(max(1.0 - rss / tss, 0.0), 1.0)
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, for a symmetric positive definite: the Cholesky
+    factor a = L L^T, then the solves L z = b and L^T x = z, one einsum
+    per row or column, each summed in a fixed order."""
+    n = len(b)
+    low = np.zeros_like(a)
+    for j in range(n):
+        row = low[j, :j]
+        low[j, j] = math.sqrt(a[j, j] - np.einsum("k,k->", row, row))
+        below = a[j + 1 :, j] - np.einsum("ik,k->i", low[j + 1 :, :j], row)
+        low[j + 1 :, j] = below / low[j, j]
+    z = np.zeros(n)
+    for i in range(n):
+        z[i] = (b[i] - np.einsum("k,k->", low[i, :i], z[:i])) / low[i, i]
+    x = np.zeros(n)
+    for i in reversed(range(n)):
+        x[i] = (z[i] - np.einsum("k,k->", low[i + 1 :, i], x[i + 1 :])) / low[i, i]
+    return x
 
 
 def explanation_json(explanation: Explanation) -> str:

@@ -34,6 +34,11 @@ scoring batch holds few new words, and over so few the kernel's fixed
 cost is larger than the work it saves.  The vocabulary, the idf weights
 and each row's values are the same float64 numbers, bit for bit, as
 counting each document's grams on its own.
+
+`idf_rows` is that count, scaled by idf and not yet normalized; it is the
+one place a text is counted against a fitted model.  `transform`
+normalizes its rows, and `pipeline.Pipeline.score_masks` combines the
+rows of single words.
 """
 
 from __future__ import annotations
@@ -186,10 +191,10 @@ class TfidfModel:
     The model's word table, laid out as a `GramTable`'s, holds for every
     word it knows the columns of the word's in-vocabulary grams, in
     char_wb_ngrams order with repeats.  `fit_tfidf` fills it with every
-    training word, a loaded model reads it from its file, and `transform`'s
-    walk adds each new word it meets, so a word is split into grams once
-    per model, however many batches it appears in.  The table grows with
-    the distinct words seen.
+    training word, a loaded model reads it from its file, and the walk of
+    `idf_rows` (which `transform` runs) adds each new word it meets, so a
+    word is split into grams once per model, however many batches it
+    appears in.  The table grows with the distinct words seen.
     """
 
     __slots__ = ("vocabulary", "idf", "config", "_table")
@@ -406,14 +411,24 @@ class GramTable:
 def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     """Vectorize a batch of preprocessed documents, one row per text.
 
-    Raw in-vocabulary gram counts are scaled by idf and each row is
-    L2-normalized; a text with no in-vocabulary gram maps to an empty
-    row.  Documents are counted CHUNK_ROWS at a time.  A chunk's words the
-    model has not seen are split in one char_wb_ngrams call and looked up
-    in the vocabulary.
+    Each row is the text's `idf_rows` row, L2-normalized; a text with no
+    in-vocabulary gram maps to an empty row.
     """
     if isinstance(texts, str):
         raise TypeError("transform takes a sequence of texts, not one str")
+    batch = idf_rows(model, texts)
+    _normalize(np.diff(batch.indptr), batch.data)
+    return batch
+
+
+def idf_rows(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
+    """Raw in-vocabulary gram counts of each preprocessed text, scaled by
+    idf and not normalized: the rows `transform` divides by their norms.
+
+    Documents are counted CHUNK_ROWS at a time.  A chunk's words the
+    model has not seen are split in one char_wb_ngrams call, looked up in
+    the vocabulary and added to the model's word table.
+    """
     vocabulary, config, table = model.vocabulary, model.config, model._table
     row_nnz, indices, data = [], [], []
     for new, tokens, doc_len in table.walk(texts):
@@ -426,11 +441,9 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
                                   count=len(grams))
             table.add(*_kept(columns, offsets))
         nnz, cols, counts = _count(table, tokens, doc_len, model.dim)
-        values = counts * model.idf[cols]
-        _normalize(nnz, values)
         row_nnz.append(nnz)
         indices.append(cols)
-        data.append(values)
+        data.append(counts * model.idf[cols])
     if not row_nnz:
         return CsrBatch(indptr=[0], indices=[], data=[], shape=(0, model.dim))
     return CsrBatch(

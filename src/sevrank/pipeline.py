@@ -29,6 +29,29 @@ retrain.
 preprocessing.  It calls `textproc.preprocess`, `features.transform` and
 `regress.predict` through their modules, so a patched function is the one
 that runs.
+
+`Pipeline.score_masks` scores LIME's word-drop variants of one text
+without building them.  Let v_t be the idf-scaled raw gram counts of
+whitespace token t, preprocessed on its own (`features.idf_rows`), w the
+ridge weights, a_t = v_t . w and G = V V^T.  The variant that keeps the
+tokens of 0/1 mask m scores
+
+    intercept + (m . a) / sqrt(m^T G m),  or intercept when m^T G m = 0.
+
+This is `score` of the kept tokens joined by single spaces, with the sums
+taken in another order, because
+
+- preprocessing acts on each token on its own: `preprocess` of tokens
+  joined by spaces is their non-empty results joined by spaces (a tested
+  property);
+- a char-wb gram never crosses a word, so the variant's counts are the
+  sum of its tokens' counts;
+- the model is linear in the L2-normalized row.
+
+So a mask's score agrees with `score` to within a few units in the last
+place (on the benchmark model, at most 1.1e-16 apart), not bit for bit.
+G is accumulated from the pairs of entries that share a column, and every
+other product is an einsum: no sum goes through a threaded BLAS call.
 """
 
 from __future__ import annotations
@@ -69,6 +92,47 @@ class Pipeline(NamedTuple):
             scores[start : start + X.shape[0]] = regress.predict(self.ridge, X)
         return scores[np.fromiter(map(slot.__getitem__, texts), dtype=np.int64,
                                   count=len(texts))]
+
+    def score_masks(self, tokens: Sequence[str], masks: np.ndarray) -> np.ndarray:
+        """Score of each word-drop variant of `tokens`: row i of `masks`
+        keeps token t where masks[i, t] is 1 (0 drops it).
+
+        Row i scores as `score` scores the kept tokens joined by single
+        spaces, within rounding, without building that text (see the module
+        docstring).  Each distinct token is preprocessed and counted once.
+        """
+        slot = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+        which = np.fromiter(map(slot.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        rows = features.idf_rows(
+            self.tfidf, [textproc.preprocess(token, self.preprocess) for token in slot])
+        products = self.ridge.weights[rows.indices]
+        products *= rows.data
+        a = features.row_sums(products, np.diff(rows.indptr))[which]
+        gram = _gram(rows)[np.ix_(which, which)]
+        m = np.asarray(masks, dtype=np.float64)
+        norm2 = np.einsum("is,is->i", np.einsum("it,ts->is", m, gram), m)
+        kept = norm2 > 0.0  # some kept token has an in-vocabulary gram
+        scores = np.full(len(m), self.ridge.intercept)
+        scores[kept] += np.einsum("it,t->i", m[kept], a) / np.sqrt(norm2[kept])
+        return scores
+
+
+def _gram(rows: features.CsrBatch) -> np.ndarray:
+    """G = V V^T of the rows V, from the pairs of entries that share a
+    column, accumulated by one bincount in a fixed order."""
+    n = rows.shape[0]
+    order = np.argsort(rows.indices, kind="stable")
+    row = np.repeat(np.arange(n), np.diff(rows.indptr))[order]
+    column, value = rows.indices[order], rows.data[order]
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    sizes = np.diff(np.append(starts, len(column)))
+    # entry e pairs with each entry of its column, its own included
+    partners = np.repeat(sizes, sizes)
+    left = np.repeat(np.arange(len(column)), partners)
+    first = np.cumsum(partners) - partners
+    right = np.repeat(np.repeat(starts, sizes) - first, partners) + np.arange(len(left))
+    return np.bincount(row[left] * n + row[right], weights=value[left] * value[right],
+                       minlength=n * n).reshape(n, n)
 
 
 def save_pipeline(model: Pipeline, path: str | Path) -> None:

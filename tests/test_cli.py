@@ -180,18 +180,20 @@ class TestScoring:
 
 class TestExplain:
     def test_scorer_called_once_with_every_sample(self, files, capsys, monkeypatch):
+        # the model scores the keep masks; no variant text is built or scored
         calls = []
-        real = pipeline.Pipeline.score
+        real = pipeline.Pipeline.score_masks
 
-        def counting(model, texts):
-            calls.append(len(texts))
-            return real(model, texts)
+        def counting(model, tokens, masks):
+            calls.append((tokens, masks.shape))
+            return real(model, tokens, masks)
 
-        monkeypatch.setattr(pipeline.Pipeline, "score", counting)
+        monkeypatch.setattr(pipeline.Pipeline, "score_masks", counting)
+        monkeypatch.setattr(pipeline.Pipeline, "score", None)
         code, out, err = run(capsys, "explain", "--model-prefix", files["model"],
                              "--text", "you stupid clown", "--num-samples", "40")
         assert code == 0, err
-        assert calls == [40]
+        assert calls == [(["you", "stupid", "clown"], (40, 3))]
 
     def test_html_out_is_the_explanation_html(self, files, capsys, tmp_path):
         text = "you stupid clown, thanks you"
@@ -200,11 +202,18 @@ class TestExplain:
                              "--html-out", tmp_path / "x.html")
         assert code == 0, err
         model = pipeline.load_pipeline(f"{files['model']}.pipeline")
-        result = explain.lime_explain(model.score, text,
-                                      explain.ExplainConfig(num_samples=40, seed=2))
+        config = explain.ExplainConfig(num_samples=40, seed=2)
+        result = explain.lime_explain_masks(model.score_masks, text, config)
         assert out == explain.explanation_json(result) + "\n"
         assert (tmp_path / "x.html").read_text(encoding="utf-8") == (
             explain.explanation_html(result) + "\n")
+        # scoring the variant texts instead moves no word and no weight
+        # by more than the rounding of the mask scores
+        by_text = explain.lime_explain(model.score, text, config)
+        assert [i for i, _ in by_text.importances] == [i for i, _ in result.importances]
+        np.testing.assert_allclose([w for _, w in result.importances],
+                                   [w for _, w in by_text.importances], rtol=0, atol=1e-12)
+        assert result.local_r2 == pytest.approx(by_text.local_r2, rel=0, abs=1e-12)
 
     def lookup(self, tmp_path, scores):
         return write_csv(tmp_path / "lookup.csv", ["text", "score"], scores.items())
@@ -786,6 +795,19 @@ class TestOverflowingBlendColumn:
         assert err == (f"sevrank: error: score column 'b' is too widely spread "
                        f"for {mode} normalization\n")
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_pair_difference_is_named(self, capsys, tmp_path):
+        # --mode none leaves the column as it is: 1e308 - -1e308 overflows
+        matrix = write_csv(tmp_path / "matrix.csv", ["comment_id", "a", "b"],
+                           [("p2_l", "0.1", "1e308"), ("p2_m", "0.9", "-1e308")])
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"], [("x", "y")])
+        code, out, err = run(capsys, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                             "--mode", "none", "--out-weights", tmp_path / "w.csv",
+                             "--out-blend", tmp_path / "b.csv")
+        assert (code, out) == (1, "")
+        assert err == ("sevrank: error: score column 'b' is too widely spread "
+                       "for pair differences\n")
+
 
 class TestFirstMissingSideIsNamed:
     """Both sides of pair p2 (the first data row) are missing, and so is a
@@ -1358,7 +1380,8 @@ def wide(tmp_path_factory):
     """1000 labeled texts of 24 to 64 words over a Zipfian vocabulary of
     pseudo-words, so that the model has over 10000 columns, where OpenBLAS
     splits a dot product over threads; the model trained on them under one
-    BLAS thread, with its stdout; and a 44-word text to explain."""
+    BLAS thread, with its stdout; and a 44-word and a 300-word text to
+    explain."""
     root = tmp_path_factory.mktemp("wide")
     rng = np.random.default_rng(7)
     parts = rng.integers(0, len(SYLLABLES), size=(6000, 3))
@@ -1375,7 +1398,8 @@ def wide(tmp_path_factory):
     path = write_csv(root / "labeled.csv", ["comment_id", "text", "score"], labeled)
     out = run_blas_threads(1, root, "train", "--labeled", path, "--out-prefix", root / "t1")
     return {"labeled": path, "model": root / "t1", "train_out": out,
-            "text": " ".join(words[rng.choice(len(words), size=44, p=probs)])}
+            "text": " ".join(words[rng.choice(len(words), size=44, p=probs)]),
+            "long_text": " ".join(words[rng.choice(len(words), size=300, p=probs)])}
 
 
 class TestBlasThreadsChangeNoByte:
@@ -1390,8 +1414,11 @@ class TestBlasThreadsChangeNoByte:
         assert (out, (tmp_path / "t2.pipeline").read_bytes()) == (wide["train_out"], data)
 
     def test_explain(self, wide, tmp_path):
-        assert len(wide["text"].split()) == 44
-        outputs = [run_blas_threads(threads, tmp_path, "explain", "--model-prefix",
-                                    wide["model"], "--text", wide["text"])
-                   for threads in (1, 2)]
-        assert outputs[0] == outputs[1]
+        for key, n_words in (("text", 44), ("long_text", 300)):
+            assert len(wide[key].split()) == n_words
+            outputs = [(run_blas_threads(threads, tmp_path, "explain", "--model-prefix",
+                                         wide["model"], "--text", wide[key],
+                                         "--html-out", tmp_path / f"{threads}.html"),
+                        (tmp_path / f"{threads}.html").read_bytes())
+                       for threads in (1, 2)]
+            assert outputs[0] == outputs[1], n_words

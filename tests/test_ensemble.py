@@ -157,7 +157,7 @@ class TestSurrogate:
 
     def test_rows_are_the_sides_split_into_less_and_more(self):
         matrix = matrix_of([[0.1, 1.0], [0.2, 4.0], [0.3, 9.0]])
-        diffs = ensemble._pair_diffs(matrix.comment_ids, matrix.values,
+        diffs = ensemble._pair_diffs(matrix, matrix.values,
                                      pairs_of([("c2", "c0"), ("c1", "c1")]))
         assert diffs.tobytes() == np.array([[0.1 - 0.3, 1.0 - 9.0],
                                             [0.0, 0.0]]).tobytes()

@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from sevrank.explain import ExplainConfig, Explanation, explanation_html, lime_explain
+from sevrank import explain
+from sevrank.explain import (
+    ExplainConfig,
+    Explanation,
+    explanation_html,
+    lime_explain,
+    lime_explain_masks,
+)
 
 
 class RecordingScorer:
@@ -73,6 +80,56 @@ class TestBatchedScorer:
         assert a.importances == b.importances
         assert a.intercept == b.intercept
         assert a.local_r2 == b.local_r2
+
+
+class TestMaskScorer:
+    def test_called_once_with_the_tokens_and_every_mask(self):
+        calls = []
+
+        def score_masks(tokens, masks):
+            calls.append((tokens, masks.copy()))
+            return masks @ np.arange(1.0, len(tokens) + 1)
+
+        lime_explain_masks(score_masks, "you stupid  little idiot", CONFIG)
+        [(tokens, masks)] = calls
+        assert tokens == ["you", "stupid", "little", "idiot"]
+        assert masks.dtype == np.int8 and masks.shape == (CONFIG.num_samples, 4)
+        assert (masks[0] == 1).all() and set(np.unique(masks)) == {0, 1}
+
+    def test_text_scorer_gets_each_masks_variant(self):
+        # the same scores give the same explanation, bit for bit
+        def joined(tokens, masks):
+            return [" ".join(t for t, k in zip(tokens, m) if k) for m in masks.tolist()]
+
+        seen = []
+
+        def score_masks(tokens, masks):
+            seen.append(masks)
+            return RecordingScorer()(joined(tokens, masks))
+
+        text = "you stupid little idiot you"
+        scorer = RecordingScorer()
+        by_text = lime_explain(scorer, text, CONFIG)
+        assert lime_explain_masks(score_masks, text, CONFIG) == by_text
+        assert scorer.batches == [joined(by_text.tokens, seen[0])]
+
+    def test_wrong_number_of_scores_rejected(self):
+        with pytest.raises(ValueError, match="scores for 200 variants"):
+            lime_explain_masks(lambda tokens, masks: np.zeros(3), "one two", CONFIG)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("n", [1, 2, 7, 44, 120])
+    def test_matches_lapack_on_ridge_systems(self, n):
+        # the systems _weighted_ridge solves: a weighted Gram matrix plus I
+        rng = np.random.default_rng(n)
+        z = rng.integers(0, 2, size=(300, n)).astype(float)
+        z -= z.mean(axis=0)
+        a = np.einsum("ij,ik->jk", z * rng.random(300)[:, None], z) + np.eye(n)
+        b = rng.normal(size=n)
+        got = explain._solve_spd(a, b)
+        want = np.linalg.solve(a, b)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestConstantScorer:

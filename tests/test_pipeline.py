@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevrank import features
 from sevrank.features import TfidfConfig, TfidfModel, fit_tfidf, transform
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import fit_ridge
@@ -98,3 +99,83 @@ class TestSavedWordTable:
         with_table = loaded.score(queries)
         without = Pipeline(pp, emptied, loaded.ridge).score(queries)
         assert with_table.tobytes() == without.tobytes()
+
+
+# Pipeline.score_masks agrees with Pipeline.score on the joined variants
+# to within this absolute difference (the sums run in another order; on
+# the benchmark model they were at most 1.1e-16 apart)
+MASK_TOL = 1e-12
+# tokens of texts to explain: a URL-only token, contractions, case, a
+# word the models never saw ("clownery"), one with no in-vocabulary gram
+# ("☃☃"), stemmable words, and punctuation
+MASK_TOKENS = ["you", "You", "clown", "clowns", "clowning", "http://x.co/clown",
+               "www.x.y", "They'll", "AIN'T", "it's", "über", "clownery", "☃☃", "notes!",
+               "thanks,", "dumb"]
+MODELS = {stem: fitted(PreprocessConfig(stem=stem)) for stem in (False, True)}
+
+
+def joined_variants(tokens, masks):
+    return [" ".join(tok for tok, keep in zip(tokens, mask) if keep)
+            for mask in masks.tolist()]
+
+
+def every_mask(n_tokens):
+    return ((np.arange(2 ** n_tokens)[:, None] >> np.arange(n_tokens)) & 1).astype(np.int8)
+
+
+class TestScoreMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(MASK_TOKENS), min_size=1, max_size=12),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_scores_as_the_joined_variants(self, tokens, seed, stem):
+        model = MODELS[stem]
+        masks = np.random.default_rng(seed).integers(0, 2, size=(40, len(tokens)),
+                                                     dtype=np.int8)
+        # masks first, so that unseen words enter the table through them
+        got = model.score_masks(tokens, masks)
+        np.testing.assert_allclose(got, model.score(joined_variants(tokens, masks)),
+                                   rtol=0, atol=MASK_TOL)
+
+    @pytest.mark.parametrize("stem", [False, True])
+    @pytest.mark.parametrize("tokens", [
+        ["http://x.co/clown"],                  # URL only: preprocesses to ""
+        ["They'll", "clown", "AIN'T"],          # contractions: one token, two words
+        ["clown", "you", "clown", "clown"],     # a repeated word
+        ["clownery", "you"],                    # a word the model never saw
+        ["☃☃", "dumb", "☃☃"],                   # a token with no in-vocabulary gram
+        ["Clowning", "ponies", "generalizations"],
+    ])
+    def test_every_mask_of_a_short_text(self, tokens, stem):
+        model = MODELS[stem]
+        masks = every_mask(len(tokens))
+        # masks first, so that unseen words enter the table through them
+        got = model.score_masks(tokens, masks)
+        np.testing.assert_allclose(got, model.score(joined_variants(tokens, masks)),
+                                   rtol=0, atol=MASK_TOL)
+
+    def test_the_special_tokens_are_what_they_claim(self):
+        model = fitted()  # scoring adds unseen words to a model's table
+        assert preprocess("http://x.co/clown") == ""
+        assert preprocess("They'll") == "they will"
+        assert "clownery" not in model.tfidf.word_table()[0]
+        assert features.idf_rows(model.tfidf, ["☃☃"]).nnz == 0
+        assert features.idf_rows(model.tfidf, ["clownery"]).nnz > 0
+
+    @pytest.mark.parametrize("tokens", [["you", "clown"], ["☃☃"], ["http://x.co"]])
+    def test_a_mask_with_no_gram_scores_the_intercept(self, tokens):
+        model = MODELS[False]
+        masks = np.zeros((3, len(tokens)), dtype=np.int8)
+        masks[1:] = 1
+        got = model.score_masks(tokens, masks)
+        assert got[0] == model.ridge.intercept == model.score([""])[0]
+        if tokens != ["you", "clown"]:
+            assert (got == model.ridge.intercept).all()
+
+    def test_scores_the_same_after_a_save_and_load(self, tmp_path):
+        model = MODELS[True]
+        save_pipeline(model, tmp_path / "m.pipeline")
+        loaded = load_pipeline(tmp_path / "m.pipeline")
+        tokens = ["clown", "clownery", "They'll", "clown"]
+        masks = every_mask(len(tokens))
+        assert (loaded.score_masks(tokens, masks).tobytes()
+                == model.score_masks(tokens, masks).tobytes())

@@ -3,7 +3,7 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevrank import textproc
@@ -33,6 +33,23 @@ _PIECES = st.one_of(
     st.sampled_from([" ", "\t", "\n", "\u00a0"]),
     st.text(alphabet="abdehilnostvw", min_size=1, max_size=3),
 )
+
+
+# texts whose tokens preprocess alike alone and together: URLs,
+# apostrophe runs and contractions in any case, letters that lowercase by
+# context or into two code points, and words the stemmer changes, most
+# of them followed by whitespace that str.split splits at
+_TOKEN_PIECES = st.one_of(
+    _PIECES,
+    st.sampled_from(["http://x.co/a", "HTTPS://Q", "www.A.b", "xwww.y", "http:", "://"]),
+    st.sampled_from(["''", "'''", "They'll", "AIN'T", "y'all'd've", "'tis", "o'"]),
+    st.sampled_from(["Σ", "ΟΔΟΣ", "Σ'", "ΑΣ.", "ſ", "İ", "ǅ", "ß", "ﬁ"]),
+    st.sampled_from(["running", "ponies", "generalizations", "Hopping", "caresses"]),
+)
+_SEPARATORS = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                               "\u3000", "\u2028"])
+_TOKEN_TEXTS = st.lists(st.tuples(_TOKEN_PIECES, _SEPARATORS), max_size=12).map(
+    lambda pieces: "".join(piece + sep for piece, sep in pieces))
 
 
 class TestPreprocess:
@@ -104,6 +121,22 @@ class TestPreprocess:
     @given(st.lists(_PIECES, max_size=12).map("".join))
     def test_matches_the_regex_over_the_whole_text(self, text):
         assert preprocess(text) == preprocess_whole_text(text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_TOKEN_TEXTS, st.lists(st.booleans(), min_size=24, max_size=24),
+           st.builds(PreprocessConfig, st.booleans(), st.booleans(), st.booleans(),
+                     st.booleans()))
+    @example("a http://x.co b", [True] * 24, PreprocessConfig())
+    @example("ΟΔΟΣ\x1cΣ İ\u3000They'll AIN'T", [True] * 24, PreprocessConfig())
+    @example("Running\x85ponies caresses", [True, False, True] * 8,
+             PreprocessConfig(stem=True))
+    def test_acts_on_each_token_on_its_own(self, text, keep, config):
+        # the property `Pipeline.score_masks` rests on: any subset of a
+        # text's tokens, joined by spaces, preprocesses to the tokens'
+        # non-empty results joined by spaces
+        subset = [tok for tok, kept in zip(text.split(), keep * 2) if kept]
+        parts = (preprocess(tok, config) for tok in subset)
+        assert preprocess(" ".join(subset), config) == " ".join(p for p in parts if p)
 
     def test_idempotent_on_random_strings(self):
         rng = random.Random(42)
