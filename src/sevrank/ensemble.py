@@ -166,10 +166,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _loss_from_diffs(
     weights: np.ndarray, diffs: np.ndarray, temperature: float
 ) -> tuple[float, np.ndarray]:
-    z = -(diffs @ weights) / temperature
-    # ln(1 + e^z) evaluated stably for large |z|
-    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
-    grad = -(diffs.T @ _sigmoid(z)) / (temperature * len(diffs))
+    # z may overflow to -inf, where loss and gradient terms are their exact
+    # limit 0, or to +inf, which the solver's non-finite check refuses
+    with np.errstate(over="ignore"):
+        z = -(diffs @ weights) / temperature
+        # ln(1 + e^z) evaluated stably for large |z|
+        loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+        grad = -(diffs.T @ _sigmoid(z)) / (temperature * len(diffs))
     return loss, grad
 
 

@@ -9,31 +9,30 @@ the model is independent of corpus order.
 A char-wb gram never crosses a word boundary, so a document's gram counts
 are the sum of its words' gram counts.  A word table holds, for every
 word seen, a run of int32 ids: gram ids in a `GramTable`, in-vocabulary
-columns in a `TfidfModel`.  Its walk (`_WordTable.walk`) takes CHUNK_ROWS
-texts at a time and gives each word it has not seen the next row; the
-count (`_count`) then gathers every token's ids and counts each
-document's distinct ids.
+columns in a `TfidfModel`.  Every batch, fit or transform, is counted in
+three steps: the walk (`_WordTable.walk`) gives each word the table lacks
+the next row, one `add` gives those new words their runs, and the count
+(`_WordTable.count`) counts each document's distinct ids.
 
-A fit does its text work once, as arrays.  `GramTable.split` walks the
-corpus first and splits nothing; then one vectorized kernel
-(`_split_words`) splits every distinct word at once, packing each gram's
-characters into integer keys whose sort order is the grams' lexicographic
-order, so gram ids come out already in that order and only the distinct
-grams become strings.  The table keeps each document's (gram id, count)
-runs from its one count, and `GramTable.matrix` builds the training rows
-from them: `train` and `search` never transform their own texts.  A
-table can split over a wider n-gram range than one fit needs and then
-serve every range inside it, which is how `search` fits all its trials
-from one split; `fit_tfidf` is one table and one fit.
+One vectorized kernel (`_split_words`) splits all of a batch's new words
+in one call.  It packs each gram's characters into integer keys whose
+sort order is the grams' lexicographic order, so gram ids come out
+already in that order and only the distinct grams become strings.
+
+A fit does its text work once, as arrays.  `GramTable.split` keeps each
+document's (gram id, count) runs from its one count, and
+`GramTable.matrix` builds the training rows from them: `train` and
+`search` never transform their own texts.  A table can split over a
+wider n-gram range than one fit needs and then serve every range inside
+it, which is how `search` fits all its trials from one split;
+`fit_tfidf` is one table and one fit.
 
 A fitted model knows every word of its corpus, and the `.pipeline` file
 saves its word table with it, so `transform` splits only words it has
-never seen, once per model.  It splits them with `char_wb_ngrams`, the
-reference definition, and looks their grams up in the vocabulary: a
-scoring batch holds few new words, and over so few the kernel's fixed
-cost is larger than the work it saves.  The vocabulary, the idf weights
-and each row's values are the same float64 numbers, bit for bit, as
-counting each document's grams on its own.
+never seen, once per model, and looks their distinct grams up in the
+vocabulary.  The vocabulary, the idf weights and each row's values are
+the same float64 numbers, bit for bit, as counting each document's
+`textproc.char_wb_ngrams` grams, the reference definition, on its own.
 
 `idf_rows` is that count, scaled by idf and not yet normalized; it is the
 one place a text is counted against a fitted model.  `transform`
@@ -44,11 +43,9 @@ rows of single words.
 from __future__ import annotations
 
 from itertools import chain, count, filterfalse, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-from .textproc import char_wb_ngrams
 
 __all__ = [
     "CHUNK_ROWS",
@@ -140,23 +137,22 @@ class _WordTable:
         self.offsets = np.zeros(1, dtype=np.int64)
         self.ids = np.empty(0, dtype=np.int32)
 
-    def walk(self, texts: Sequence[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
-        """Walk `texts` CHUNK_ROWS at a time, giving each word the table
-        lacks the next row.
-
-        Yields (the chunk's new words in row order, table row of each
-        token, tokens per text); the new words' runs must be added before
-        the table counts the chunk.
-        """
-        rows = self.rows
+    def walk(self, texts: Sequence[str]) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
+        """Give each word of `texts` the table lacks the next row; return
+        those new words in row order and, per CHUNK_ROWS texts, (the table
+        row of each token, tokens per text), which `count` counts once the
+        new words have their runs."""
+        rows, new, chunks = self.rows, [], []
         for start in range(0, len(texts), CHUNK_ROWS):
             split = [text.split() for text in texts[start : start + CHUNK_ROWS]]
             words = list(chain.from_iterable(split))
-            new = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
-            rows.update(zip(new, count(len(rows))))
-            yield (new,
-                   np.fromiter(map(rows.__getitem__, words), dtype=np.int32, count=len(words)),
-                   np.fromiter(map(len, split), dtype=np.int64, count=len(split)))
+            fresh = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
+            rows.update(zip(fresh, count(len(rows))))
+            new += fresh
+            chunks.append((np.fromiter(map(rows.__getitem__, words), dtype=np.int32,
+                                       count=len(words)),
+                           np.fromiter(map(len, split), dtype=np.int64, count=len(split))))
+        return new, chunks
 
     def add(self, counts: np.ndarray, ids: np.ndarray) -> None:
         """Give the last len(counts) rows their runs: row i of them owns
@@ -173,6 +169,16 @@ class _WordTable:
         """(row offsets, ids) of the words added so far, without the room."""
         offsets = self.offsets[: len(self.rows) + 1]
         return offsets, self.ids[: offsets[-1]]
+
+    def count(self, chunks: list[tuple[np.ndarray, np.ndarray]],
+              width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(entries per text, ids, counts) of the texts of the walked
+        `chunks`: `_count` of each chunk, joined."""
+        runs = [_count(self, tokens, doc_len, width) for tokens, doc_len in chunks]
+        if not runs:
+            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32),
+                    np.zeros(0, dtype=np.int32))
+        return tuple(np.concatenate(column) for column in zip(*runs))
 
 
 def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -191,10 +197,10 @@ class TfidfModel:
     The model's word table, laid out as a `GramTable`'s, holds for every
     word it knows the columns of the word's in-vocabulary grams, in
     char_wb_ngrams order with repeats.  `fit_tfidf` fills it with every
-    training word, a loaded model reads it from its file, and the walk of
-    `idf_rows` (which `transform` runs) adds each new word it meets, so a
-    word is split into grams once per model, however many batches it
-    appears in.  The table grows with the distinct words seen.
+    training word, a loaded model reads it from its file, and `idf_rows`
+    (which `transform` runs) adds each new word it meets, so a word is
+    split into grams once per model, however many batches it appears in.
+    The table grows with the distinct words seen.
     """
 
     __slots__ = ("vocabulary", "idf", "config", "_table")
@@ -258,9 +264,8 @@ class GramTable:
     same reason a gram's count in a document, and its document frequency,
     are the same in every range that holds it.
 
-    The split walks the corpus once, giving each distinct word a table
-    row, then splits all the words in one `_split_words` call; its word
-    table holds each word's gram ids, numbered in lexicographic gram
+    The split splits every distinct word in one `_split_words` call; its
+    word table holds each word's gram ids, numbered in lexicographic gram
     order, so choosing and ordering a vocabulary are array operations on
     ids.  It counts each document once and keeps the counts, so `matrix`
     builds any fit's rows without walking the text again.
@@ -308,23 +313,20 @@ class GramTable:
         if not 1 <= n_min <= n_max:
             raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
         table = _WordTable()
-        chunks = [chunk[1:] for texts in (corpus, more_texts) for chunk in table.walk(texts)]
-        grams, length, whole, per_word, ids = _split_words(list(table.rows), n_min, n_max)
+        new, chunks = table.walk([*corpus, *more_texts])
+        grams, length, whole, per_word, ids = _split_words(new, n_min, n_max)
         table.add(per_word, ids)
         del ids
-        runs = [_count(table, tokens, doc_len, len(grams)) for tokens, doc_len in chunks]
-        total = np.zeros(len(grams))
-        df = np.zeros(len(grams), dtype=np.int64)
-        for _, ids, times in runs[: -(-len(corpus) // CHUNK_ROWS)]:  # the corpus's chunks
-            total += np.bincount(ids, weights=times, minlength=len(grams))  # exact sums
-            df += np.bincount(ids, minlength=len(grams))
-        nnz, doc_ids, doc_counts = (np.concatenate(column) for column in zip(*runs))
-        del runs
+        nnz, doc_ids, doc_counts = table.count(chunks, len(grams))
+        doc_offsets = np.concatenate(([0], np.cumsum(nnz)))
+        of_corpus = slice(0, doc_offsets[len(corpus)])
+        total = np.bincount(doc_ids[of_corpus], weights=doc_counts[of_corpus],
+                            minlength=len(grams))  # integer sums below 2**53: exact
+        df = np.bincount(doc_ids[of_corpus], minlength=len(grams))
         return cls(
             n_min=n_min, n_max=n_max, n_docs=len(corpus), table=table, grams=grams,
             length=length, whole=whole, total=total, df=df,
-            doc_offsets=np.concatenate(([0], np.cumsum(nnz))), doc_ids=doc_ids,
-            doc_counts=doc_counts,
+            doc_offsets=doc_offsets, doc_ids=doc_ids, doc_counts=doc_counts,
         )
 
     def in_range(self, n_min: int, n_max: int) -> np.ndarray:
@@ -425,33 +427,21 @@ def idf_rows(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     """Raw in-vocabulary gram counts of each preprocessed text, scaled by
     idf and not normalized: the rows `transform` divides by their norms.
 
-    Documents are counted CHUNK_ROWS at a time.  A chunk's words the
-    model has not seen are split in one char_wb_ngrams call, looked up in
-    the vocabulary and added to the model's word table.
+    The batch's words the model has not seen are split in one
+    `_split_words` call; their distinct grams are looked up in the
+    vocabulary, and each word's columns are added to the model's word
+    table before the batch is counted.
     """
     vocabulary, config, table = model.vocabulary, model.config, model._table
-    row_nnz, indices, data = [], [], []
-    for new, tokens, doc_len in table.walk(texts):
-        if new:
-            grams = char_wb_ngrams(" ".join(new), config.n_min, config.n_max)
-            padded = np.fromiter(map(len, new), dtype=np.int64, count=len(new)) + 2
-            offsets = np.concatenate(([0], np.cumsum(_grams_per_word(padded, config.n_min,
-                                                                     config.n_max))))
-            columns = np.fromiter(map(vocabulary.get, grams, repeat(-1)), dtype=np.int64,
-                                  count=len(grams))
-            table.add(*_kept(columns, offsets))
-        nnz, cols, counts = _count(table, tokens, doc_len, model.dim)
-        row_nnz.append(nnz)
-        indices.append(cols)
-        data.append(counts * model.idf[cols])
-    if not row_nnz:
-        return CsrBatch(indptr=[0], indices=[], data=[], shape=(0, model.dim))
-    return CsrBatch(
-        indptr=np.concatenate(([0], np.cumsum(np.concatenate(row_nnz)))),
-        indices=np.concatenate(indices),
-        data=np.concatenate(data),
-        shape=(len(texts), model.dim),
-    )
+    new, chunks = table.walk(texts)
+    if new:
+        grams, _, _, per_word, ids = _split_words(new, config.n_min, config.n_max)
+        column = np.fromiter(map(vocabulary.get, grams, repeat(-1)), dtype=np.int64,
+                             count=len(grams))
+        table.add(*_kept(column[ids], np.concatenate(([0], np.cumsum(per_word)))))
+    nnz, indices, counts = table.count(chunks, model.dim)
+    return CsrBatch(indptr=np.concatenate(([0], np.cumsum(nnz))), indices=indices,
+                    data=counts * model.idf[indices], shape=(len(texts), model.dim))
 
 
 def _normalize(nnz: np.ndarray, values: np.ndarray) -> None:
@@ -515,6 +505,8 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
     with their two pad spaces: padded - n + 1 windows for each n in
     [n_min, min(n_max, padded - 1)], then the whole padded word once when
     n_max reaches it."""
+    cap = int(padded.max(initial=0)) + 1  # see _split_words
+    n_min, n_max = min(n_min, cap), min(n_max, cap)
     k = np.maximum(np.minimum(n_max, padded - 1) - n_min + 1, 0)
     return k * (padded + 1 - n_min) - k * (k - 1) // 2 + (padded <= n_max)
 
@@ -534,12 +526,15 @@ def _split_words(
     Only the distinct grams become strings.
     """
     padded = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
+    # no window outgrows its padded word: capping changes no gram, fits int64
+    cap = int(padded.max(initial=0)) + 1
+    n_min, n_max = min(n_min, cap), min(n_max, cap)
     per_word = _grams_per_word(padded, n_min, n_max)
     if not words:
         return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), per_word, \
             np.zeros(0, dtype=np.int32)
     # one segment per (word, window length n), then one for the whole word
-    n = np.arange(n_min, max(min(n_max, int(padded.max()) - 1), n_min - 1) + 1)
+    n = np.arange(n_min, min(n_max, int(padded.max()) - 1) + 1)
     fits = n < padded[:, None]
     seg_count = np.hstack((np.where(fits, padded[:, None] - n + 1, 0),
                            (padded <= n_max)[:, None])).ravel()

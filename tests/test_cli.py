@@ -449,6 +449,21 @@ class TestBadModelFiles:
                               pipeline_bytes(preprocess={"stem": DROP}))
         assert "bad.pipeline: manifest 'preprocess' must set exactly" in err
 
+    @pytest.mark.parametrize("tfidf", [{"n_max": 2**70}, {"n_min": 2**70, "n_max": 2**71}])
+    def test_n_gram_sizes_past_int64_score_unseen_words(self, capsys, tmp_path, tfidf):
+        # no window outgrows its padded word (at most 7 characters here), so
+        # the model scores as the one whose range is capped at 9
+        comments = write_csv(tmp_path / "c.csv", ["comment_id", "text"],
+                             [("c0", "a zebra"), ("c1", "b \U0001F600a"), ("c2", "ab")])
+        scores = []
+        for name, sizes in (("huge", tfidf), ("capped", {k: 9 for k in tfidf})):
+            (tmp_path / f"{name}.pipeline").write_bytes(pipeline_bytes(tfidf=sizes))
+            code, out, err = run(capsys, "score", "--model-prefix", tmp_path / name,
+                                 "--comments", comments, "--out", tmp_path / f"{name}.csv")
+            assert (code, out, err) == (0, "scored 3 comments\n", ""), err
+            scores.append((tmp_path / f"{name}.csv").read_bytes())
+        assert scores[0] == scores[1]
+
     def test_old_model_pair_is_not_read(self, files, capsys, tmp_path):
         (tmp_path / "bad.tfidf").write_text(
             "tfidf-v1\nconfig\tn_min=2\tn_max=3\tmax_features=9\tmin_df=1\n")
@@ -808,6 +823,22 @@ class TestOverflowingBlendColumn:
         assert err == ("sevrank: error: score column 'b' is too widely spread "
                        "for pair differences\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("less,more,code,out,err", [
+        # z = -inf: the pair's loss and gradient are their limit, 0
+        ("0", "1e308", 0, '{"accuracy": 1.0, "n_pairs": 1, "n_correct": 1, "n_ties": 0}\n', ""),
+        # z = +inf: the loss is not finite, and the solver says so
+        ("1e308", "0", 1, "", "sevrank: error: non-finite objective or gradient at iteration 0\n"),
+    ], ids=["more-toxic-side-huge", "less-toxic-side-huge"])
+    def test_a_finite_difference_near_the_float_limit(self, capsys, tmp_path, less, more,
+                                                       code, out, err):
+        matrix = write_csv(tmp_path / "matrix.csv", ["comment_id", "a", "b"],
+                           [("p2_l", "0.1", less), ("p2_m", "0.9", more)])
+        pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"], [("x", "y")])
+        assert run(capsys, "ensemble", "--matrix", matrix, "--pairs", pairs,
+                   "--mode", "none", "--out-weights", tmp_path / "w.csv",
+                   "--out-blend", tmp_path / "b.csv") == (code, out, err)
+
 
 class TestFirstMissingSideIsNamed:
     """Both sides of pair p2 (the first data row) are missing, and so is a
@@ -1128,6 +1159,26 @@ class TestTrainFlags:
         assert message in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_min", [2, 2**63 + 1])
+    def test_n_gram_sizes_past_int64(self, files, capsys, tmp_path, n_min):
+        # no window outgrows its padded word, so a range past every word
+        # trains and scores as the range capped at 200 characters does
+        comments = write_csv(tmp_path / "c.csv", ["comment_id", "text"],
+                             [("u0", "zebra quux idiot"), ("u1", "xylophone\U0001F600 you")])
+        vocabularies, scores = [], []
+        for name, sizes in (("huge", (n_min, 10**23)), ("capped", (min(n_min, 200), 200))):
+            code, _, err = run(capsys, "train", "--labeled", files["labeled"], "--out-prefix",
+                               tmp_path / name, "--n-min", sizes[0], "--n-max", sizes[1])
+            assert code == 0 and "Traceback" not in err, err
+            code, _, err = run(capsys, "score", "--model-prefix", tmp_path / name,
+                               "--comments", comments, "--out", tmp_path / f"{name}.csv")
+            assert (code, err) == (0, ""), err
+            vocabularies.append(pipeline.load_pipeline(tmp_path / f"{name}.pipeline")
+                                .tfidf.vocabulary)
+            scores.append((tmp_path / f"{name}.csv").read_bytes())
+        assert vocabularies[0] == vocabularies[1]
+        assert scores[0] == scores[1]
 
     def test_one_is_accepted(self, files, capsys, tmp_path):
         prefix = tmp_path / "model"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevrank import features
 from sevrank.features import (
     CHUNK_ROWS,
     CsrBatch,
@@ -395,6 +396,15 @@ class TestSplitWords:
         assert grams == []
         assert [len(length), len(whole), len(per_word), len(ids)] == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("n_min,n_max", [(2, 2**70), (2**63, 2**64), (7, 2**63), (5, 7)])
+    def test_ranges_past_int64(self, n_min, n_max):
+        words = ["ab", "\U0001F600xyz", "a"]
+        grams, _, _, per_word, ids = _split_words(words, n_min, n_max)
+        assert [grams[i] for i in ids.tolist()] == char_wb_ngrams(" ".join(words), n_min, n_max)
+        want = [len(char_wb_ngrams(w, n_min, n_max)) for w in words]
+        assert per_word.tolist() == want
+        assert _grams_per_word(np.array([4, 6, 3]), n_min, n_max).tolist() == want
+
     def test_n_min_above_every_padded_length(self):
         grams, _, whole, per_word, ids = _split_words(["ab", "\U0001F600"], 9, 12)
         assert grams == [" ab ", " \U0001F600 "]
@@ -494,6 +504,8 @@ class TestBatchTransform:
             "café café über",            # non-ASCII, repeated
             "日本 😀 привет the",
             "a",
+            "th\ud800e c\udfffat \ud800",  # unseen words with lone surrogates
+            "\U0001D538the 😀😀 \U0001F600a\U0001D538",  # unseen astral words
         ])
 
     def test_batch_longer_than_one_chunk(self, model):
@@ -504,7 +516,34 @@ class TestBatchTransform:
             " ".join(rng.choice(pool, size=rng.integers(0, 12)))
             for _ in range(2 * CHUNK_ROWS + 17)
         ]
+        # unseen words with a lone surrogate or an astral character, in more
+        # than one chunk
+        for i, word in enumerate(["ca\ud800t", "\udc00", "\U0001D538ber", "😀the\U0001F600"]):
+            texts[i * CHUNK_ROWS // 2] += f" {word} the {word}"
         self.assert_rows_exact(model, texts)
+
+    def test_one_split_per_batch(self, model, monkeypatch):
+        # a batch over three chunks splits all its new words in one call
+        calls = []
+
+        def counting(words, n_min, n_max):
+            calls.append(list(words))
+            return _split_words(words, n_min, n_max)
+
+        monkeypatch.setattr(features, "_split_words", counting)
+        texts = [f"the w{i % 70} cat" for i in range(2 * CHUNK_ROWS + 5)]
+        self.assert_rows_exact(model, texts)
+        assert calls == [[f"w{i}" for i in range(70)]]
+        transform(model, texts)  # no word is new the second time
+        assert len(calls) == 1
+
+    def test_word_in_two_chunks_gets_one_row(self, model):
+        texts = ["zebra the"] + ["cat"] * CHUNK_ROWS + ["the zebra zebra"]
+        n_words = model.n_words
+        self.assert_rows_exact(model, texts)
+        assert model.n_words == n_words + 1 and model.word_table()[0].count("zebra") == 1
+        assert word_columns(model)["zebra"].tolist() == [
+            model.vocabulary[g] for g in char_wb_ngrams("zebra", 2, 4) if g in model.vocabulary]
 
     def test_row_does_not_depend_on_batch(self, model):
         texts = ["the cat", "café the", "", "zzz", "the cat"]
