@@ -15,7 +15,9 @@ one `warning:` line on stderr.
 The file also holds the columns of every training word, so scoring
 splits into grams only the words the model never saw.  `train` takes
 its matrix from the fit's own count (`features.GramTable.matrix`), so
-it walks its texts once.
+it walks its texts once, and frees that count before it builds the
+model and solves, so its peak memory is the matrix plus bounded
+temporaries, not a multiple of the matrix.
 
 `search` shares work across its trials.  It preprocesses each distinct
 text once and draws every trial's hyperparameters up front.  One
@@ -195,10 +197,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     texts = [preprocess(text, pp) for text in labeled.texts]
     y = labeled.scores
-    # X comes from the fit's own count; the table is freed before the solve
+    # X comes from the fit's own count, which is freed before the model is
+    # built; the table is freed before the solve
     table = features.GramTable.split(texts, config.n_min, config.n_max)
     kept = table.select(config)
-    tfidf, X = table.model(config, kept), table.matrix(kept)
+    X = table.matrix(kept)
+    table.drop_counts()
+    tfidf = table.model(config, kept)
     del table
     ridge = regress.fit_ridge(X, y, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     _warn_unconverged(ridge.solver, "train")
@@ -335,28 +340,42 @@ def cmd_explain(args: argparse.Namespace) -> int:
         kernel_width=args.kernel_width,
         seed=args.seed,
     )
-    if args.model_prefix:
-        from . import pipeline
-        model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
-        result = explain.lime_explain_masks(model.score_masks, args.text, config)
-    else:
-        lookup = read_scores_csv(args.scores_lookup, "text")
+    try:
+        if args.model_prefix:
+            from . import pipeline
+            model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
+            result = explain.lime_explain_masks(model.score_masks, args.text, config)
+        else:
+            lookup = read_scores_csv(args.scores_lookup, "text")
 
-        def scorer(variants: list[str]) -> np.ndarray:
-            for text in variants:
-                if text not in lookup:
-                    raise ValueError(f"no lookup score for variant {text!r}")
-            return np.array([lookup[text] for text in variants])
+            def scorer(variants: list[str]) -> np.ndarray:
+                for text in variants:
+                    if text not in lookup:
+                        raise ValueError(f"no lookup score for variant {text!r}")
+                return np.array([lookup[text] for text in variants])
 
-        result = explain.lime_explain(scorer, args.text, config)
+            result = explain.lime_explain(scorer, args.text, config)
+    except explain.KernelWidthError as exc:
+        raise ValueError(f"--kernel-width: {exc}") from None
     payload = explain.explanation_json(result)
+    # encoded before anything is printed or written, so a failure leaves no
+    # empty or partial file
+    page = None
+    if args.html_out:
+        try:
+            page = (explain.explanation_html(result) + "\n").encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # the page holds the tokens in order: the first token holding
+            # the character is the one the page failed at
+            char = exc.object[exc.start]
+            token = next(tok for tok in result.tokens if char in tok)
+            raise ValueError(f"{args.html_out}: token {token!r} holds {char!r}, a lone "
+                             "surrogate, which UTF-8 cannot encode") from None
     print(payload)
     if args.json_out:
         Path(args.json_out).write_text(payload + "\n", encoding="utf-8")
-    if args.html_out:
-        Path(args.html_out).write_text(
-            explain.explanation_html(result) + "\n", encoding="utf-8"
-        )
+    if page is not None:
+        Path(args.html_out).write_bytes(page)
     return 0
 
 

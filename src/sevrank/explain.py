@@ -37,8 +37,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["ExplainConfig", "Explanation", "lime_explain", "lime_explain_masks",
-           "explanation_json", "explanation_html"]
+__all__ = ["ExplainConfig", "Explanation", "KernelWidthError", "lime_explain",
+           "lime_explain_masks", "explanation_json", "explanation_html"]
+
+
+class KernelWidthError(ValueError):
+    """A kernel width that is not > 0, or at which the kernel weights are
+    not usable: its square overflows or underflows to 0, or every
+    perturbed sample gets weight 0."""
 
 
 class ExplainConfig(NamedTuple):
@@ -46,7 +52,7 @@ class ExplainConfig(NamedTuple):
 
     kernel_width=None resolves to 0.75 * sqrt(word count) with a floor of
     1.0 at explain time; a set width must be > 0.  `lime_explain_masks`
-    checks all three.
+    checks all three, and the width again once the samples are drawn.
     """
 
     num_samples: int = 1000
@@ -98,14 +104,16 @@ def lime_explain_masks(
     (alpha=1) of the scores on the mask indicators.  The
     num_features words with the largest absolute coefficients are
     reported, most important first.  A constant scorer yields all-zero
-    importances with local_r2 = 1.0.
+    importances with local_r2 = 1.0.  A kernel width whose square is not
+    a finite number > 0, or at which every sample unlike the intact text
+    gets weight 0, raises KernelWidthError before anything is scored.
     """
     if config.num_samples < 10:
         raise ValueError("num_samples must be >= 10")
     if config.num_features < 1:
         raise ValueError("num_features must be >= 1")
     if config.kernel_width is not None and not config.kernel_width > 0:
-        raise ValueError("kernel_width must be positive")
+        raise KernelWidthError("kernel_width must be positive")
     tokens = text.split()
     n_words = len(tokens)
     if n_words == 0:
@@ -113,10 +121,29 @@ def lime_explain_masks(
     kernel_width = config.kernel_width
     if kernel_width is None:
         kernel_width = max(0.75 * math.sqrt(n_words), 1.0)
+    try:
+        width_squared = kernel_width ** 2
+    except OverflowError:
+        width_squared = math.inf
+    if not 0.0 < width_squared < math.inf:
+        raise KernelWidthError(f"kernel width {kernel_width!r} squares to "
+                               f"{width_squared!r}, not a finite number > 0")
 
     rng = np.random.default_rng(config.seed)
     masks = np.ones((config.num_samples, n_words), dtype=np.int8)
     masks[1:] = rng.integers(0, 2, size=(config.num_samples - 1, n_words), dtype=np.int8)
+
+    kept = masks.sum(axis=1)
+    # cosine similarity of a binary mask to the all-ones mask
+    similarity = np.where(kept > 0, np.sqrt(kept / n_words), 0.0)
+    distance = 1.0 - similarity
+    # d^2 / width^2 overflows only where every weight below is 0, refused
+    with np.errstate(over="ignore"):
+        sample_weight = np.exp(-(distance ** 2) / width_squared)
+    perturbed = distance > 0.0
+    if perturbed.any() and not sample_weight[perturbed].any():
+        raise KernelWidthError(f"kernel width {kernel_width!r} gives every perturbed "
+                               "sample weight 0; the fit would see the intact text alone")
 
     y = np.asarray(score_masks(tokens, masks), dtype=np.float64)
     if y.shape != (config.num_samples,):
@@ -126,12 +153,6 @@ def lime_explain_masks(
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"scorer returned a non-finite value at sample {bad[0]}")
-
-    kept = masks.sum(axis=1)
-    # cosine similarity of a binary mask to the all-ones mask
-    similarity = np.where(kept > 0, np.sqrt(kept / n_words), 0.0)
-    distance = 1.0 - similarity
-    sample_weight = np.exp(-(distance ** 2) / kernel_width ** 2)
 
     coef, intercept, local_r2 = _weighted_ridge(
         masks.astype(np.float64), y, sample_weight, alpha=1.0

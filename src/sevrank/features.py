@@ -22,7 +22,9 @@ already in that order and only the distinct grams become strings.
 A fit does its text work once, as arrays.  `GramTable.split` keeps each
 document's (gram id, count) runs from its one count, and
 `GramTable.matrix` builds the training rows from them: `train` and
-`search` never transform their own texts.  A table can split over a
+`search` never transform their own texts.  A split's temporaries are
+bounded by the distinct words, one chunk of documents and
+`BLOCK_ENTRIES` entries, never by the whole count.  A table can split over a
 wider n-gram range than one fit needs and then serve every range inside
 it, which is how `search` fits all its trials from one split;
 `fit_tfidf` is one table and one fit.
@@ -48,6 +50,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "BLOCK_ENTRIES",
     "CHUNK_ROWS",
     "CsrBatch",
     "GramTable",
@@ -61,6 +64,11 @@ __all__ = [
 # `transform`; bounds the size of the per-chunk gram arrays, whatever the
 # corpus or batch size.
 CHUNK_ROWS = 64
+
+# Stored entries that one step of a pass over a whole matrix or count
+# handles at once (`GramTable.split`'s sums, `regress.fit_ridge`'s
+# products): the pass's temporaries are this size, not the matrix's.
+BLOCK_ENTRIES = 1 << 17
 
 
 class CsrBatch:
@@ -94,7 +102,7 @@ class CsrBatch:
             return
         if indices.min() < 0 or indices.max() >= dim:
             raise ValueError("index out of range")
-        increasing = np.diff(indices) > 0
+        increasing = indices[1:] > indices[:-1]
         starts = indptr[1:-1]
         increasing[starts[(starts > 0) & (starts < nnz)] - 1] = True
         if not increasing.all():
@@ -173,12 +181,23 @@ class _WordTable:
     def count(self, chunks: list[tuple[np.ndarray, np.ndarray]],
               width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(entries per text, ids, counts) of the texts of the walked
-        `chunks`: `_count` of each chunk, joined."""
-        runs = [_count(self, tokens, doc_len, width) for tokens, doc_len in chunks]
-        if not runs:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32),
-                    np.zeros(0, dtype=np.int32))
-        return tuple(np.concatenate(column) for column in zip(*runs))
+        `chunks`: `_count` of each chunk, joined.  Each chunk's entries are
+        written as they come into arrays with room for every id of every
+        token, which bounds them, so no chunk's entries are held beside a
+        copy of them all; the room past the entries is never written."""
+        offsets = self.offsets
+        room = sum(int((offsets[tokens + 1] - offsets[tokens]).sum()) for tokens, _ in chunks)
+        nnz = np.empty(sum(len(doc_len) for _, doc_len in chunks), dtype=np.int64)
+        ids, counts = np.empty(room, dtype=np.int32), np.empty(room, dtype=np.int32)
+        texts = entries = 0
+        for tokens, doc_len in chunks:
+            chunk_nnz, chunk_ids, chunk_counts = _count(self, tokens, doc_len, width)
+            nnz[texts : texts + len(doc_len)] = chunk_nnz
+            ids[entries : entries + len(chunk_ids)] = chunk_ids
+            counts[entries : entries + len(chunk_ids)] = chunk_counts
+            texts += len(doc_len)
+            entries += len(chunk_ids)
+        return nnz, ids[:entries], counts[:entries]
 
 
 def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -268,7 +287,8 @@ class GramTable:
     word table holds each word's gram ids, numbered in lexicographic gram
     order, so choosing and ordering a vocabulary are array operations on
     ids.  It counts each document once and keeps the counts, so `matrix`
-    builds any fit's rows without walking the text again.
+    builds any fit's rows without walking the text again; `drop_counts`
+    frees them once the last matrix is built.
 
     The documents of `more_texts` are split and counted too, but their
     counts add nothing to `total` or `df`: a model fitted from the table
@@ -305,7 +325,14 @@ class GramTable:
         n_max: int,
         more_texts: Sequence[str] = (),
     ) -> GramTable:
-        """Split the words of `corpus` and `more_texts`, count over `corpus`."""
+        """Split the words of `corpus` and `more_texts`, count over `corpus`.
+
+        Beside what the table keeps, the split holds only bounded
+        temporaries: `_split_words`'s per-window arrays, which grow with
+        the distinct words, one chunk's `_count`, and the sums of `total`
+        and `df` over BLOCK_ENTRIES entries at a time.  The documents'
+        counts are written once (`_WordTable.count`), never copied.
+        """
         if isinstance(corpus, str):
             raise TypeError("a corpus is a sequence of documents, not one str")
         if len(corpus) == 0:
@@ -319,10 +346,15 @@ class GramTable:
         del ids
         nnz, doc_ids, doc_counts = table.count(chunks, len(grams))
         doc_offsets = np.concatenate(([0], np.cumsum(nnz)))
-        of_corpus = slice(0, doc_offsets[len(corpus)])
-        total = np.bincount(doc_ids[of_corpus], weights=doc_counts[of_corpus],
-                            minlength=len(grams))  # integer sums below 2**53: exact
-        df = np.bincount(doc_ids[of_corpus], minlength=len(grams))
+        # summed BLOCK_ENTRIES entries at a time, so no entry-sized cast
+        # is made; integer sums below 2**53, so exact in any order
+        total, df = np.zeros(len(grams)), np.zeros(len(grams), dtype=np.int64)
+        end = int(doc_offsets[len(corpus)])
+        for start in range(0, end, BLOCK_ENTRIES):
+            block = slice(start, min(start + BLOCK_ENTRIES, end))
+            total += np.bincount(doc_ids[block], weights=doc_counts[block],
+                                 minlength=len(grams))
+            df += np.bincount(doc_ids[block], minlength=len(grams))
         return cls(
             n_min=n_min, n_max=n_max, n_docs=len(corpus), table=table, grams=grams,
             length=length, whole=whole, total=total, df=df,
@@ -395,6 +427,11 @@ class GramTable:
             _normalize(nnz[row : row + CHUNK_ROWS], data[rows])
         return CsrBatch(indptr=indptr, indices=indices, data=data,
                         shape=(len(nnz), len(kept)))
+
+    def drop_counts(self) -> None:
+        """Free the documents' counts, once every `matrix` needed is built;
+        `matrix` cannot be called after, `select` and `model` still can."""
+        self._doc_offsets = self._doc_ids = self._doc_counts = None
 
     def _idf(self, kept: np.ndarray) -> np.ndarray:
         """ln((1 + N) / (1 + df)) + 1 of each gram `kept`, N the corpus size;
@@ -523,7 +560,9 @@ def _split_words(
     window (start, length) over the padded words' code points; its
     characters, coded as their rank in the alphabet plus one (0 past the
     gram's end), are packed into int64 keys that sort as the grams do.
-    Only the distinct grams become strings.
+    Only the distinct grams become strings.  The per-window positions
+    and lengths are int32 wherever that holds them, and every per-window
+    array is freed as soon as it is used.
     """
     padded = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
     # no window outgrows its padded word: capping changes no gram, fits int64
@@ -544,9 +583,11 @@ def _split_words(
     word_start = np.cumsum(padded) - padded
     # the windows, in emission order: word, n ascending, position, whole word
     total = int(seg_count.sum())
+    at = np.int32 if max(total, int(padded.sum()) + cap) < 2**31 else np.int64
     first = np.cumsum(seg_count) - seg_count
-    start = np.repeat(np.repeat(word_start, len(n) + 1) - first, seg_count) + np.arange(total)
-    length = np.repeat(seg_length, seg_count)
+    start = np.repeat((np.repeat(word_start, len(n) + 1) - first).astype(at), seg_count)
+    start += np.arange(total, dtype=at)
+    length = np.repeat(seg_length.astype(at), seg_count)
     whole = np.repeat(seg_whole.ravel(), seg_count)
     del first, seg_count, seg_length, seg_whole
 
@@ -563,19 +604,26 @@ def _split_words(
         key = np.zeros(total, dtype=np.int64)
         for j in range(slot, min(slot + per_key, longest)):
             key <<= bits
-            key |= code[start + j] * (length > j)
+            char = code[start + j]
+            char *= length > j
+            key |= char
+            del char
         keys.append(key)
-    del code
+    del code, key
 
     order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
     new_gram = np.zeros(total, dtype=bool)  # in sorted order, a key unlike the last
     new_gram[0] = True
-    for key in keys:
-        key = key[order]
+    while keys:
+        key = keys.pop()[order]
         new_gram[1:] |= key[1:] != key[:-1]
-    del keys
+        del key
     ids = np.empty(total, dtype=np.int32)
-    ids[order] = np.cumsum(new_gram) - 1
+    sorted_ids = np.cumsum(new_gram, dtype=np.int32)
+    sorted_ids -= 1
+    ids[order] = sorted_ids
+    del sorted_ids
     firsts = order[new_gram]
+    del order, new_gram
     grams = [text[a : a + b] for a, b in zip(start[firsts].tolist(), length[firsts].tolist())]
-    return grams, length[firsts], whole[firsts], per_word, ids
+    return grams, length[firsts].astype(np.int64), whole[firsts], per_word, ids

@@ -8,11 +8,19 @@ least squares problem on the centered targets,
 by conjugate gradient.  Only y is centered; X is left as-is to preserve
 sparsity, so the solution differs from implementations that also center
 the design matrix (see fit_ridge).  Matrix products are formed as
-X^T (X p) on the fly; X^T X is never materialized.
+X^T (X p) on the fly, straight from X's CSR arrays; X^T X is never
+materialized.  A product walks X in blocks of whole rows holding at most
+`features.BLOCK_ENTRIES` stored entries (a longer row is a block alone):
+per block, X p is one `features.row_sums` of the block's entries times
+p, and X^T (X p) one `np.bincount` of them, added into one vector of the
+model's dimension.  So the fit holds X, a few vectors of its dimension
+or row count, and temporaries of one block, never a copy the size of X.
 
-Every sum, from a row's score to CG's inner products, is a fixed-order
-`features.row_sums`: a row predicts to the same bits alone or in any
-batch, and no result depends on the BLAS thread count.
+Every sum, from a row's score to CG's inner products, is in a fixed
+order: row sums and inner products are `features.row_sums`, and the
+column sums are per block, added block by block.  A row predicts to the
+same bits alone or in any batch, and no result depends on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import features
 from .features import CsrBatch, row_sums
 
 __all__ = ["CgReport", "RidgeModel", "fit_ridge", "predict", "ridge_objective"]
@@ -83,19 +92,17 @@ def fit_ridge(
 
     intercept = float(y_arr.mean())
     yc = y_arr - intercept
-    # COO view of X: (row, col, value) per stored entry
-    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(X.indptr))
-    col = X.indices.astype(np.int64)
-    val = X.data
+    blocks = _row_blocks(X)
 
     def matvec(p: np.ndarray) -> np.ndarray:
         # (X^T X + alpha I) p without forming X^T X
-        xp = np.bincount(row, weights=val * p[col], minlength=n)
-        return np.bincount(col, weights=val * xp[row], minlength=dim) + alpha * p
+        out = _transposed_product(blocks, _product(blocks, p, n), dim)
+        out += alpha * p
+        return out
 
     # overflow and nan are caught below, by value; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        b = np.bincount(col, weights=val * yc[row], minlength=dim)
+        b = _transposed_product(blocks, yc, dim)
         b_norm = math.sqrt(_dot(b, b))
         if not math.isfinite(b_norm):
             raise ValueError(f"X^T (y - mean(y)) has norm {b_norm}; "
@@ -137,9 +144,9 @@ def predict(model: RidgeModel, X: CsrBatch) -> np.ndarray:
         raise ValueError(
             f"batch dim {X.shape[1]} does not match model dim {len(model.weights)}"
         )
-    products = model.weights[X.indices]
-    products *= X.data
-    return row_sums(products, np.diff(X.indptr)) + model.intercept
+    scores = _product(_row_blocks(X), model.weights, X.shape[0])
+    scores += model.intercept
+    return scores
 
 
 def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float:
@@ -148,6 +155,47 @@ def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float
     yc = y_arr - model.intercept
     resid = predict(model, X) - model.intercept - yc
     return _dot(resid, resid) + model.alpha * _dot(model.weights, model.weights)
+
+
+def _row_blocks(X: CsrBatch) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, entries per row, columns, values) of consecutive blocks of
+    X's rows, each holding at most features.BLOCK_ENTRIES entries or one
+    longer row; the arrays are views of X's."""
+    indptr, limit, n = X.indptr, features.BLOCK_ENTRIES, X.shape[0]
+    nnz = np.diff(indptr)
+    blocks, first = [], 0
+    while first < n:
+        # the last row boundary within limit entries, at least one row on
+        last = int(np.searchsorted(indptr, indptr[first] + limit, side="right")) - 1
+        last = min(max(last, first + 1), n)
+        entries = slice(indptr[first], indptr[last])
+        blocks.append((slice(first, last), nnz[first:last], X.indices[entries],
+                       X.data[entries]))
+        first = last
+    return blocks
+
+
+def _product(blocks: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]],
+             v: np.ndarray, n: int) -> np.ndarray:
+    """X v, for the `_row_blocks` of X's n rows: one `row_sums` per block."""
+    out = np.empty(n)
+    for rows, nnz, cols, vals in blocks:
+        products = v[cols]
+        products *= vals
+        out[rows] = row_sums(products, nnz)
+    return out
+
+
+def _transposed_product(blocks: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]],
+                        u: np.ndarray, dim: int) -> np.ndarray:
+    """X^T u, for the `_row_blocks` of X and one value of u per row: one
+    weighted `np.bincount` per block, added in block order."""
+    out = np.zeros(dim)
+    for rows, nnz, cols, vals in blocks:
+        weights = np.repeat(u[rows], nnz)
+        weights *= vals
+        out += np.bincount(cols, weights=weights, minlength=dim)
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -215,6 +215,32 @@ class TestExplain:
                                    [w for _, w in by_text.importances], rtol=0, atol=1e-12)
         assert result.local_r2 == pytest.approx(by_text.local_r2, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("width, why", [
+        ("1e155", "squares to inf"), ("1e-300", "squares to 0.0"),
+        ("1e-160", "gives every perturbed sample weight 0"),
+    ])
+    def test_unusable_kernel_width_names_the_flag(self, files, capsys, tmp_path, recwarn,
+                                                  width, why):
+        code, out, err = run(capsys, "explain", "--model-prefix", files["model"],
+                             "--text", "you stupid clown", "--kernel-width", width,
+                             "--json-out", tmp_path / "x.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("sevrank: error: --kernel-width: ") and why in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "x.json").exists()
+
+    def test_html_out_of_a_lone_surrogate_names_file_and_token(self, files, capsys, tmp_path):
+        # an argv byte that is not UTF-8 reaches the text as a lone surrogate
+        page = tmp_path / "x.html"
+        code, out, err = run(capsys, "explain", "--model-prefix", files["model"],
+                             "--text", "you caf\udce9 clown", "--num-samples", "20",
+                             "--json-out", tmp_path / "x.json", "--html-out", page)
+        assert (code, out) == (1, "")
+        assert err == (f"sevrank: error: {page}: token 'caf\\udce9' holds '\\udce9', "
+                       "a lone surrogate, which UTF-8 cannot encode\n")
+        assert not page.exists() and not (tmp_path / "x.json").exists()
+
     def lookup(self, tmp_path, scores):
         return write_csv(tmp_path / "lookup.csv", ["text", "score"], scores.items())
 
@@ -643,29 +669,34 @@ def golden(tmp_path_factory):
 
 
 def float_platform():
-    """Digest of a few float64 results that differ between platforms whose
-    log or BLAS dot kernels differ: the golden digests below hold where
-    this equals GOLDEN_PLATFORM."""
-    x = np.sin(np.arange(6000.0))
+    """Digest of a few float64 results of the kernels `train` rounds with,
+    which may differ between platforms: np.log (idf), np.add.reduceat
+    (`features.row_sums`: row norms, scores and CG inner products) and
+    weighted np.bincount (CG's column sums).  The golden digests below hold
+    where this equals GOLDEN_PLATFORM.  The inputs are made by exactly
+    rounded operations, so they are the same bits everywhere."""
+    x = (np.arange(6000.0) * 0.7548776662466927) % 1.0 - 0.5
     parts = [np.log(np.arange(1.0, 300.0) / 7.0)]
-    parts += [np.array([x[:n] @ x[:n], np.linalg.norm(x[:n])]) for n in (7, 33, 1000, 5999)]
+    for n in (7, 33, 1000, 5999):
+        parts += [np.add.reduceat(x[:n] * x[:n], [0, n // 3]),
+                  np.bincount(np.arange(n) % 7, weights=x[:n], minlength=7)]
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
 
 
-GOLDEN_PLATFORM = "01b7080edb086181"
+GOLDEN_PLATFORM = "885564cbdb9aaf29"
 
 # train flags -> (sha256 of the .pipeline file, stdout)
 GOLDEN_TRAIN = {
-    "3-5": ((), "caf4795b4a95d93097e2fa2982e5fca904098c88b24521591a1a51450480dc8c",
-            "training objective: 3.6765147620414913\n"),
+    "3-5": ((), "eb12c086a92ad356a27920f05a049e3190b6179c539cee0b375707c9f4a4f8e9",
+            "training objective: 3.676514762041491\n"),
     "1-7-max500": (("--n-min", "1", "--n-max", "7", "--max-features", "500"),
-                   "c8744e0621febeb5e2c632d3a1252d80bbfc96a969ab9e4841c055d09d829861",
-                   "training objective: 4.163331232528511\n"),
+                   "314124f0e43cd958e80e467a7512928c223115e9e17ced8e5a0d18505fc8aa70",
+                   "training objective: 4.1633312325285114\n"),
     "min-df-2": (("--min-df", "2"),
-                 "5a235ea90250867193b00f6017d358269293f9b2f8a3bdb956089b59f64a01a1",
-                 "training objective: 3.6765147620414913\n"),
-    "stem": (("--stem",), "6618a675aeed4971e75ba1aa6b6106e1c411c95b16af4680f45dc0fd556b1000",
-             "training objective: 3.6568954078456555\n"),
+                 "f4d02a12b09bca55c2dde55b0de43e4e50a4e3f8c67009a703a936f7964710fd",
+                 "training objective: 3.676514762041491\n"),
+    "stem": (("--stem",), "d911dc3963648399afbbc7c391fb47a68a961be3715152ae9c13d321e6f4abf5",
+             "training objective: 3.6568954078456564\n"),
 }
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,29 @@ class TestConfig:
     def test_kernel_width_must_be_positive(self, width):
         with pytest.raises(ValueError, match="kernel_width must be positive"):
             lime_explain(RecordingScorer(), "a b", ExplainConfig(kernel_width=width))
+
+    @pytest.mark.parametrize("width, message", [
+        (1e155, "squares to inf"), (1e-300, "squares to 0.0"),
+        (1e-160, "gives every perturbed sample weight 0"),
+        (1e-4, "gives every perturbed sample weight 0"),
+    ])
+    def test_kernel_width_whose_weights_are_unusable(self, width, message):
+        # refused by value, before scoring, without a numpy warning
+        scorer = RecordingScorer()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(explain.KernelWidthError, match=message):
+                lime_explain(scorer, "you stupid idiot", CONFIG._replace(kernel_width=width))
+        assert scorer.batches == []
+
+    @pytest.mark.parametrize("width", [1e-2, 1.0, 1e100, 1.3e154])
+    def test_kernel_widths_with_usable_weights(self, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lime_explain(RecordingScorer(), "you stupid idiot",
+                                  CONFIG._replace(kernel_width=width))
+        assert all(np.isfinite(w) for _, w in result.importances)
+        assert 0.0 <= result.local_r2 <= 1.0
 
     @pytest.mark.parametrize("config, message", [
         (ExplainConfig(num_samples=9), "num_samples must be >= 10"),

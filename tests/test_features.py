@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -334,6 +335,29 @@ class TestGramTable:
                 assert got.shape == want.shape
                 for name in ("indptr", "indices", "data"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_split_holds_no_temporary_half_the_size_of_its_count(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pool = [f"w{i}x{i * 7 % 13}" for i in range(150)]
+        corpus = [" ".join(rng.choice(pool, size=12)) for _ in range(800)]
+        # chunks of 8 documents and sums over 1024 entries: each temporary
+        # is far smaller than the count that the table keeps
+        monkeypatch.setattr(features, "CHUNK_ROWS", 8)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 1024)
+        tracemalloc.start()
+        try:
+            table = GramTable.split(corpus, 3, 5)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        X = table.matrix(np.arange(len(table.grams)))
+        assert X.nnz > 20 * 1024
+        assert peak - held < X.data.nbytes / 2
+        # the sums over slices are the sums over all entries at once
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 1 << 30)
+        whole = GramTable.split(corpus, 3, 5)
+        assert table.total.tobytes() == whole.total.tobytes()
+        assert table.df.tobytes() == whole.df.tobytes()
 
     def test_documents_without_words(self):
         table = GramTable.split(["", " ", "\n"], 1, 3, [""])

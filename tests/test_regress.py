@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sevrank import features
 from sevrank.features import CsrBatch, TfidfConfig, TfidfModel, row_sums
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import (
     CgReport,
     RidgeModel,
+    _row_blocks,
     fit_ridge,
     predict,
     ridge_objective,
@@ -185,6 +189,72 @@ class TestFitRidge:
         model = fit_ridge(dense_rows(SINGLE_FEATURE), [5.0, 5.0, 5.0], alpha=1.0)
         np.testing.assert_array_equal(model.weights, 0.0)
         assert model.intercept == 5.0
+
+
+def random_rows(seed, n, dim, density):
+    """A CSR batch of n rows over dim columns, each entry stored with
+    probability `density`, and n targets."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, dim)) * (rng.random((n, dim)) < density)
+    return dense, dense_rows(dense), rng.normal(size=n)
+
+
+class TestRowBlocks:
+    """`fit_ridge` and `predict` walk X in blocks of whole rows of at most
+    features.BLOCK_ENTRIES entries; a longer row is a block alone."""
+
+    def test_fit_holds_no_temporary_half_the_size_of_x(self, monkeypatch):
+        _, X, y = random_rows(21, 1000, 400, 0.2)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 2048)
+        assert len(_row_blocks(X)) >= 30
+        tracemalloc.start()
+        try:
+            fit_ridge(X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.data.nbytes / 2
+
+    def test_many_blocks_agree_with_one(self, monkeypatch):
+        _, X, y = random_rows(22, 300, 60, 0.3)
+        one = fit_ridge(X, y, alpha=0.1)
+        assert len(_row_blocks(X)) == 1
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 64)
+        assert len(_row_blocks(X)) > 50
+        many = fit_ridge(X, y, alpha=0.1)
+        # the column sums are added block by block: the weights agree to
+        # within the stated tolerance, not bit for bit
+        np.testing.assert_allclose(many.weights, one.weights, rtol=0,
+                                   atol=1e-12 * np.abs(one.weights).max())
+        assert many.solver.converged and one.solver.converged
+        # a prediction sums each row on its own: the same bits in any block
+        many_predictions = predict(one, X)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 1 << 30)
+        assert many_predictions.tobytes() == predict(one, X).tobytes()
+
+    def test_row_longer_than_a_block_still_fits(self, monkeypatch):
+        dense, _, y = random_rows(23, 7, 30, 0.2)
+        dense[3] = np.arange(1.0, 31.0) / 30.0
+        X = dense_rows(dense)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 8)
+        blocks = _row_blocks(X)
+        rows = [block[0] for block in blocks]
+        assert rows[0].start == 0 and rows[-1].stop == 7
+        assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+        assert all(len(cols) <= 8 or rows.stop - rows.start == 1
+                   for rows, _, cols, _ in blocks)
+        assert any(len(cols) == 30 for _, _, cols, _ in blocks)
+        model = fit_ridge(X, y, alpha=1.0, tol=1e-12)
+        np.testing.assert_allclose(model.weights, oracle_solve(dense, y, 1.0), atol=1e-9)
+
+    def test_empty_rows_between_blocks(self, monkeypatch):
+        dense, _, y = random_rows(24, 12, 5, 0.8)
+        dense[[0, 5, 6, 11]] = 0.0
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 3)
+        model = fit_ridge(dense_rows(dense), y, alpha=1.0, tol=1e-12)
+        np.testing.assert_allclose(model.weights, oracle_solve(dense, y, 1.0), atol=1e-9)
+        np.testing.assert_allclose(predict(model, dense_rows(dense)),
+                                   dense @ model.weights + model.intercept, atol=1e-12)
 
 
 class TestPredict:
