@@ -3,8 +3,10 @@
 Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
 outputs, whatever the BLAS thread count.  Every command that scores text
-with a saved model goes through `pipeline.Pipeline.score`, except
-`explain`, whose word-drop variants the model scores as keep masks
+with a saved model goes through `pipeline.Pipeline.score`, which scores
+a whole batch in one pass (each distinct token preprocessed once, the
+words the model never saw split in one call), except `explain`, whose
+word-drop variants the model scores as keep masks
 (`pipeline.Pipeline.score_masks`).  Exit codes: 0 on success, 1 on
 runtime failure, 2 on usage errors.  A ridge fit whose conjugate
 gradient, or a blend fit whose L-BFGS, stops before its tolerance prints
@@ -15,14 +17,15 @@ one `warning:` line on stderr.
 The file also holds the columns of every training word, so scoring
 splits into grams only the words the model never saw.  `train` takes
 its matrix from the fit's own count (`features.GramTable.matrix`), so
-it walks its texts once, and frees that count before it builds the
+it walks its raw texts once, preprocessing each distinct token once
+(`textproc.preprocess_tokens`), and frees that count before it builds the
 model and solves, so its peak memory is the matrix plus bounded
 temporaries, not a multiple of the matrix.
 
-`search` shares work across its trials.  It preprocesses each distinct
-text once and draws every trial's hyperparameters up front.  One
-`features.GramTable` then splits every word of the training and pair
-texts once, over the union of the drawn n-gram ranges, and counts each
+`search` shares work across its trials.  It draws every trial's
+hyperparameters up front.  One `features.GramTable` then preprocesses
+each distinct token of the training and pair texts once, splits every
+word once, over the union of the drawn n-gram ranges, and counts each
 text once; each trial only selects its vocabulary from the table.
 Trials whose (n-gram range, kept grams) are equal share one training
 matrix and one matrix of the distinct pair texts, both built from the
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import json
 import math
 import sys
@@ -50,7 +54,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import corpus, evaluate
-from .textproc import PreprocessConfig, preprocess
+# `preprocess` is bound here, unused, so that a tracer patching it in this
+# module (bench/spans.py) finds it
+from .textproc import PreprocessConfig, preprocess, preprocess_tokens  # noqa: F401
 
 if TYPE_CHECKING:
     from . import features, optim, regress
@@ -195,11 +201,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         n_min=args.n_min, n_max=args.n_max,
         max_features=args.max_features, min_df=args.min_df,
     )
-    texts = [preprocess(text, pp) for text in labeled.texts]
     y = labeled.scores
     # X comes from the fit's own count, which is freed before the model is
     # built; the table is freed before the solve
-    table = features.GramTable.split(texts, config.n_min, config.n_max)
+    table = features.GramTable.split(labeled.texts, config.n_min, config.n_max,
+                                     prep=functools.partial(preprocess_tokens, config=pp))
     kept = table.select(config)
     X = table.matrix(kept)
     table.drop_counts()
@@ -283,11 +289,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.labeled}: no training examples")
     pairs = corpus.load_pairs(args.pairs)
     pp = _preprocess_config(args)
-    # preprocess every distinct text once, ahead of the trials
-    texts = [preprocess(text, pp) for text in labeled.texts]
     y = labeled.scores
     slot = {t: i for i, t in enumerate(dict.fromkeys(pairs.texts))}
-    pair_texts = [preprocess(t, pp) for t in slot]
     side_slots = np.fromiter(map(slot.__getitem__, pairs.texts), dtype=np.int64,
                              count=len(pairs.texts))
     rng = np.random.default_rng(args.seed)
@@ -298,11 +301,13 @@ def cmd_search(args: argparse.Namespace) -> int:
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
         trials.append((features.TfidfConfig(n_min=n_min, n_max=n_max,
                                              max_features=max_features), alpha))
-    # Every word is split once, over all drawn ranges.  Trials whose
-    # vocabularies are equal share one training matrix and one matrix of
-    # the pair texts, kept until the last trial that uses them.
-    table = features.GramTable.split(texts, min(c.n_min for c, _ in trials),
-                                     max(c.n_max for c, _ in trials), pair_texts)
+    # Every distinct token is preprocessed once and every word split once,
+    # over all drawn ranges.  Trials whose vocabularies are equal share one
+    # training matrix and one matrix of the distinct pair texts, kept until
+    # the last trial that uses them.
+    table = features.GramTable.split(labeled.texts, min(c.n_min for c, _ in trials),
+                                     max(c.n_max for c, _ in trials), list(slot),
+                                     functools.partial(preprocess_tokens, config=pp))
     key_of = {config: (config.n_min, config.n_max, table.select(config).tobytes())
               for config, _ in trials}
     last_use = {key_of[config]: trial for trial, (config, _) in enumerate(trials)}
@@ -357,6 +362,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             result = explain.lime_explain(scorer, args.text, config)
     except explain.KernelWidthError as exc:
         raise ValueError(f"--kernel-width: {exc}") from None
+    except explain.SampleCountError as exc:
+        raise ValueError(f"--num-samples: {exc}") from None
     payload = explain.explanation_json(result)
     # encoded before anything is printed or written, so a failure leaves no
     # empty or partial file
@@ -466,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--scores-lookup",
                      help="CSV text,score mapping every masked variant to a score")
     p.add_argument("--text", type=_non_blank, required=True)
-    p.add_argument("--num-samples", type=_int_at_least(10), default=1000)
+    p.add_argument("--num-samples", type=_int_at_least(10), default=1000,
+                   help="perturbed samples to draw, 10 to 100000 (default 1000)")
     p.add_argument("--num-features", type=_int_at_least(1), default=10)
     p.add_argument("--kernel-width", type=_positive_float, default=None)
     p.add_argument("--json-out")

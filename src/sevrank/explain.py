@@ -37,8 +37,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["ExplainConfig", "Explanation", "KernelWidthError", "lime_explain",
-           "lime_explain_masks", "explanation_json", "explanation_html"]
+__all__ = ["ExplainConfig", "Explanation", "KernelWidthError", "MAX_SAMPLES",
+           "SampleCountError", "lime_explain", "lime_explain_masks", "explanation_json",
+           "explanation_html"]
+
+# The most perturbed samples one explanation draws: 100 times the CLI's
+# default.  Its masks and fit hold a few float64 copies of the
+# (samples x words) mask matrix, so a larger count would ask for more
+# memory than a host is likely to have.
+MAX_SAMPLES = 100_000
 
 
 class KernelWidthError(ValueError):
@@ -47,8 +54,13 @@ class KernelWidthError(ValueError):
     perturbed sample gets weight 0."""
 
 
+class SampleCountError(ValueError):
+    """A num_samples above MAX_SAMPLES."""
+
+
 class ExplainConfig(NamedTuple):
-    """num_samples perturbations (>= 10), top num_features words reported (>= 1).
+    """num_samples perturbations (>= 10, <= MAX_SAMPLES), top num_features
+    words reported (>= 1).
 
     kernel_width=None resolves to 0.75 * sqrt(word count) with a floor of
     1.0 at explain time; a set width must be > 0.  `lime_explain_masks`
@@ -104,12 +116,16 @@ def lime_explain_masks(
     (alpha=1) of the scores on the mask indicators.  The
     num_features words with the largest absolute coefficients are
     reported, most important first.  A constant scorer yields all-zero
-    importances with local_r2 = 1.0.  A kernel width whose square is not
+    importances with local_r2 = 1.0.  A num_samples above MAX_SAMPLES
+    raises SampleCountError, and a kernel width whose square is not
     a finite number > 0, or at which every sample unlike the intact text
     gets weight 0, raises KernelWidthError before anything is scored.
     """
     if config.num_samples < 10:
         raise ValueError("num_samples must be >= 10")
+    if config.num_samples > MAX_SAMPLES:
+        raise SampleCountError(f"{config.num_samples} samples is above the limit of "
+                               f"{MAX_SAMPLES}")
     if config.num_features < 1:
         raise ValueError("num_features must be >= 1")
     if config.kernel_width is not None and not config.kernel_width > 0:

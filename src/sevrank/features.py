@@ -12,7 +12,16 @@ word seen, a run of int32 ids: gram ids in a `GramTable`, in-vocabulary
 columns in a `TfidfModel`.  Every batch, fit or transform, is counted in
 three steps: the walk (`_WordTable.walk`) gives each word the table lacks
 the next row, one `add` gives those new words their runs, and the count
-(`_WordTable.count`) counts each document's distinct ids.
+(`_count`, per CHUNK_ROWS documents) counts each document's distinct ids.
+The count sorts keys doc * width + id, as int32 wherever the chunk's
+rows times the width stay below 2**31, as int64 otherwise.
+
+A walk can take raw texts and a `Prep`, the per-token preprocessing: it
+then preprocesses each distinct whitespace token of the batch once and
+gives the text the words of its tokens' forms.  Preprocessing acts on
+each token on its own, so these are the words of the preprocessed text,
+and the table, the counts and every row are the same as walking the
+preprocessed texts.
 
 One vectorized kernel (`_split_words`) splits all of a batch's new words
 in one call.  It packs each gram's characters into integer keys whose
@@ -36,16 +45,18 @@ vocabulary.  The vocabulary, the idf weights and each row's values are
 the same float64 numbers, bit for bit, as counting each document's
 `textproc.char_wb_ngrams` grams, the reference definition, on its own.
 
-`idf_rows` is that count, scaled by idf and not yet normalized; it is the
-one place a text is counted against a fitted model.  `transform`
-normalizes its rows, and `pipeline.Pipeline.score_masks` combines the
-rows of single words.
+`idf_rows` is that count, scaled by idf and not yet normalized, of a
+whole batch; `transform` normalizes its rows, and
+`pipeline.Pipeline.score_masks` combines the rows of single tokens.
+`transform_chunks` gives `transform`'s rows CHUNK_ROWS texts at a time,
+after one walk and one split of the whole batch, so that
+`pipeline.Pipeline.score` holds one chunk's rows at a time.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count, filterfalse, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,10 +71,14 @@ __all__ = [
     "transform",
 ]
 
-# Documents counted together in one array pass of `fit_tfidf` and
-# `transform`; bounds the size of the per-chunk gram arrays, whatever the
-# corpus or batch size.
+# Documents counted together in one array pass of `fit_tfidf`,
+# `transform` and `transform_chunks`; bounds the size of the per-chunk
+# gram arrays, whatever the corpus or batch size.
 CHUNK_ROWS = 64
+
+# The form of each of a list of whitespace-free tokens, its words joined
+# by single spaces (`textproc.preprocess_tokens` with a config bound)
+Prep = Callable[[list[str]], Sequence[str]]
 
 # Stored entries that one step of a pass over a whole matrix or count
 # handles at once (`GramTable.split`'s sums, `regress.fit_ridge`'s
@@ -145,21 +160,52 @@ class _WordTable:
         self.offsets = np.zeros(1, dtype=np.int64)
         self.ids = np.empty(0, dtype=np.int32)
 
-    def walk(self, texts: Sequence[str]) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
+    def walk(self, texts: Sequence[str], prep: Prep | None = None
+             ) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
         """Give each word of `texts` the table lacks the next row; return
         those new words in row order and, per CHUNK_ROWS texts, (the table
-        row of each token, tokens per text), which `count` counts once the
-        new words have their runs."""
+        row of each word, words per text), which `count` counts once the
+        new words have their runs.
+
+        A text's words are its whitespace-separated tokens, or with `prep`
+        the words of its tokens' forms: prep(tokens) returns the form of
+        each token of a list, its words joined by single spaces.  Each chunk
+        passes `prep` the tokens no earlier chunk held, so a walk
+        preprocesses each distinct token once.
+        """
         rows, new, chunks = self.rows, [], []
+        number: dict[str, int] = {}  # each distinct token, numbered as first met
+        words_per_token: list[int] = []
+        token_rows: list[int] = []  # the rows of each token's words, token after token
         for start in range(0, len(texts), CHUNK_ROWS):
             split = [text.split() for text in texts[start : start + CHUNK_ROWS]]
-            words = list(chain.from_iterable(split))
-            fresh = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
-            rows.update(zip(fresh, count(len(rows))))
-            new += fresh
-            chunks.append((np.fromiter(map(rows.__getitem__, words), dtype=np.int32,
-                                       count=len(words)),
+            tokens = list(chain.from_iterable(split))
+            fresh = list(filterfalse(number.__contains__, dict.fromkeys(tokens)))
+            number.update(zip(fresh, count(len(number))))
+            if prep:
+                # a form's words are joined by single spaces
+                forms = prep(fresh)
+                words = " ".join(forms).split()
+                words_per_token += (form.count(" ") + 1 if form else 0 for form in forms)
+            else:
+                words = fresh
+                words_per_token += repeat(1, len(fresh))
+            unseen = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
+            rows.update(zip(unseen, count(len(rows))))
+            new += unseen
+            token_rows += map(rows.__getitem__, words)
+            chunks.append((np.fromiter(map(number.__getitem__, tokens), dtype=np.int32,
+                                       count=len(tokens)),
                            np.fromiter(map(len, split), dtype=np.int64, count=len(split))))
+        # each token by its words' rows, each text by its tokens' words
+        per_token = np.array(words_per_token, dtype=np.int64)
+        first = np.cumsum(per_token) - per_token
+        token_rows = np.array(token_rows, dtype=np.int32)
+        for i, (tokens, n_tokens) in enumerate(chunks):
+            k = per_token[tokens]
+            at = np.repeat(first[tokens] - (np.cumsum(k) - k), k) + np.arange(int(k.sum()))
+            text_starts = np.concatenate(([0], np.cumsum(n_tokens)))
+            chunks[i] = (token_rows[at], _in_groups(k, text_starts))
         return new, chunks
 
     def add(self, counts: np.ndarray, ids: np.ndarray) -> None:
@@ -324,8 +370,14 @@ class GramTable:
         n_min: int,
         n_max: int,
         more_texts: Sequence[str] = (),
+        prep: Prep | None = None,
     ) -> GramTable:
         """Split the words of `corpus` and `more_texts`, count over `corpus`.
+
+        With `prep`, the documents are raw and their words those of their
+        tokens' forms, each distinct token preprocessed once
+        (`_WordTable.walk`): the table is the one of the preprocessed
+        documents.
 
         Beside what the table keeps, the split holds only bounded
         temporaries: `_split_words`'s per-window arrays, which grow with
@@ -340,7 +392,7 @@ class GramTable:
         if not 1 <= n_min <= n_max:
             raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
         table = _WordTable()
-        new, chunks = table.walk([*corpus, *more_texts])
+        new, chunks = table.walk([*corpus, *more_texts], prep)
         grams, length, whole, per_word, ids = _split_words(new, n_min, n_max)
         table.add(per_word, ids)
         del ids
@@ -460,25 +512,53 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
     return batch
 
 
-def idf_rows(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
+def transform_chunks(model: TfidfModel, texts: Sequence[str],
+                     prep: Prep) -> Iterator[CsrBatch]:
+    """`transform`'s rows of the raw `texts` preprocessed by `prep`,
+    CHUNK_ROWS texts per batch, in order.
+
+    A text's words are those of its tokens' forms (`_WordTable.walk`).
+    The whole input is walked, and its new words split, before the
+    first batch; each batch is then counted on its own, so no array of
+    the whole input's entries is ever made.  The rows are `transform`'s
+    of the preprocessed texts, bit for bit.
+    """
+    table, dim, idf = model._table, model.dim, model.idf
+    for tokens, doc_len in _add_words(model, texts, prep):
+        nnz, indices, counts = _count(table, tokens, doc_len, dim)
+        batch = CsrBatch(indptr=np.concatenate(([0], np.cumsum(nnz))), indices=indices,
+                         data=counts * idf[indices], shape=(len(doc_len), dim))
+        _normalize(nnz, batch.data)
+        yield batch
+
+
+def idf_rows(model: TfidfModel, texts: Sequence[str], prep: Prep | None = None) -> CsrBatch:
     """Raw in-vocabulary gram counts of each preprocessed text, scaled by
     idf and not normalized: the rows `transform` divides by their norms.
+    With `prep`, the texts are raw, as in `transform_chunks`.
+    """
+    nnz, indices, counts = model._table.count(_add_words(model, texts, prep), model.dim)
+    return CsrBatch(indptr=np.concatenate(([0], np.cumsum(nnz))), indices=indices,
+                    data=counts * model.idf[indices], shape=(len(texts), model.dim))
 
-    The batch's words the model has not seen are split in one
-    `_split_words` call; their distinct grams are looked up in the
-    vocabulary, and each word's columns are added to the model's word
-    table before the batch is counted.
+
+def _add_words(model: TfidfModel, texts: Sequence[str],
+               prep: Prep | None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Walk `texts` (see `_WordTable.walk`) and give the words the model
+    has not seen their columns; return the walk's chunks.
+
+    The new words are split in one `_split_words` call, their distinct
+    grams looked up in the vocabulary, and each word's columns added to
+    the model's word table.
     """
     vocabulary, config, table = model.vocabulary, model.config, model._table
-    new, chunks = table.walk(texts)
+    new, chunks = table.walk(texts, prep)
     if new:
         grams, _, _, per_word, ids = _split_words(new, config.n_min, config.n_max)
         column = np.fromiter(map(vocabulary.get, grams, repeat(-1)), dtype=np.int64,
                              count=len(grams))
         table.add(*_kept(column[ids], np.concatenate(([0], np.cumsum(per_word)))))
-    nnz, indices, counts = table.count(chunks, model.dim)
-    return CsrBatch(indptr=np.concatenate(([0], np.cumsum(nnz))), indices=indices,
-                    data=counts * model.idf[indices], shape=(len(texts), model.dim))
+    return chunks
 
 
 def _normalize(nnz: np.ndarray, values: np.ndarray) -> None:
@@ -505,15 +585,21 @@ def _count(
 
     Each document's entries are its distinct ids, ascending, as int32,
     with how often the document holds each, as int32; every id is below
-    `width`.
+    `width`.  The keys doc * width + id are built, sorted and reduced as
+    int32 wherever that holds them.
     """
     width = max(width, 1)
+    key = np.int32 if len(doc_len) * width < 2**31 else np.int64
     start = table.offsets[tokens]
     per_token = table.offsets[tokens + 1] - start
     first = np.cumsum(per_token) - per_token
-    pos = np.arange(int(per_token.sum())) + np.repeat(start - first, per_token)
-    doc = np.repeat(np.arange(len(doc_len)), doc_len)
-    keys = np.sort(np.repeat(doc, per_token) * width + table.ids[pos])
+    pos = np.repeat(start - first, per_token)
+    pos += np.arange(len(pos))
+    doc = np.repeat(np.arange(len(doc_len), dtype=key) * key(width), doc_len)
+    keys = np.repeat(doc, per_token)
+    keys += table.ids[pos]
+    del pos
+    keys.sort()
     distinct = np.empty(len(keys), dtype=bool)
     distinct[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
@@ -522,7 +608,7 @@ def _count(
     keys = keys[starts]
     docs = keys // width
     return (np.bincount(docs, minlength=len(doc_len)),
-            (keys - docs * width).astype(np.int32), times)
+            (keys - docs * width).astype(np.int32, copy=False), times)
 
 
 def _kept(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +619,8 @@ def _kept(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _in_groups(found: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """How many of found[offsets[i]:offsets[i + 1]] are true, per group i."""
+    """How many of found[offsets[i]:offsets[i + 1]] are true, per group i;
+    their sum, for integers."""
     return np.diff(np.concatenate(([0], np.cumsum(found)))[offsets])
 
 

@@ -26,9 +26,21 @@ file.  A v1 file, which has no word table, is refused with a request to
 retrain.
 
 `Pipeline.score` is the one way a model scores texts, always with its own
-preprocessing.  It calls `textproc.preprocess`, `features.transform` and
-`regress.predict` through their modules, so a patched function is the one
-that runs.
+preprocessing, in one pass over the batch's distinct texts:
+
+- each distinct whitespace token is preprocessed once
+  (`textproc.preprocess_tokens`), which is exact because preprocessing
+  acts on each token on its own;
+- the model's word table is walked once for all texts, and the words it
+  has never seen are split in one `features._split_words` call;
+- the rows are counted, normalized and predicted `features.CHUNK_ROWS`
+  texts at a time (`features.transform_chunks`), so its memory is
+  bounded by one chunk's entries, not the batch's.
+
+Each score is the one the text gets alone, bit for bit: a row's counts
+do not depend on the other texts, and its sums are `features.row_sums`
+segments of its own.  The steps are called through their modules, so a
+patched function is the one that runs.
 
 `Pipeline.score_masks` scores LIME's word-drop variants of one text
 without building them.  Let v_t be the idf-scaled raw gram counts of
@@ -42,8 +54,8 @@ This is `score` of the kept tokens joined by single spaces, with the sums
 taken in another order, because
 
 - preprocessing acts on each token on its own: `preprocess` of tokens
-  joined by spaces is their non-empty results joined by spaces (a tested
-  property);
+  joined by spaces is their non-empty results joined by spaces, by
+  construction, and each token is preprocessed once;
 - a char-wb gram never crosses a word, so the variant's counts are the
   sum of its tokens' counts;
 - the model is linear in the L2-normalized row.
@@ -78,20 +90,26 @@ class Pipeline(NamedTuple):
     ridge: regress.RidgeModel
 
     def score(self, texts: Sequence[str]) -> np.ndarray:
-        """Scores of `texts`, in input order.
+        """Scores of `texts`, in input order, each as it scores alone.
 
-        Each distinct text is preprocessed with the model's switches and
-        scored once, features.CHUNK_ROWS texts at a time, so no matrix of
-        the whole input is ever held.
+        One pass over the distinct texts: each distinct whitespace token
+        is preprocessed once, the word table walked once, and the words
+        the model never saw split in one call; then the rows are counted
+        and predicted features.CHUNK_ROWS texts at a time, so no matrix
+        of the whole input is ever held.
         """
         slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-        distinct = [textproc.preprocess(text, self.preprocess) for text in slot]
-        scores = np.empty(len(distinct))
-        for start in range(0, len(distinct), features.CHUNK_ROWS):
-            X = features.transform(self.tfidf, distinct[start : start + features.CHUNK_ROWS])
-            scores[start : start + X.shape[0]] = regress.predict(self.ridge, X)
+        scores = np.empty(len(slot))
+        done = 0
+        for X in features.transform_chunks(self.tfidf, list(slot), self._forms):
+            scores[done : done + X.shape[0]] = regress.predict(self.ridge, X)
+            done += X.shape[0]
         return scores[np.fromiter(map(slot.__getitem__, texts), dtype=np.int64,
                                   count=len(texts))]
+
+    def _forms(self, tokens: list[str]) -> list[str]:
+        """Each whitespace-free token preprocessed with the model's switches."""
+        return textproc.preprocess_tokens(tokens, self.preprocess)
 
     def score_masks(self, tokens: Sequence[str], masks: np.ndarray) -> np.ndarray:
         """Score of each word-drop variant of `tokens`: row i of `masks`
@@ -103,8 +121,7 @@ class Pipeline(NamedTuple):
         """
         slot = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
         which = np.fromiter(map(slot.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        rows = features.idf_rows(
-            self.tfidf, [textproc.preprocess(token, self.preprocess) for token in slot])
+        rows = features.idf_rows(self.tfidf, list(slot), self._forms)
         products = self.ridge.weights[rows.indices]
         products *= rows.data
         a = features.row_sums(products, np.diff(rows.indptr))[which]

@@ -5,6 +5,12 @@ contraction expansion from a fixed table, lowercasing, whitespace
 collapse, optional Porter stemming, and char-wb n-gram extraction
 (character n-grams that never cross word boundaries).
 
+Preprocessing acts on one whitespace-separated token at a time
+(`preprocess_tokens`), and a text's result is its tokens' non-empty
+results joined by single spaces (`preprocess`).  So a batch can
+preprocess each distinct token once, and a word-drop variant of a text
+preprocesses to its kept tokens' results.
+
 Every contraction key holds an apostrophe and otherwise only word
 characters, so a key can only match inside a run of word characters and
 apostrophes that holds an apostrophe.  The table's regex runs on those
@@ -18,13 +24,14 @@ from __future__ import annotations
 import functools
 import re
 from importlib import resources
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .corpus import read_csv
 
 __all__ = [
     "PreprocessConfig",
     "preprocess",
+    "preprocess_tokens",
     "char_wb_ngrams",
     "porter_stem",
 ]
@@ -66,28 +73,49 @@ def _load_contractions() -> tuple[dict[str, str], re.Pattern]:
 
 
 def preprocess(text: str, config: PreprocessConfig = PreprocessConfig()) -> str:
-    """Normalize raw comment text.
+    """Normalize raw comment text: the non-empty `preprocess_tokens` forms
+    of its whitespace-separated tokens, joined by single spaces.
+
+    Every step acts on one token at a time, so this is token-local by
+    construction: the text's result is its tokens' results joined.  Total
+    function: never raises, empty input stays empty.
+    """
+    return " ".join(filter(None, preprocess_tokens(text.split(), config)))
+
+
+def preprocess_tokens(tokens: Iterable[str],
+                      config: PreprocessConfig = PreprocessConfig()) -> list[str]:
+    """The normalized form of each whitespace-free token, in order.
 
     Steps run in a fixed order: URL removal (http://, https:// and www.
-    prefixes, deleted up to the next whitespace), contraction expansion
+    prefixes, deleted to the token's end), contraction expansion
     (case-insensitive table lookup), lowercasing, whitespace collapse to
-    single spaces plus trim, and finally per-token Porter stemming when
+    single spaces plus trim, and finally per-word Porter stemming when
     enabled.  A case-insensitive match whose lowercased form is not a
     table key (the regex lets "ſ" match "s", lower() keeps it) is left
-    as it is.  Total function: never raises, empty input stays empty.
+    as it is.  A form holds zero words (a URL), one, or more (an expanded
+    contraction: "They'll" -> "they will").
+
+    This is the one place a token is preprocessed.  The batch callers
+    (`Pipeline.score`, `Pipeline.score_masks`, `train`, `search`) pass it
+    each distinct token of their batch once.
     """
-    out = text
-    if config.strip_urls:
-        out = _URL_RE.sub("", out)
-    if config.expand_contractions:
-        out = _APOSTROPHE_RUN_RE.sub(_expand_contractions, out)
-    if config.lowercase:
-        out = out.lower()
-    # str.split() splits at the code points regex \s matches
-    out = " ".join(out.split())
-    if config.stem:
-        out = " ".join(porter_stem(tok) for tok in out.split())
-    return out
+    strip_urls, expand = config.strip_urls, config.expand_contractions
+    lowercase, stem = config.lowercase, config.stem
+    forms = []
+    for token in tokens:
+        # a URL needs "://" or "www.", a contraction an apostrophe: the
+        # cheap tests skip the regexes on tokens they cannot change
+        if strip_urls and ("." in token or ":" in token):
+            token = _URL_RE.sub("", token)
+        if expand and "'" in token:
+            token = _APOSTROPHE_RUN_RE.sub(_expand_contractions, token)
+        if lowercase:
+            token = token.lower()
+        # str.split() splits at the code points regex \s matches
+        words = token.split()
+        forms.append(" ".join(map(porter_stem, words) if stem else words))
+    return forms
 
 
 def _expand_contractions(run: re.Match) -> str:

@@ -138,15 +138,23 @@ class TestScoring:
         model = pipeline.load_pipeline(f"{files['model']}.pipeline")
         tfidf, ridge, pp = model.tfidf, model.ridge, model.preprocess
         texts = ["you idiot", "Thanks, friend!", "you idiot", "", "Thanks, friend!"]
-        seen = []
+        walked, seen = [], []
+        real_chunks, real_tokens = features.transform_chunks, textproc.preprocess_tokens
 
-        def counting_preprocess(text, config):
-            seen.append(text)
-            return preprocess(text, config)
+        def counting_chunks(model, texts, prep):
+            walked.extend(texts)
+            return real_chunks(model, texts, prep)
 
-        monkeypatch.setattr(textproc, "preprocess", counting_preprocess)
+        def counting_tokens(tokens, config):
+            seen.extend(tokens)
+            return real_tokens(tokens, config)
+
+        monkeypatch.setattr(features, "transform_chunks", counting_chunks)
+        monkeypatch.setattr(textproc, "preprocess_tokens", counting_tokens)
         got = model.score(texts)
-        assert sorted(seen) == sorted(set(texts))
+        # each distinct text is walked once, each distinct token preprocessed once
+        assert sorted(walked) == sorted(set(texts))
+        assert sorted(seen) == ["Thanks,", "friend!", "idiot", "you"]
         for text, score in zip(texts, got):
             alone = regress.predict(ridge, features.transform(tfidf, [preprocess(text, pp)]))
             assert score == alone[0]
@@ -240,6 +248,18 @@ class TestExplain:
         assert err == (f"sevrank: error: {page}: token 'caf\\udce9' holds '\\udce9', "
                        "a lone surrogate, which UTF-8 cannot encode\n")
         assert not page.exists() and not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("value", ["100001", "3000000000", "99999999999999999999"])
+    def test_num_samples_above_the_limit_names_the_flag(self, files, capsys, tmp_path,
+                                                         value):
+        # refused before any mask is drawn: nothing is printed or written
+        code, out, err = run(capsys, "explain", "--model-prefix", files["model"],
+                             "--text", "you idiot", "--num-samples", value,
+                             "--json-out", tmp_path / "x.json")
+        assert (code, out) == (1, "")
+        assert err == (f"sevrank: error: --num-samples: {value} samples is above the "
+                       "limit of 100000\n")
+        assert not (tmp_path / "x.json").exists()
 
     def lookup(self, tmp_path, scores):
         return write_csv(tmp_path / "lookup.csv", ["text", "score"], scores.items())

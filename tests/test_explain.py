@@ -176,6 +176,10 @@ class TestConfig:
     @pytest.mark.parametrize("config, message", [
         (ExplainConfig(num_samples=9), "num_samples must be >= 10"),
         (ExplainConfig(num_features=0), "num_features must be >= 1"),
+        (ExplainConfig(num_samples=explain.MAX_SAMPLES + 1),
+         "100001 samples is above the limit of 100000"),
+        (ExplainConfig(num_samples=10**20),
+         "100000000000000000000 samples is above the limit of 100000"),
     ])
     def test_counts_are_checked_before_scoring(self, config, message):
         scorer = RecordingScorer()

@@ -14,8 +14,10 @@ from sevrank.features import (
     GramTable,
     TfidfConfig,
     TfidfModel,
+    _count,
     _grams_per_word,
     _split_words,
+    _WordTable,
     fit_tfidf,
     row_sums,
     transform,
@@ -617,6 +619,69 @@ class TestBatchTransform:
         csr.check_format(full_check=True)
         assert csr.has_canonical_format
         np.testing.assert_array_equal(csr.toarray(), batch.to_dense())
+
+
+def count_reference(table, tokens, doc_len, width):
+    """Reference: `_count` with every key built, sorted and reduced as
+    int64, as it was before it chose int32 where that holds the keys."""
+    width = max(width, 1)
+    start = table.offsets[tokens]
+    per_token = table.offsets[tokens + 1] - start
+    first = np.cumsum(per_token) - per_token
+    pos = np.arange(int(per_token.sum())) + np.repeat(start - first, per_token)
+    doc = np.repeat(np.arange(len(doc_len)), doc_len)
+    keys = np.sort(np.repeat(doc, per_token) * width + table.ids[pos])
+    distinct = np.empty(len(keys), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    starts = np.flatnonzero(distinct)
+    times = np.diff(np.append(starts, len(keys))).astype(np.int32)
+    keys = keys[starts]
+    docs = keys // width
+    return (np.bincount(docs, minlength=len(doc_len)),
+            (keys - docs * width).astype(np.int32), times)
+
+
+class TestCount:
+    """`_count` keys in int32 wherever rows x width < 2**31, and gives the
+    int64 reference's entries at every width."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 40), max_size=6), min_size=1, max_size=12),
+           st.lists(st.integers(0, 7), max_size=CHUNK_ROWS + 1), st.integers(0, 2**31),
+           st.integers(0, 2**32))
+    def test_equals_the_int64_reference(self, runs, doc_len, top, seed):
+        # ids from 0 to 40, and one near the top of the width, which is
+        # drawn past 2**31 // CHUNK_ROWS, where the keys need int64
+        width = max(top, 41)
+        rng = np.random.default_rng(seed)
+        table = _WordTable()
+        table.rows.update((f"w{i}", i) for i in range(len(runs)))
+        ids = np.array([i for run in runs for i in run], dtype=np.int32)
+        ids[ids == 40] = width - 1
+        table.add(np.array([len(run) for run in runs]), ids)
+        doc_len = np.array(doc_len, dtype=np.int64)
+        tokens = rng.integers(0, len(runs), size=int(doc_len.sum())).astype(np.int32)
+        got = _count(table, tokens, doc_len, width)
+        want = count_reference(table, tokens, doc_len, width)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+        assert got[1].dtype == got[2].dtype == np.int32
+
+    @pytest.mark.parametrize("n_docs", [CHUNK_ROWS - 1, CHUNK_ROWS])
+    def test_widths_at_the_int32_edge(self, n_docs):
+        # CHUNK_ROWS x width = 2**31: one document fewer keys in int32
+        width = 2**31 // CHUNK_ROWS
+        table = _WordTable()
+        table.rows.update({"a": 0, "b": 1})
+        table.add(np.array([3, 2]), np.array([width - 1, 0, width - 1, 5, 5], dtype=np.int32))
+        doc_len = np.arange(n_docs) % 4
+        tokens = (np.arange(int(doc_len.sum())) % 2).astype(np.int32)
+        got = _count(table, tokens, doc_len, width)
+        want = count_reference(table, tokens, doc_len, width)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+        assert got[1].max() == width - 1
 
 
 class TestRowSums:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevrank import features
-from sevrank.features import TfidfConfig, TfidfModel, fit_tfidf, transform
+from sevrank import features, textproc
+from sevrank.features import CHUNK_ROWS, TfidfConfig, TfidfModel, fit_tfidf, transform
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
-from sevrank.regress import fit_ridge
+from sevrank.regress import fit_ridge, predict
 from sevrank.textproc import PreprocessConfig, char_wb_ngrams, preprocess
 
 TEXTS = ["you absolute clown", "thanks for the helpful notes", "it's über dumb",
@@ -179,3 +179,98 @@ class TestScoreMasks:
         masks = every_mask(len(tokens))
         assert (loaded.score_masks(tokens, masks).tobytes()
                 == model.score_masks(tokens, masks).tobytes())
+
+
+# raw tokens that preprocessing treats specially: URLs (alone, inside a
+# word, in capitals), contractions in any case, a final sigma, letters
+# that lowercase by context or into two code points, lone surrogates,
+# astral characters, stemmable words and punctuation
+BATCH_TOKENS = ["http://x.co/clown", "xwww.y", "HTTPS://Q", "couldn't've", "They'll",
+                "AIN'T", "'tis", "ΟΔΟΣ", "Σ", "ſhe'd", "İsn't", "ǅ", "ß", "ﬁ", "c\ud800lown",
+                "\udfff", "\U0001D538ber", "😀clown😀", "clowning", "ponies", "Clowns!",
+                "notes,", "you", "über", "zz", "generalizations"]
+SEPARATORS = [" ", "  ", "\t", "\n", "　", "\x85"]
+
+
+def batch_texts(n, seed):
+    """n raw texts of 0 to 9 tokens drawn from BATCH_TOKENS and fresh
+    words, joined by assorted whitespace; with empty and whitespace-only
+    texts, repeated texts and repeated tokens among them."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for i in range(n):
+        tokens = [BATCH_TOKENS[j] if j < len(BATCH_TOKENS) else f"w{j}x{seed}"
+                  for j in rng.integers(0, len(BATCH_TOKENS) + 8, size=rng.integers(0, 10))]
+        seps = rng.choice(SEPARATORS, size=len(tokens) + 1)
+        texts.append("".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[-1])
+    specials = ["", " ", "\t　\n", "you you you you", "couldn't've couldn't've Σ"]
+    for i, text in enumerate(specials[: n]):
+        texts[(7 * i) % n] = text
+    if n > 1:
+        texts[-1] = texts[0]  # a repeated text
+    return texts
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["default", "stem"])
+def saved_model(request, tmp_path_factory):
+    """The path of a saved model, with or without stemming; each test
+    loads its own copies, since scoring adds unseen words to a model."""
+    path = tmp_path_factory.mktemp("batch") / "m.pipeline"
+    save_pipeline(fitted(PreprocessConfig(stem=request.param)), path)
+    return path
+
+
+class TestBatchScoresAsAlone:
+    """One `Pipeline.score` call gives each text the bits it gets alone,
+    at batch sizes inside one chunk, at a chunk's edge and past three
+    chunks, and splits and preprocesses each thing once."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5])
+    def test_batch_equals_each_text_alone(self, saved_model, n):
+        texts = batch_texts(n, seed=n)
+        batch = load_pipeline(saved_model).score(texts)
+        alone = [load_pipeline(saved_model).score([text])[0] for text in texts]
+        assert batch.tobytes() == np.array(alone).tobytes()
+        # and as transforming the preprocessed text scores it
+        model = load_pipeline(saved_model)
+        for text, score in zip(texts, batch):
+            row = transform(model.tfidf, [preprocess(text, model.preprocess)])
+            assert predict(model.ridge, row)[0] == score, text
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5])
+    def test_one_split_and_each_distinct_token_once(self, saved_model, monkeypatch, n):
+        texts = batch_texts(n, seed=n + 1)
+        texts[n // 2] += " zebrafish"  # a word the model never saw
+        split_calls, tokens_seen = [], []
+        real_split, real_tokens = features._split_words, textproc.preprocess_tokens
+
+        def counting_split(words, n_min, n_max):
+            split_calls.append(list(words))
+            return real_split(words, n_min, n_max)
+
+        def counting_tokens(tokens, config):
+            tokens_seen.extend(tokens)
+            return real_tokens(tokens, config)
+
+        monkeypatch.setattr(features, "_split_words", counting_split)
+        monkeypatch.setattr(textproc, "preprocess_tokens", counting_tokens)
+        model = load_pipeline(saved_model)
+        model.score(texts)
+        distinct = {token for text in texts for token in text.split()}
+        assert sorted(tokens_seen) == sorted(distinct)
+        assert len(split_calls) == 1
+        assert len(split_calls[0]) == len(set(split_calls[0]))
+        # scoring them again finds no new word and splits nothing
+        model.score(texts)
+        assert len(split_calls) == 1
+
+    def test_score_masks_preprocesses_each_distinct_token_once(self, saved_model,
+                                                               monkeypatch):
+        tokens_seen = []
+        real_tokens = textproc.preprocess_tokens
+        monkeypatch.setattr(textproc, "preprocess_tokens",
+                            lambda tokens, config: tokens_seen.extend(tokens)
+                            or real_tokens(tokens, config))
+        tokens = ["clown", "They'll", "clown", "http://x.co", "Σ", "clown"]
+        load_pipeline(saved_model).score_masks(tokens, every_mask(len(tokens)))
+        assert sorted(tokens_seen) == sorted(set(tokens))

@@ -24,6 +24,22 @@ def preprocess_whole_text(text):
     return " ".join(out.lower().split())
 
 
+def reference_preprocess(text, config=PreprocessConfig()):
+    """Reference: the whole-text preprocessing that the per-token one
+    replaced, each step run over the whole text at once."""
+    out = text
+    if config.strip_urls:
+        out = textproc._URL_RE.sub("", out)
+    if config.expand_contractions:
+        out = textproc._APOSTROPHE_RUN_RE.sub(textproc._expand_contractions, out)
+    if config.lowercase:
+        out = out.lower()
+    out = " ".join(out.split())
+    if config.stem:
+        out = " ".join(porter_stem(tok) for tok in out.split())
+    return out
+
+
 _KEYS = sorted(textproc._load_contractions()[0])
 _PIECES = st.one_of(
     st.sampled_from(_KEYS),
@@ -131,12 +147,24 @@ class TestPreprocess:
     @example("Running\x85ponies caresses", [True, False, True] * 8,
              PreprocessConfig(stem=True))
     def test_acts_on_each_token_on_its_own(self, text, keep, config):
-        # the property `Pipeline.score_masks` rests on: any subset of a
-        # text's tokens, joined by spaces, preprocesses to the tokens'
-        # non-empty results joined by spaces
+        # the property `Pipeline.score_masks` and the batch scorers rest
+        # on: any subset of a text's tokens, joined by spaces, preprocesses
+        # under the whole-text reference to the tokens' non-empty results
+        # joined by spaces, which is what `preprocess` computes
         subset = [tok for tok, kept in zip(text.split(), keep * 2) if kept]
-        parts = (preprocess(tok, config) for tok in subset)
-        assert preprocess(" ".join(subset), config) == " ".join(p for p in parts if p)
+        parts = (reference_preprocess(tok, config) for tok in subset)
+        joined = " ".join(subset)
+        assert reference_preprocess(joined, config) == " ".join(p for p in parts if p)
+        assert preprocess(joined, config) == reference_preprocess(joined, config)
+        assert preprocess(text, config) == reference_preprocess(text, config)
+
+    def test_tokens_preprocess_as_texts_of_one_token(self):
+        config = PreprocessConfig(stem=True)
+        tokens = ["They'll", "http://x.co", "Running", "ΟΔΟΣ", "couldn't've", ""]
+        assert textproc.preprocess_tokens(tokens, config) == [
+            "thei will", "", "run", "οδος", "could not have", ""]
+        assert textproc.preprocess_tokens(tokens, config) == [
+            reference_preprocess(tok, config) for tok in tokens]
 
     def test_idempotent_on_random_strings(self):
         rng = random.Random(42)
