@@ -589,7 +589,8 @@ def _count(
     int32 wherever that holds them.
     """
     width = max(width, 1)
-    key = np.int32 if len(doc_len) * width < 2**31 else np.int64
+    # width itself must fit the key type, even when there are no documents
+    key = np.int32 if max(len(doc_len), 1) * width < 2**31 else np.int64
     start = table.offsets[tokens]
     per_token = table.offsets[tokens + 1] - start
     first = np.cumsum(per_token) - per_token
