@@ -40,6 +40,16 @@ helper that needs numpy imports it, with `features`, `regress`,
 `pipeline`, `ensemble`, `explain` or `optim`, where it runs.  So
 `transform` and `evaluate --scores` never import numpy, and each process
 pays only for the modules its command runs.
+
+`entry`, which the `sevrank` script and `python -m sevrank.cli` run, turns
+the cyclic garbage collector off and freezes every object before the
+process exits.  A command lives for one call and makes few reference
+cycles, so the collections that would run while numpy imports and the
+command works find next to nothing to free.  The collections CPython runs
+while it shuts the interpreter down would walk every object numpy and
+`sevrank` made; frozen objects sit in the permanent generation, which
+those skip.  `main` leaves the collector as it finds it, so a caller in
+its own process (the tests, a traced benchmark) keeps its collector.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
+import gc
 import json
 import math
 import sys
@@ -73,10 +84,9 @@ _SEARCH_NGRAM_RANGES = ((2, 4), (3, 5), (3, 6))
 _SEARCH_MAX_FEATURES = (10000, 30000, 50000)
 
 
-def write_scores_csv(path: str | Path, scores: Iterable[tuple[str, float]]) -> None:
-    """Scores CSV (comment_id,score) in the given order; repr floats."""
-    corpus.write_csv(path, ("comment_id", "score"),
-                     ((cid, repr(score)) for cid, score in scores))
+def write_scores_csv(path: str | Path, ids: Sequence[str], scores: Sequence[float]) -> None:
+    """Scores CSV (comment_id,score): row i holds ids[i] and repr(scores[i])."""
+    corpus.write_columns(path, ("comment_id", "score"), (ids, list(map(repr, scores))))
 
 
 def read_scores_csv(path: str | Path, key: str = "comment_id") -> dict[str, float]:
@@ -230,14 +240,22 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         pairs = corpus.load_pairs(args.pairs)
         ids, texts = pairs.ids, pairs.texts
-    scores = model.score(texts)
-    write_scores_csv(args.out, zip(ids, scores.tolist()))
+    write_scores_csv(args.out, ids, model.score(texts).tolist())
     print(f"scored {len(ids)} comments")
     return 0
 
 
+def _judgment_pairs(path: str) -> corpus.Pairs:
+    """The pairs of a `--pairs` file that a command evaluates on; a file
+    with no pairs is refused by name."""
+    pairs = corpus.load_pairs(path)
+    if not pairs:
+        raise ValueError(f"{path}: no pairs")
+    return pairs
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pairs = corpus.load_pairs(args.pairs)
+    pairs = _judgment_pairs(args.pairs)
     if args.model_prefix:
         from . import pipeline
         model = pipeline.load_pipeline(f"{args.model_prefix}.pipeline")
@@ -264,17 +282,18 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     from . import ensemble
 
     matrix = ensemble.load_score_matrix(args.matrix)
-    pairs = corpus.load_pairs(args.pairs)
+    pairs = _judgment_pairs(args.pairs)
+    normalized = ensemble.normalize_scores(matrix, args.mode)
+    rows = ensemble.pair_rows(matrix, pairs)
     weights = ensemble.fit_weights(
         matrix, pairs, mode=args.mode, temperature=args.temperature,
-        max_iter=args.max_iter,
+        max_iter=args.max_iter, normalized=normalized, rows=rows,
     )
     _warn_unconverged(weights.solver, "ensemble")
-    blended = dict(zip(matrix.comment_ids, ensemble.blend(matrix, weights).tolist()))
+    blended = ensemble.blend(matrix, weights, normalized=normalized)
     ensemble.save_weights(weights, args.out_weights)
-    write_scores_csv(args.out_blend, blended.items())
-    report = evaluate.pairwise_accuracy(
-        pairs.ids, evaluate.scores_for(pairs.ids, blended))
+    write_scores_csv(args.out_blend, matrix.comment_ids, blended.tolist())
+    report = evaluate.pairwise_accuracy(pairs.ids, blended[rows].tolist())
     print(evaluate.report_json(report))
     return 0
 
@@ -287,7 +306,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     labeled = corpus.load_labeled(args.labeled)
     if not labeled:
         raise ValueError(f"{args.labeled}: no training examples")
-    pairs = corpus.load_pairs(args.pairs)
+    pairs = _judgment_pairs(args.pairs)
     pp = _preprocess_config(args)
     y = labeled.scores
     slot = {t: i for i, t in enumerate(dict.fromkeys(pairs.texts))}
@@ -508,7 +527,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The process entry (the `sevrank` script and `python -m sevrank.cli`):
+    `main` with the cyclic collector off, and every object frozen before
+    the interpreter exits (see the module docstring)."""
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -196,8 +196,11 @@ def transform_founta(label: int) -> float:
 # CSV files
 # ---------------------------------------------------------------------------
 #
-# Every CSV file the program reads or writes goes through `read_csv`,
-# `csv_line`/`write_csv`, `number` and `unique_ids`.  The dialect:
+# Every CSV file the program reads goes through `read_csv`, `number` and
+# `unique_ids`, and every one it writes through the column writer
+# (`csv_columns`/`write_columns`), which takes whole columns, scans each
+# column once for a field that needs quotes, and joins the file in one
+# piece; `csv_line` writes one record (a header).  The dialect:
 #   - UTF-8 text; records are written with LF endings, and LF or CRLF
 #     endings are read;
 #   - a field holding a comma, a double quote, CR or LF is written inside
@@ -251,28 +254,48 @@ def read_csv(path: str | Path, required: Sequence[str]) -> tuple[dict[str, int],
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
         raise
-    for record, fields in enumerate(rows, start=2):
-        if len(fields) != len(header):
-            raise ValueError(
-                f"{path}: malformed CSV row {record}: expected "
-                f"{len(header)} fields, found {len(fields)}"
-            )
+    width = len(header)
+    if not set(map(len, rows)) <= {width}:  # the rows are walked only to name one
+        record, fields = next((record, fields) for record, fields in enumerate(rows, start=2)
+                              if len(fields) != width)
+        raise ValueError(f"{path}: malformed CSV row {record}: expected "
+                         f"{width} fields, found {len(fields)}")
     return columns, rows
+
+
+def _quote(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
 
 
 def csv_line(fields: Iterable[str]) -> str:
     """One LF-terminated CSV record, each field quoted only where it must be."""
-    return ",".join(
-        '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
-        for field in fields
-    ) + "\n"
+    return ",".join(map(_quote, fields)) + "\n"
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write a header and rows of string fields as CSV records."""
+def _quoted(column: Sequence[str]) -> Sequence[str]:
+    """A column's fields as written.  A field needs quotes when it holds
+    one of four characters, so the joined column holds one exactly when
+    some field does: one scan decides the column, and only a column that
+    needs quotes is looked at field by field."""
+    if _NEEDS_QUOTES.search("".join(column)) is None:
+        return column
+    return list(map(_quote, column))
+
+
+def csv_columns(header: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
+    """CSV text of a header and whole columns of string fields: field j of
+    row i is columns[j][i], and every column holds one field per row.  The
+    records are those `csv_line` writes, one per row."""
+    records = [*map(",".join, zip(*map(_quoted, columns), strict=True)), ""]
+    # the trailing "" ends the last record in LF and leaves no rows as nothing
+    return csv_line(header) + "\n".join(records)
+
+
+def write_columns(path: str | Path, header: Sequence[str],
+                  columns: Sequence[Sequence[str]]) -> None:
+    """Write `csv_columns(header, columns)` to `path` in one write."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_line(header))
-        fh.writelines(map(csv_line, rows))
+        fh.write(csv_columns(header, columns))
 
 
 def number(path: str | Path, record: int, name: str, text: str, kind: type = float) -> float:
@@ -352,8 +375,8 @@ def resolve_pairs_to_ids(pairs: Pairs, ids: Sequence[str], texts: Sequence[str])
 
 def save_labeled(path: str | Path, labeled: Labeled) -> None:
     """Write a labeled CSV (comment_id, text, score), score at 6 decimals."""
-    write_csv(path, ("comment_id", "text", "score"), zip(
-        labeled.ids, labeled.texts, (f"{score:.6f}" for score in labeled.scores)))
+    write_columns(path, ("comment_id", "text", "score"), (
+        labeled.ids, labeled.texts, list(map("{:.6f}".format, labeled.scores))))
 
 
 def _labeled(path: str | Path, columns: dict[str, int], rows: list[list[str]],

@@ -16,12 +16,13 @@ always uses the exact accuracy metric, never the surrogate.
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Pairs, csv_line, number, read_csv, unique_ids
+from .corpus import Pairs, csv_columns, number, read_csv, unique_ids
 from .evaluate import NORMALIZATION_MODES
 from .optim import OptimResult, lbfgs_minimize
 
@@ -30,6 +31,7 @@ __all__ = [
     "ScoreMatrix",
     "EnsembleWeights",
     "normalize_scores",
+    "pair_rows",
     "surrogate_loss",
     "fit_weights",
     "blend",
@@ -131,19 +133,24 @@ def normalize_scores(matrix: ScoreMatrix, mode: str) -> np.ndarray:
     return values
 
 
-def _pair_diffs(matrix: ScoreMatrix, values: np.ndarray, pairs: Pairs) -> np.ndarray:
-    """values[more] - values[less] for every pair, one row per pair.
-
-    Row j of `values` belongs to matrix.comment_ids[j] and column k to
-    matrix.model_names[k]; the first side id (in side order) with no row
-    is named, and so is the first column where a difference overflows.
-    """
+def pair_rows(matrix: ScoreMatrix, pairs: Pairs) -> np.ndarray:
+    """The matrix row of every pair side, in side order, as int64; the
+    first side id (in side order) with no row is named."""
     row_of = {cid: i for i, cid in enumerate(matrix.comment_ids)}
     try:
-        rows = np.fromiter(map(row_of.__getitem__, pairs.ids), dtype=np.int64,
+        return np.fromiter(map(row_of.__getitem__, pairs.ids), dtype=np.int64,
                            count=len(pairs.ids))
     except KeyError as exc:
         raise ValueError(f"id {exc.args[0]!r} not present in the score matrix") from None
+
+
+def _pair_diffs(matrix: ScoreMatrix, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """values[more] - values[less] for every pair, one row per pair.
+
+    Row j of `values` belongs to matrix.comment_ids[j] and column k to
+    matrix.model_names[k]; `rows` are the sides' rows, as `pair_rows`
+    gives them.  The first column where a difference overflows is named.
+    """
     # an overflowing difference is refused by value; numpy need not warn
     with np.errstate(over="ignore"):
         diffs = values[rows[1::2]] - values[rows[0::2]]
@@ -192,8 +199,8 @@ def surrogate_loss(
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(matrix.model_names):
         raise ValueError("one weight per model required")
-    return _loss_from_diffs(w, _pair_diffs(matrix, matrix.values, pairs),
-                            temperature)
+    return _loss_from_diffs(
+        w, _pair_diffs(matrix, matrix.values, pair_rows(matrix, pairs)), temperature)
 
 
 def fit_weights(
@@ -202,19 +209,29 @@ def fit_weights(
     mode: str = "minmax",
     temperature: float = 0.1,
     max_iter: int = 200,
+    *,
+    normalized: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> EnsembleWeights:
     """Fit blend weights on annotated pairs.
 
     Normalizes the matrix per mode, starts from uniform weights
     1/n_models, and minimizes the surrogate loss in at most max_iter L-BFGS
     steps; the fitted loss never exceeds the loss at initialization.
+    A caller that also needs `normalize_scores(matrix, mode)` or
+    `pair_rows(matrix, pairs)` passes them as `normalized` and `rows`, so
+    that each is computed once.
     """
     _check_temperature(temperature)
     if len(matrix.model_names) < 1:
         raise ValueError("need at least one model column")
     if len(pairs) < 1:
         raise ValueError("need at least one judgment pair")
-    diffs = _pair_diffs(matrix, normalize_scores(matrix, mode), pairs)
+    if normalized is None:
+        normalized = normalize_scores(matrix, mode)
+    if rows is None:
+        rows = pair_rows(matrix, pairs)
+    diffs = _pair_diffs(matrix, normalized, rows)
     x0 = np.full(len(matrix.model_names), 1.0 / len(matrix.model_names))
     result = lbfgs_minimize(
         lambda w: _loss_from_diffs(w, diffs, temperature), x0, max_iter
@@ -228,19 +245,23 @@ def fit_weights(
     )
 
 
-def blend(matrix: ScoreMatrix, weights: EnsembleWeights) -> np.ndarray:
+def blend(matrix: ScoreMatrix, weights: EnsembleWeights, *,
+          normalized: np.ndarray | None = None) -> np.ndarray:
     """Weighted blend per comment: a float64 array, entry i for
     matrix.comment_ids[i].
 
     The matrix is normalized with the mode stored in the weights before
-    the weighted sum is taken.
+    the weighted sum is taken; a caller that has already computed
+    `normalize_scores(matrix, weights.mode)` passes it as `normalized`.
     """
     if len(weights.weights) != len(matrix.model_names):
         raise ValueError(
             f"weight count {len(weights.weights)} does not match "
             f"{len(matrix.model_names)} model columns"
         )
-    return normalize_scores(matrix, weights.mode) @ weights.weights
+    if normalized is None:
+        normalized = normalize_scores(matrix, weights.mode)
+    return normalized @ weights.weights
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +272,9 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
     """Read a score matrix CSV: header comment_id,<model_1>,...,<model_k>.
 
     Every cell must be a finite number and every id unique; a bad cell or
-    a repeated id is named with its row.
+    a repeated id is named with its row.  The values are parsed a column
+    at a time, with `float`, into a C-contiguous array: the blend's BLAS
+    product, and so its last bits, depend on the memory order.
     """
     columns, rows = read_csv(path, ("comment_id",))
     header = list(columns)
@@ -262,10 +285,12 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
         raise ValueError(f"{path}: no model columns")
     if not rows:
         raise ValueError(f"{path}: no score rows")
-    ids = [fields[0] for fields in rows]
+    ids = list(map(operator.itemgetter(0), rows))
     unique_ids(path, ids)
+    values = np.empty((len(rows), len(model_names)))
     try:
-        values = np.array([float(v) for fields in rows for v in fields[1:]])
+        for k in range(len(model_names)):
+            values[:, k] = list(map(float, map(operator.itemgetter(k + 1), rows)))
         bad = not np.all(np.isfinite(values))
     except ValueError:
         bad = True
@@ -273,19 +298,14 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
         for record, fields in enumerate(rows, start=2):
             for name, text in zip(model_names, fields[1:]):
                 number(path, record, name, text)
-    return ScoreMatrix(
-        comment_ids=ids,
-        model_names=model_names,
-        values=values.reshape(len(ids), len(model_names)),
-    )
+    return ScoreMatrix(comment_ids=ids, model_names=model_names, values=values)
 
 
 def save_weights(weights: EnsembleWeights, path: str | Path) -> None:
     """CSV model,weight with a leading #mode=...,temperature=... line."""
     Path(path).write_text(
         f"#mode={weights.mode},temperature={weights.temperature!r}\n"
-        + csv_line(("model", "weight"))
-        + "".join(csv_line((name, repr(w)))
-                  for name, w in zip(weights.model_names, weights.weights.tolist())),
+        + csv_columns(("model", "weight"),
+                      (weights.model_names, list(map(repr, weights.weights.tolist())))),
         encoding="utf-8",
     )

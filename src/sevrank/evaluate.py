@@ -25,7 +25,7 @@ import operator
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import Pairs, write_csv
+from .corpus import Pairs, write_columns
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -117,13 +117,17 @@ def write_errors_csv(path: str | Path, errors: Sequence[int], pairs: Pairs,
     texts are read from `pairs` and its side scores from the flat
     `scores` (sides 2i and 2i + 1), with margin = score_less - score_more.
     """
-    write_csv(
+    less = [scores[2 * i] for i in errors]
+    more = [scores[2 * i + 1] for i in errors]
+    write_columns(
         path,
         ("rank", "less_text", "more_text", "score_less", "score_more", "margin"),
         (
-            (str(rank), pairs.texts[2 * i], pairs.texts[2 * i + 1],
-             repr(scores[2 * i]), repr(scores[2 * i + 1]),
-             repr(scores[2 * i] - scores[2 * i + 1]))
-            for rank, i in enumerate(errors, start=1)
+            [str(rank) for rank in range(1, len(errors) + 1)],
+            [pairs.texts[2 * i] for i in errors],
+            [pairs.texts[2 * i + 1] for i in errors],
+            list(map(repr, less)),
+            list(map(repr, more)),
+            list(map(repr, map(operator.sub, less, more))),
         ),
     )

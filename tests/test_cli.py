@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevrank
-from sevrank import cli, corpus, evaluate, explain, features, pipeline, regress, textproc
+from sevrank import (cli, corpus, ensemble, evaluate, explain, features, pipeline,
+                     regress, textproc)
 from sevrank.textproc import PreprocessConfig, char_wb_ngrams, preprocess
 
 MILD = ["nice", "thanks", "great", "friendly", "agree", "helpful", "kind", "fair"]
@@ -941,6 +943,38 @@ class TestFirstMissingSideIsNamed:
             1, "sevrank: error: score of comment id 'p2_l' is not a finite number: nan\n")
 
 
+class TestEmptyPairsFile:
+    """A pairs file with a header and no pairs stops before any work, naming
+    the file, with exit code 1."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        return write_csv(tmp_path / "empty.csv", ["less_toxic", "more_toxic"], [])
+
+    def refused(self, capsys, empty, *argv):
+        assert run(capsys, *argv, "--pairs", empty) == (
+            1, "", f"sevrank: error: {empty}: no pairs\n")
+
+    def test_evaluate(self, files, capsys, tmp_path, empty):
+        scores = write_csv(tmp_path / "s.csv", ["comment_id", "score"], [("a", "0.5")])
+        self.refused(capsys, empty, "evaluate", "--scores", scores)
+        self.refused(capsys, empty, "evaluate", "--model-prefix", files["model"])
+
+    def test_search_fits_nothing(self, files, capsys, monkeypatch, empty):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a trial was fitted")
+
+        monkeypatch.setattr(regress, "fit_ridge", no_fit)
+        self.refused(capsys, empty, "search", "--labeled", files["labeled"],
+                     "--trials", "2")
+
+    def test_ensemble(self, capsys, tmp_path, empty):
+        matrix = write_csv(tmp_path / "m.csv", ["comment_id", "a"], [("p2_l", "0.5")])
+        self.refused(capsys, empty, "ensemble", "--matrix", matrix,
+                     "--out-weights", tmp_path / "w.csv", "--out-blend", tmp_path / "b.csv")
+        assert not (tmp_path / "w.csv").exists()
+
+
 class TestScoresCsv:
     def test_non_finite_score_rejected_with_its_row(self, files, capsys, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -990,7 +1024,7 @@ class TestScoresCsv:
     def test_round_trip(self, tmp_path_factory, ids, values):
         path = tmp_path_factory.mktemp("scores") / "s.csv"
         scores = dict(zip(ids, values))
-        cli.write_scores_csv(path, scores.items())
+        cli.write_scores_csv(path, list(scores), list(scores.values()))
         assert cli.read_scores_csv(path) == scores
 
 
@@ -1134,6 +1168,14 @@ class TestMatrixFiles:
     def test_repeated_column_name(self, capsys, tmp_path):
         err = self.ensemble(capsys, tmp_path, "comment_id,m0,m0\np2_l,0.1,0.2\n")
         assert "column 'm0' appears twice in the header" in err
+
+    def test_values_are_c_contiguous(self, tmp_path):
+        # the blend's BLAS product gives other last bits on another memory order
+        path = write_csv(tmp_path / "m.csv", ["comment_id", "a", "b", "c"],
+                         [(f"r{i}", str(i), str(-i), "0.5") for i in range(5)])
+        values = ensemble.load_score_matrix(path).values
+        assert values.flags.c_contiguous and values.shape == (5, 3)
+        assert values[:, 1].tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
 
 
 class TestTrainFlags:
@@ -1462,6 +1504,77 @@ class TestColdStart:
             sevrank.nope
 
 
+def blend_inputs(root, n_pairs, seed):
+    """A pairs file of `n_pairs` pairs and a three-column score matrix over
+    their sides, the first column tracking which side is more toxic."""
+    rng = np.random.default_rng(seed)
+    pairs = write_csv(root / "pairs.csv", ["less_toxic", "more_toxic"],
+                      [(f"l{r}", f"m{r}") for r in range(n_pairs)])
+    ids = [f"p{r}_{side}" for r in range(2, n_pairs + 2) for side in "lm"]
+    values = rng.normal(size=(2 * n_pairs, 3))
+    values[1::2, 0] += 1.0
+    matrix = write_csv(root / "matrix.csv", ["comment_id", "ridge", "lexicon", "length"],
+                       [(cid, *map(repr, row)) for cid, row in zip(ids, values.tolist())])
+    return pairs, matrix
+
+
+class TestCollector:
+    """`entry`, the process entry, runs `main` with the cyclic collector off
+    and freezes every object before the process exits; `main` leaves the
+    collector as it finds it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, files, capsys, tmp_path,
+                                                      enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            before = (gc.isenabled(), gc.get_freeze_count())
+            code, _, err = run(capsys, "score", "--model-prefix", files["model"],
+                               "--comments", files["comments"], "--out", tmp_path / "s.csv")
+            after = (gc.isenabled(), gc.get_freeze_count())
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (code, err) == (0, "")
+        assert after == before and before[0] == enabled
+
+    def test_entry_runs_with_the_collector_off_and_freezes(self, files, capsys,
+                                                           monkeypatch, tmp_path):
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        monkeypatch.setattr(sys, "argv", ["sevrank", "score", "--model-prefix", files["model"],
+                                          "--comments", str(files["comments"]),
+                                          "--out", str(tmp_path / "s.csv")])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+            state = (gc.isenabled(), gc.get_freeze_count() > 0)
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        assert (exc.value.code, state) == (0, (False, True))
+        assert capsys.readouterr().out == "scored 15 comments\n"
+
+    def test_entry_writes_the_bytes_main_writes(self, files, capsys, tmp_path):
+        pairs, matrix = blend_inputs(tmp_path, 40, 5)
+        commands = {
+            "score": (lambda d: ["score", "--model-prefix", files["model"], "--comments",
+                                 files["comments"], "--out", d / "s.csv"], ["s.csv"]),
+            "ensemble": (lambda d: ["ensemble", "--matrix", matrix, "--pairs", pairs,
+                                    "--out-weights", d / "w.csv", "--out-blend", d / "b.csv"],
+                         ["w.csv", "b.csv"]),
+        }
+        for name, (argv, outputs) in commands.items():
+            fresh, local = tmp_path / f"fresh-{name}", tmp_path / f"main-{name}"
+            fresh.mkdir()
+            local.mkdir()
+            out, _ = run_fresh(fresh, *argv(fresh))
+            code, local_out, err = run(capsys, *argv(local))
+            assert (code, err) == (0, "")
+            assert out == local_out.splitlines(), name
+            for output in outputs:
+                assert (fresh / output).read_bytes() == (local / output).read_bytes(), output
+
+
 SYLLABLES = [c + v for c in "bdgklmnprstvz" for v in "aeiou"] + ["dra", "gli", "pho", "str"]
 
 
@@ -1506,7 +1619,7 @@ def wide(tmp_path_factory):
 
 class TestBlasThreadsChangeNoByte:
     """`train` and `explain` write the same bytes under one and two BLAS
-    threads."""
+    threads, and `ensemble` under one and four."""
 
     def test_train(self, wide, tmp_path):
         data = Path(f"{wide['model']}.pipeline").read_bytes()
@@ -1524,3 +1637,17 @@ class TestBlasThreadsChangeNoByte:
                         (tmp_path / f"{threads}.html").read_bytes())
                        for threads in (1, 2)]
             assert outputs[0] == outputs[1], n_words
+
+    def test_ensemble(self, tmp_path):
+        # the benchmark's blend size: 8000 pairs over a 16000 x 3 matrix
+        pairs, matrix = blend_inputs(tmp_path, 8000, 7)
+        outputs = []
+        for threads in (1, 4):
+            out = run_blas_threads(threads, tmp_path, "ensemble", "--matrix", matrix,
+                                   "--pairs", pairs, "--mode", "rank",
+                                   "--out-weights", tmp_path / f"w{threads}.csv",
+                                   "--out-blend", tmp_path / f"b{threads}.csv")
+            outputs.append((out, (tmp_path / f"w{threads}.csv").read_bytes(),
+                            (tmp_path / f"b{threads}.csv").read_bytes()))
+        assert json.loads(outputs[0][0])["n_pairs"] == 8000
+        assert outputs[0] == outputs[1]

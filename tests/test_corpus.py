@@ -372,6 +372,46 @@ class TestCsvLayer:
     def test_carriage_return_is_quoted(self):
         assert corpus.csv_line(["a\rb", "c"]) == '"a\rb",c\n'
 
+    @staticmethod
+    def written(tmp_path_factory, header, columns):
+        path = tmp_path_factory.mktemp("columns") / "c.csv"
+        corpus.write_columns(path, header, columns)
+        return path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+        st.lists(FIELDS, min_size=k, max_size=k),
+        st.lists(st.lists(FIELDS, min_size=k, max_size=k), max_size=6))))
+    def test_columns_are_the_records_csv_line_writes(self, tmp_path_factory, table):
+        # one quoting scan per column must give the bytes of quoting each
+        # record's fields alone, and of csv.writer wherever no field holds a
+        # bare CR (which csv.writer with LF records leaves unquoted)
+        header, rows = table
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in header]
+        data = self.written(tmp_path_factory, header, columns)
+        assert data == "".join(map(corpus.csv_line, [header, *rows])).encode("utf-8")
+        if not any("\r" in field for row in [header, *rows] for field in row):
+            reference = io.StringIO()
+            csv.writer(reference, lineterminator="\n").writerows([header, *rows])
+            assert data == reference.getvalue().encode("utf-8")
+
+    def test_only_the_fields_that_need_quotes_are_quoted(self, tmp_path_factory):
+        data = self.written(tmp_path_factory, ["id", "text"],
+                            [["a", "b", "c"], ["plain", 'say "hi"', "x,y"]])
+        assert data == b'id,text\na,plain\nb,"say ""hi"""\nc,"x,y"\n'
+
+    def test_header_only_file(self, tmp_path_factory):
+        assert self.written(tmp_path_factory, ["comment_id", "a,b"], [[], []]) == (
+            b'comment_id,"a,b"\n')
+
+    def test_bare_carriage_return_is_quoted_in_a_column(self, tmp_path_factory):
+        assert self.written(tmp_path_factory, ["x", "y"], [["a\rb", "c"], ["d", "e"]]) == (
+            b'x,y\n"a\rb",d\nc,e\n')
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path_factory):
+        with pytest.raises(ValueError):
+            self.written(tmp_path_factory, ["x", "y"], [["a", "b"], ["c"]])
+
     def test_non_finite_number_names_file_column_and_row(self, tmp_path):
         path = write(tmp_path, "r.csv", "comment_id,text,score\nr1,mild,-1\nr2,x,inf\n")
         with pytest.raises(ValueError, match=r"r\.csv: non-finite score 'inf' at row 3"):

@@ -157,8 +157,8 @@ class TestSurrogate:
 
     def test_rows_are_the_sides_split_into_less_and_more(self):
         matrix = matrix_of([[0.1, 1.0], [0.2, 4.0], [0.3, 9.0]])
-        diffs = ensemble._pair_diffs(matrix, matrix.values,
-                                     pairs_of([("c2", "c0"), ("c1", "c1")]))
+        pairs = pairs_of([("c2", "c0"), ("c1", "c1")])
+        diffs = ensemble._pair_diffs(matrix, matrix.values, ensemble.pair_rows(matrix, pairs))
         assert diffs.tobytes() == np.array([[0.1 - 0.3, 1.0 - 9.0],
                                             [0.0, 0.0]]).tobytes()
 
@@ -215,9 +215,8 @@ class TestFitAndBlend:
         )
 
     def test_score_matrix_file_round_trip(self, tmp_path):
-        corpus.write_csv(tmp_path / "m.csv", ["comment_id", *self.matrix.model_names], (
-            [cid, *map(repr, row)]
-            for cid, row in zip(self.matrix.comment_ids, self.matrix.values.tolist())))
+        corpus.write_columns(tmp_path / "m.csv", ["comment_id", *self.matrix.model_names], [
+            self.matrix.comment_ids, *(list(map(repr, col)) for col in self.matrix.values.T.tolist())])
         loaded = ensemble.load_score_matrix(tmp_path / "m.csv")
         assert loaded.comment_ids == self.matrix.comment_ids
         assert loaded.values.tobytes() == self.matrix.values.tobytes()
