@@ -8,18 +8,17 @@ perturbation-based local linear models.
 
 Quick start::
 
-    from sevrank import corpus, features, load_pipeline, regress
-    from sevrank.textproc import preprocess
+    from sevrank import corpus, load_pipeline, pipeline, save_pipeline
 
     labeled = corpus.load_labeled("labeled.csv")
-    texts = [preprocess(text) for text in labeled.texts]
-    tfidf = features.fit_tfidf(texts)
-    model = regress.fit_ridge(features.transform(tfidf, texts), labeled.scores)
-    scores = regress.predict(model, features.transform(tfidf, texts))
+    model, objective = pipeline.fit(labeled.texts, labeled.scores)
+    scores = model.score(["you idiot", "thanks for the help"])
 
-A model saved by `sevrank train` scores raw texts, with its own
-preprocessing, through `Pipeline.score`::
+A model scores raw texts, with its own preprocessing, through
+`Pipeline.score`, and scores the same bits once saved and loaded.
+`sevrank train` is `pipeline.fit`, then `save_pipeline`::
 
+    save_pipeline(model, "model.pipeline")
     scores = load_pipeline("model.pipeline").score(["you idiot"])
 
 The `sevrank` console script exposes the same pipelines as subcommands
@@ -42,12 +41,11 @@ _EXPORTS = {
     "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),
     "evaluate": ("EvalReport", "pairwise_accuracy", "rank_errors"),
     "explain": ("ExplainConfig", "Explanation", "lime_explain"),
-    "features": ("CsrBatch", "GramTable", "TfidfConfig", "TfidfModel", "fit_tfidf",
-                 "transform"),
-    "optim": ("OptimResult", "check_gradient", "lbfgs_minimize"),
+    "features": ("CsrBatch", "GramTable", "TfidfConfig", "TfidfModel"),
+    "optim": ("OptimResult", "lbfgs_minimize"),
     "pipeline": ("Pipeline", "load_pipeline", "save_pipeline"),
     "regress": ("CgReport", "RidgeModel", "fit_ridge", "predict"),
-    "textproc": ("PreprocessConfig", "char_wb_ngrams", "porter_stem", "preprocess"),
+    "textproc": ("PreprocessConfig", "porter_stem", "preprocess"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

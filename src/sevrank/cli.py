@@ -12,15 +12,13 @@ runtime failure, 2 on usage errors.  A ridge fit whose conjugate
 gradient, or a blend fit whose L-BFGS, stops before its tolerance prints
 one `warning:` line on stderr.
 
-`train` saves its preprocessing switches with the model in one
-`<prefix>.pipeline` file; `score`, `evaluate` and `explain` use them.
-The file also holds the columns of every training word, so scoring
-splits into grams only the words the model never saw.  `train` takes
-its matrix from the fit's own count (`features.GramTable.matrix`), so
-it walks its raw texts once, preprocessing each distinct token once
-(`textproc.preprocess_tokens`), and frees that count before it builds the
-model and solves, so its peak memory is the matrix plus bounded
-temporaries, not a multiple of the matrix.
+`train` is `pipeline.fit` of the labeled file, with its flags as
+`fit`'s arguments, then `pipeline.save_pipeline`: it saves the
+preprocessing switches with the model in one `<prefix>.pipeline` file,
+which `score`, `evaluate` and `explain` use.  The file also holds the
+columns of every training word, so scoring splits into grams only the
+words the model never saw.  `fit` walks the raw texts once and builds
+its matrix from that walk's count (see `pipeline`).
 
 `search` shares work across its trials.  It draws every trial's
 hyperparameters up front.  One `features.GramTable` then preprocesses
@@ -29,10 +27,11 @@ word once, over the union of the drawn n-gram ranges, and counts each
 text once; each trial only selects its vocabulary from the table.
 Trials whose (n-gram range, kept grams) are equal share one training
 matrix and one matrix of the distinct pair texts, both built from the
-table's count, so `search` calls no `features.transform`.  The ridge
-solve, the predictions and the pairwise accuracy run once per trial, on
-the same float64 values as fitting each trial alone, so the records
-are the same bytes.
+table's count (`features.GramTable.matrix`), so `search` vectorizes no
+text a second time.  The ridge solve, the predictions and the pairwise
+accuracy run once per trial, on the same float64 values as fitting each
+trial alone with `pipeline.fit` and scoring the pair texts with the
+fitted model, so the records are the same bytes.
 
 Commands import on use.  This module loads only the standard library and
 the numpy-free modules (`corpus`, `evaluate`, `textproc`); a command or
@@ -197,36 +196,19 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # Import order moves this call's peak RSS by a few MB (glibc keeps freed
-    # heap); of the orders measured, regress first kept it lowest.
-    from . import regress
-    from . import features
-    from . import pipeline
+    from . import features, pipeline
 
     labeled = corpus.load_labeled(args.labeled)
     if not labeled:
         raise ValueError(f"{args.labeled}: no training examples")
-    pp = _preprocess_config(args)
-    config = features.TfidfConfig(
-        n_min=args.n_min, n_max=args.n_max,
-        max_features=args.max_features, min_df=args.min_df,
-    )
-    y = labeled.scores
-    # X comes from the fit's own count, which is freed before the model is
-    # built; the table is freed before the solve
-    table = features.GramTable.split(labeled.texts, config.n_min, config.n_max,
-                                     prep=functools.partial(preprocess_tokens, config=pp))
-    kept = table.select(config)
-    X = table.matrix(kept)
-    table.drop_counts()
-    tfidf = table.model(config, kept)
-    del table
-    ridge = regress.fit_ridge(X, y, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
-    _warn_unconverged(ridge.solver, "train")
+    model, objective = pipeline.fit(
+        labeled.texts, labeled.scores, preprocess=_preprocess_config(args),
+        tfidf=features.TfidfConfig(n_min=args.n_min, n_max=args.n_max,
+                                   max_features=args.max_features, min_df=args.min_df),
+        alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged(model.ridge.solver, "train")
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
-    pipeline.save_pipeline(pipeline.Pipeline(pp, tfidf, ridge),
-                           f"{args.out_prefix}.pipeline")
-    objective = regress.ridge_objective(ridge, X, y)
+    pipeline.save_pipeline(model, f"{args.out_prefix}.pipeline")
     print(f"training objective: {objective!r}")
     return 0
 
@@ -326,7 +308,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     # the last trial that uses them.
     table = features.GramTable.split(labeled.texts, min(c.n_min for c, _ in trials),
                                      max(c.n_max for c, _ in trials), list(slot),
-                                     functools.partial(preprocess_tokens, config=pp))
+                                     prep=functools.partial(preprocess_tokens, config=pp))
     key_of = {config: (config.n_min, config.n_max, table.select(config).tobytes())
               for config, _ in trials}
     last_use = {key_of[config]: trial for trial, (config, _) in enumerate(trials)}

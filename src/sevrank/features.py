@@ -6,22 +6,28 @@ is fully deterministic: vocabulary selection breaks count ties
 lexicographically and column indices follow lexicographic gram order, so
 the model is independent of corpus order.
 
-A char-wb gram never crosses a word boundary, so a document's gram counts
-are the sum of its words' gram counts.  A word table holds, for every
-word seen, a run of int32 ids: gram ids in a `GramTable`, in-vocabulary
-columns in a `TfidfModel`.  Every batch, fit or transform, is counted in
-three steps: the walk (`_WordTable.walk`) gives each word the table lacks
-the next row, one `add` gives those new words their runs, and the count
-(`_count`, per CHUNK_ROWS documents) counts each document's distinct ids.
-The count sorts keys doc * width + id, as int32 wherever the chunk's
-rows times the width stay below 2**31, as int64 otherwise.
+The char-wb grams of a text over [n_min, n_max]: for each whitespace-
+separated word, padded with one space each side, and n from n_min up,
+every n-character window in order, until n reaches the padded length:
+then the whole padded word, once.  No gram crosses a word, so a
+document's gram counts are its words' summed.  The tests check every
+count here against this definition as plain loops (`char_wb_ngrams` in
+`tests/reference.py`).
 
-A walk can take raw texts and a `Prep`, the per-token preprocessing: it
-then preprocesses each distinct whitespace token of the batch once and
-gives the text the words of its tokens' forms.  Preprocessing acts on
-each token on its own, so these are the words of the preprocessed text,
-and the table, the counts and every row are the same as walking the
-preprocessed texts.
+A word table holds, for every word seen, a run of int32 ids: gram ids in a
+`GramTable`, in-vocabulary columns in a `TfidfModel`.  Every batch, fit or
+scored, is counted in three steps: the walk (`_WordTable.walk`) gives each
+word the table lacks the next row, one `add` gives those new words their
+runs, and the count (`_count`, per CHUNK_ROWS documents) counts each
+document's distinct ids.  The count sorts keys doc * width + id, as int32
+wherever the chunk's rows times the width stay below 2**31, as int64
+otherwise.
+
+A walk takes raw texts and a `Prep`, the per-token preprocessing: it
+preprocesses each distinct whitespace token of the batch once and gives
+the text the words of its tokens' forms.  Preprocessing acts on each
+token on its own, so these are the words of the preprocessed text.  The
+identity step `list` walks texts that are already preprocessed.
 
 One vectorized kernel (`_split_words`) splits all of a batch's new words
 in one call.  It packs each gram's characters into integer keys whose
@@ -30,26 +36,25 @@ already in that order and only the distinct grams become strings.
 
 A fit does its text work once, as arrays.  `GramTable.split` keeps each
 document's (gram id, count) runs from its one count, and
-`GramTable.matrix` builds the training rows from them: `train` and
-`search` never transform their own texts.  A split's temporaries are
-bounded by the distinct words, one chunk of documents and
-`BLOCK_ENTRIES` entries, never by the whole count.  A table can split over a
-wider n-gram range than one fit needs and then serve every range inside
-it, which is how `search` fits all its trials from one split;
-`fit_tfidf` is one table and one fit.
+`GramTable.matrix` builds the training rows from them: `pipeline.fit`
+and `search` never vectorize their own texts a second time.  A split's
+temporaries are bounded by the distinct words, one chunk of documents
+and `BLOCK_ENTRIES` entries, never by the whole count.  A table can
+split over a wider n-gram range than one fit needs and then serve every
+range inside it, which is how `search` fits all its trials from one
+split.
 
 A fitted model knows every word of its corpus, and the `.pipeline` file
-saves its word table with it, so `transform` splits only words it has
-never seen, once per model, and looks their distinct grams up in the
-vocabulary.  The vocabulary, the idf weights and each row's values are
-the same float64 numbers, bit for bit, as counting each document's
-`textproc.char_wb_ngrams` grams, the reference definition, on its own.
+saves its word table with it, so scoring splits only words the model
+has never seen, once per model, and looks their distinct grams up in
+the vocabulary.  The vocabulary, the idf weights and each row's values
+are the same float64 numbers, bit for bit, as counting each document's
+char-wb grams on its own.
 
-`idf_rows` is that count, scaled by idf and not yet normalized, of a
-whole batch; `transform` normalizes its rows, and
-`pipeline.Pipeline.score_masks` combines the rows of single tokens.
-`transform_chunks` gives `transform`'s rows CHUNK_ROWS texts at a time,
-after one walk and one split of the whole batch, so that
+`idf_rows` is that count of a whole batch, scaled by idf and not yet
+normalized; `pipeline.Pipeline.score_masks` combines the rows of single
+tokens.  `transform_chunks` gives the normalized rows CHUNK_ROWS texts at
+a time, after one walk and one split of the whole batch, so that
 `pipeline.Pipeline.score` holds one chunk's rows at a time.
 """
 
@@ -67,13 +72,12 @@ __all__ = [
     "GramTable",
     "TfidfConfig",
     "TfidfModel",
-    "fit_tfidf",
-    "transform",
 ]
 
-# Documents counted together in one array pass of `fit_tfidf`,
-# `transform` and `transform_chunks`; bounds the size of the per-chunk
-# gram arrays, whatever the corpus or batch size.
+# Documents counted together in one array pass of a walk's count
+# (`GramTable.split`, `idf_rows`, `transform_chunks`) or of
+# `GramTable.matrix`; bounds the size of the per-chunk gram arrays,
+# whatever the corpus or batch size.
 CHUNK_ROWS = 64
 
 # The form of each of a list of whitespace-free tokens, its words joined
@@ -160,18 +164,18 @@ class _WordTable:
         self.offsets = np.zeros(1, dtype=np.int64)
         self.ids = np.empty(0, dtype=np.int32)
 
-    def walk(self, texts: Sequence[str], prep: Prep | None = None
+    def walk(self, texts: Sequence[str], prep: Prep
              ) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
         """Give each word of `texts` the table lacks the next row; return
         those new words in row order and, per CHUNK_ROWS texts, (the table
         row of each word, words per text), which `count` counts once the
         new words have their runs.
 
-        A text's words are its whitespace-separated tokens, or with `prep`
-        the words of its tokens' forms: prep(tokens) returns the form of
-        each token of a list, its words joined by single spaces.  Each chunk
-        passes `prep` the tokens no earlier chunk held, so a walk
-        preprocesses each distinct token once.
+        A text's words are the words of its whitespace-separated tokens'
+        forms: prep(tokens) returns the form of each token of a list, its
+        words joined by single spaces.  Each chunk passes `prep` the tokens
+        no earlier chunk held, so a walk preprocesses each distinct token
+        once.
         """
         rows, new, chunks = self.rows, [], []
         number: dict[str, int] = {}  # each distinct token, numbered as first met
@@ -182,14 +186,10 @@ class _WordTable:
             tokens = list(chain.from_iterable(split))
             fresh = list(filterfalse(number.__contains__, dict.fromkeys(tokens)))
             number.update(zip(fresh, count(len(number))))
-            if prep:
-                # a form's words are joined by single spaces
-                forms = prep(fresh)
-                words = " ".join(forms).split()
-                words_per_token += (form.count(" ") + 1 if form else 0 for form in forms)
-            else:
-                words = fresh
-                words_per_token += repeat(1, len(fresh))
+            # a form's words are joined by single spaces
+            forms = prep(fresh)
+            words = " ".join(forms).split()
+            words_per_token += (form.count(" ") + 1 if form else 0 for form in forms)
             unseen = list(filterfalse(rows.__contains__, dict.fromkeys(words)))
             rows.update(zip(unseen, count(len(rows))))
             new += unseen
@@ -261,11 +261,11 @@ class TfidfModel:
 
     The model's word table, laid out as a `GramTable`'s, holds for every
     word it knows the columns of the word's in-vocabulary grams, in
-    char_wb_ngrams order with repeats.  `fit_tfidf` fills it with every
-    training word, a loaded model reads it from its file, and `idf_rows`
-    (which `transform` runs) adds each new word it meets, so a word is
-    split into grams once per model, however many batches it appears in.
-    The table grows with the distinct words seen.
+    char-wb emission order with repeats.  A fit (`GramTable.model`) fills
+    it with every training word, a loaded model reads it from its file, and
+    every scored batch (`idf_rows`, `transform_chunks`) adds each new word
+    it meets, so a word is split into grams once per model, however many
+    batches it appears in.  The table grows with the distinct words seen.
     """
 
     __slots__ = ("vocabulary", "idf", "config", "_table")
@@ -303,20 +303,6 @@ class TfidfModel:
         return list(self._table.rows), np.diff(offsets), columns
 
 
-def fit_tfidf(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
-    """Fit vocabulary and idf weights on preprocessed documents.
-
-    Grams with document frequency below min_df are dropped; of the rest,
-    the max_features grams with the highest total corpus count are kept
-    (ties broken by lexicographic order, ascending).  Column indices are
-    assigned in lexicographic gram order and
-    idf(g) = ln((1 + N) / (1 + df(g))) + 1 with N the corpus size.
-    The returned model knows the columns of every word of the corpus.
-    """
-    table = GramTable.split(corpus, config.n_min, config.n_max)
-    return table.model(config, table.select(config))
-
-
 class GramTable:
     """Every distinct word of a corpus split once into char-wb grams, and
     every gram counted over the corpus.
@@ -350,7 +336,7 @@ class GramTable:
                  total: np.ndarray, df: np.ndarray, doc_offsets: np.ndarray,
                  doc_ids: np.ndarray, doc_counts: np.ndarray) -> None:
         self.n_min, self.n_max, self.n_docs = n_min, n_max, n_docs
-        self._table = table    # each word's gram ids, in char_wb_ngrams order
+        self._table = table    # each word's gram ids, in char-wb emission order
         self.grams = grams     # the gram of each id; ids ascend lexicographically
         self.length = length   # characters per gram
         self.whole = whole     # gram is a whole padded word
@@ -370,12 +356,13 @@ class GramTable:
         n_min: int,
         n_max: int,
         more_texts: Sequence[str] = (),
-        prep: Prep | None = None,
+        *,
+        prep: Prep,
     ) -> GramTable:
         """Split the words of `corpus` and `more_texts`, count over `corpus`.
 
-        With `prep`, the documents are raw and their words those of their
-        tokens' forms, each distinct token preprocessed once
+        The documents are raw, and their words those of their tokens'
+        forms under `prep`, each distinct token preprocessed once
         (`_WordTable.walk`): the table is the one of the preprocessed
         documents.
 
@@ -414,7 +401,7 @@ class GramTable:
         )
 
     def in_range(self, n_min: int, n_max: int) -> np.ndarray:
-        """Which grams char_wb_ngrams emits over [n_min, n_max], per id.
+        """Which grams the char-wb split emits over [n_min, n_max], per id.
 
         A window is emitted when its length is in the range; a whole
         padded word (L characters) when n_max >= L, also when n_min > L.
@@ -425,7 +412,9 @@ class GramTable:
         return (self.length <= n_max) & ((self.length >= n_min) | self.whole)
 
     def select(self, config: TfidfConfig) -> np.ndarray:
-        """Ids of the grams `fit_tfidf` keeps under `config`, ascending."""
+        """Ids of the grams a fit under `config` keeps, ascending: of those
+        with document frequency >= min_df, the max_features with the
+        highest total count, a tie going to the smaller gram."""
         # a gram of more_texts alone has df 0 and is never a candidate
         candidates = np.flatnonzero(
             self.in_range(config.n_min, config.n_max)
@@ -447,7 +436,7 @@ class GramTable:
     def model(self, config: TfidfConfig, kept: np.ndarray) -> TfidfModel:
         """The model of the grams `kept`, knowing every table word's columns."""
         grams = self.grams
-        # every word's in-vocabulary columns, in gram order, for transform
+        # every word's in-vocabulary columns, in gram order, for scoring
         offsets, ids = self._table.used()
         return TfidfModel.with_words({grams[g]: i for i, g in enumerate(kept.tolist())},
                                      self._idf(kept), config, self._table.rows,
@@ -456,7 +445,7 @@ class GramTable:
     def matrix(self, kept: np.ndarray, more: bool = False) -> CsrBatch:
         """The rows of the corpus documents (of `more_texts` if `more`)
         under the model of the grams `kept`: the same rows, bit for bit,
-        as transforming those documents with that model."""
+        as `transform_chunks` gives those documents under that model."""
         first, last = (self.n_docs, len(self._doc_offsets) - 1) if more else (0, self.n_docs)
         column, idf = self._columns(kept), self._idf(kept)
         chunks = []  # (entry offsets, which entries are kept, entries) per CHUNK_ROWS docs
@@ -499,29 +488,17 @@ class GramTable:
         return column
 
 
-def transform(model: TfidfModel, texts: Sequence[str]) -> CsrBatch:
-    """Vectorize a batch of preprocessed documents, one row per text.
-
-    Each row is the text's `idf_rows` row, L2-normalized; a text with no
-    in-vocabulary gram maps to an empty row.
-    """
-    if isinstance(texts, str):
-        raise TypeError("transform takes a sequence of texts, not one str")
-    batch = idf_rows(model, texts)
-    _normalize(np.diff(batch.indptr), batch.data)
-    return batch
-
-
 def transform_chunks(model: TfidfModel, texts: Sequence[str],
                      prep: Prep) -> Iterator[CsrBatch]:
-    """`transform`'s rows of the raw `texts` preprocessed by `prep`,
-    CHUNK_ROWS texts per batch, in order.
+    """The rows of the raw `texts` preprocessed by `prep`, CHUNK_ROWS
+    texts per batch, in order: each text's `idf_rows` row divided by its
+    L2 norm, an empty row for a text with no in-vocabulary gram.
 
     A text's words are those of its tokens' forms (`_WordTable.walk`).
     The whole input is walked, and its new words split, before the
     first batch; each batch is then counted on its own, so no array of
-    the whole input's entries is ever made.  The rows are `transform`'s
-    of the preprocessed texts, bit for bit.
+    the whole input's entries is ever made.  A row's sums are segments
+    of its own (`row_sums`), so it does not depend on the other texts.
     """
     table, dim, idf = model._table, model.dim, model.idf
     for tokens, doc_len in _add_words(model, texts, prep):
@@ -532,18 +509,17 @@ def transform_chunks(model: TfidfModel, texts: Sequence[str],
         yield batch
 
 
-def idf_rows(model: TfidfModel, texts: Sequence[str], prep: Prep | None = None) -> CsrBatch:
-    """Raw in-vocabulary gram counts of each preprocessed text, scaled by
-    idf and not normalized: the rows `transform` divides by their norms.
-    With `prep`, the texts are raw, as in `transform_chunks`.
-    """
+def idf_rows(model: TfidfModel, texts: Sequence[str], prep: Prep) -> CsrBatch:
+    """Raw in-vocabulary gram counts of each raw text preprocessed by
+    `prep`, scaled by idf and not normalized: the rows `transform_chunks`
+    divides by their norms."""
     nnz, indices, counts = model._table.count(_add_words(model, texts, prep), model.dim)
     return CsrBatch(indptr=np.concatenate(([0], np.cumsum(nnz))), indices=indices,
                     data=counts * model.idf[indices], shape=(len(texts), model.dim))
 
 
 def _add_words(model: TfidfModel, texts: Sequence[str],
-               prep: Prep | None) -> list[tuple[np.ndarray, np.ndarray]]:
+               prep: Prep) -> list[tuple[np.ndarray, np.ndarray]]:
     """Walk `texts` (see `_WordTable.walk`) and give the words the model
     has not seen their columns; return the walk's chunks.
 
@@ -551,6 +527,8 @@ def _add_words(model: TfidfModel, texts: Sequence[str],
     grams looked up in the vocabulary, and each word's columns added to
     the model's word table.
     """
+    if isinstance(texts, str):
+        raise TypeError("a batch is a sequence of texts, not one str")
     vocabulary, config, table = model.vocabulary, model.config, model._table
     new, chunks = table.walk(texts, prep)
     if new:
@@ -626,8 +604,8 @@ def _in_groups(found: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
-    """How many grams char_wb_ngrams emits for words of `padded` characters
-    with their two pad spaces: padded - n + 1 windows for each n in
+    """How many char-wb grams words of `padded` characters, with their two
+    pad spaces, emit: padded - n + 1 windows for each n in
     [n_min, min(n_max, padded - 1)], then the whole padded word once when
     n_max reaches it."""
     cap = int(padded.max(initial=0)) + 1  # see _split_words
@@ -639,12 +617,12 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
 def _split_words(
     words: list[str], n_min: int, n_max: int
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split every word over [n_min, n_max] in one array pass, as
-    char_wb_ngrams(" ".join(words), n_min, n_max) would.
+    """Split every word into its char-wb grams over [n_min, n_max] in one
+    array pass.
 
     Returns (the distinct grams in lexicographic order, each one's length,
     whether it is a whole padded word, grams per word, and the id of every
-    gram in char_wb_ngrams emission order, as int32).  Each gram is a
+    gram in char-wb emission order, as int32).  Each gram is a
     window (start, length) over the padded words' code points; its
     characters, coded as their rank in the alphabet plus one (0 past the
     gram's end), are packed into int64 keys that sort as the grams do.

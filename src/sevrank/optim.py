@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["OptimResult", "lbfgs_minimize", "check_gradient"]
+__all__ = ["OptimResult", "lbfgs_minimize"]
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -124,25 +124,3 @@ def lbfgs_minimize(
         iteration += 1
         if callback is not None:
             callback(iteration, x, fx)
-
-
-def check_gradient(f: Objective, x: np.ndarray, h: float = 1e-6) -> float:
-    """Max relative error of the analytic gradient vs central differences.
-
-    Per coordinate the relative error uses max(1, |analytic|) as the
-    denominator; the maximum over coordinates is returned.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    _, grad = _evaluate(f, x, 0)
-    worst = 0.0
-    for i in range(len(x)):
-        bump = np.zeros_like(x)
-        bump[i] = h
-        f_plus, _ = _evaluate(f, x + bump, 0)
-        f_minus, _ = _evaluate(f, x - bump, 0)
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        err = abs(numeric - grad[i]) / max(1.0, abs(grad[i]))
-        worst = max(worst, err)
-    return worst

@@ -1,4 +1,10 @@
-r"""The saved model: one `<prefix>.pipeline` file that scores as it did when fit.
+r"""The severity model: `fit` fits it, one `<prefix>.pipeline` file saves
+it, and it scores as it did when fit.
+
+`fit` is the one fit path; `sevrank train` is `fit`, then `save_pipeline`.
+It builds its matrix from its split's own count, frees that count before
+it builds the vectorizer and the split before the solve, so its peak
+memory is the matrix plus bounded temporaries.
 
 The file holds the preprocessing switches, the TF-IDF vocabulary and idf,
 the ridge weights, and the model's word table:
@@ -39,8 +45,8 @@ preprocessing, in one pass over the batch's distinct texts:
 
 Each score is the one the text gets alone, bit for bit: a row's counts
 do not depend on the other texts, and its sums are `features.row_sums`
-segments of its own.  The steps are called through their modules, so a
-patched function is the one that runs.
+segments of its own.  `fit` and `score` call each step through its
+module, so a patched function is the one that runs.
 
 `Pipeline.score_masks` scores LIME's word-drop variants of one text
 without building them.  Let v_t be the idf-scaled raw gram counts of
@@ -68,6 +74,7 @@ other product is an einsum: no sum goes through a threaded BLAS call.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -77,7 +84,7 @@ import numpy as np
 
 from . import features, regress, textproc
 
-__all__ = ["Pipeline", "save_pipeline", "load_pipeline"]
+__all__ = ["Pipeline", "fit", "save_pipeline", "load_pipeline"]
 
 _MAGIC = b"sevrank-pipeline-v2\n"
 _KEYS = ("preprocess", "tfidf", "alpha", "intercept", "dim", "grams_bytes",
@@ -90,14 +97,10 @@ class Pipeline(NamedTuple):
     ridge: regress.RidgeModel
 
     def score(self, texts: Sequence[str]) -> np.ndarray:
-        """Scores of `texts`, in input order, each as it scores alone.
-
-        One pass over the distinct texts: each distinct whitespace token
-        is preprocessed once, the word table walked once, and the words
-        the model never saw split in one call; then the rows are counted
-        and predicted features.CHUNK_ROWS texts at a time, so no matrix
-        of the whole input is ever held.
-        """
+        """Scores of `texts`, in input order, each as it scores alone, from
+        one pass over the distinct texts (see the module docstring)."""
+        if isinstance(texts, str):
+            raise TypeError("score takes a sequence of texts, not one str")
         slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
         scores = np.empty(len(slot))
         done = 0
@@ -119,6 +122,8 @@ class Pipeline(NamedTuple):
         spaces, within rounding, without building that text (see the module
         docstring).  Each distinct token is preprocessed and counted once.
         """
+        if isinstance(tokens, str):
+            raise TypeError("score_masks takes a sequence of tokens, not one str")
         slot = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
         which = np.fromiter(map(slot.__getitem__, tokens), dtype=np.int64, count=len(tokens))
         rows = features.idf_rows(self.tfidf, list(slot), self._forms)
@@ -132,6 +137,29 @@ class Pipeline(NamedTuple):
         scores = np.full(len(m), self.ridge.intercept)
         scores[kept] += np.einsum("it,t->i", m[kept], a) / np.sqrt(norm2[kept])
         return scores
+
+
+def fit(texts: Sequence[str], scores: Sequence[float],
+        preprocess: textproc.PreprocessConfig = textproc.PreprocessConfig(),
+        tfidf: features.TfidfConfig = features.TfidfConfig(), alpha: float = 1.0,
+        tol: float = 1e-8, max_iter: int = 1000) -> tuple[Pipeline, float]:
+    """The pipeline fitted on raw `texts` and their severity `scores`, and
+    its training objective; the arguments are `sevrank train`'s flags.
+
+    The steps: `features.GramTable.split` (each distinct token preprocessed
+    once), `select`, `matrix`, `drop_counts`, `model`, `regress.fit_ridge`
+    and `regress.ridge_objective`.  The solver's report is `ridge.solver`.
+    """
+    table = features.GramTable.split(
+        texts, tfidf.n_min, tfidf.n_max,
+        prep=functools.partial(textproc.preprocess_tokens, config=preprocess))
+    kept = table.select(tfidf)
+    X = table.matrix(kept)
+    table.drop_counts()
+    vectorizer = table.model(tfidf, kept)
+    del table
+    ridge = regress.fit_ridge(X, scores, alpha=alpha, tol=tol, max_iter=max_iter)
+    return Pipeline(preprocess, vectorizer, ridge), regress.ridge_objective(ridge, X, scores)
 
 
 def _gram(rows: features.CsrBatch) -> np.ndarray:

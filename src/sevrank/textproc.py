@@ -2,8 +2,7 @@
 
 Pipeline pieces used ahead of feature extraction: hyperlink removal,
 contraction expansion from a fixed table, lowercasing, whitespace
-collapse, optional Porter stemming, and char-wb n-gram extraction
-(character n-grams that never cross word boundaries).
+collapse and optional Porter stemming.
 
 Preprocessing acts on one whitespace-separated token at a time
 (`preprocess_tokens`), and a text's result is its tokens' non-empty
@@ -32,7 +31,6 @@ __all__ = [
     "PreprocessConfig",
     "preprocess",
     "preprocess_tokens",
-    "char_wb_ngrams",
     "porter_stem",
 ]
 
@@ -124,31 +122,6 @@ def _expand_contractions(run: re.Match) -> str:
     return pattern.sub(
         lambda m: table.get(m.group(0).lower(), m.group(0)), run.group(0)
     )
-
-
-def char_wb_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
-    """Character n-grams drawn from inside space-padded words.
-
-    Each whitespace-delimited word is padded with one space on each side
-    and every contiguous n-gram with n in [n_min, n_max] that fits inside
-    the padded word is emitted.  A word whose padded form is shorter than
-    n contributes the whole padded word exactly once, and no longer n is
-    attempted for it, so no gram ever spans two words.  Returns the grams
-    in emission order (a multiset, not a set).
-    """
-    if not (1 <= n_min <= n_max):
-        raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
-    grams: list[str] = []
-    for word in text.split():
-        padded = f" {word} "
-        length = len(padded)
-        for n in range(n_min, n_max + 1):
-            if n >= length:
-                grams.append(padded)
-                break
-            for i in range(length - n + 1):
-                grams.append(padded[i : i + n])
-    return grams
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import sevrank
 from sevrank import (cli, corpus, ensemble, evaluate, explain, features, pipeline,
                      regress, textproc)
-from sevrank.textproc import PreprocessConfig, char_wb_ngrams, preprocess
+from sevrank.textproc import PreprocessConfig, preprocess
+
+from reference import char_wb_ngrams, fit_tfidf, transform
 
 MILD = ["nice", "thanks", "great", "friendly", "agree", "helpful", "kind", "fair"]
 HARSH = ["idiot", "stupid", "moron", "dumb", "loser", "pathetic", "trash", "clown"]
@@ -158,7 +160,7 @@ class TestScoring:
         assert sorted(walked) == sorted(set(texts))
         assert sorted(seen) == ["Thanks,", "friend!", "idiot", "you"]
         for text, score in zip(texts, got):
-            alone = regress.predict(ridge, features.transform(tfidf, [preprocess(text, pp)]))
+            alone = regress.predict(ridge, transform(tfidf, [preprocess(text, pp)]))
             assert score == alone[0]
 
     def test_case_folding_letter_next_to_an_apostrophe(self, files, capsys, tmp_path):
@@ -550,8 +552,8 @@ class TestPreprocessingIsSavedWithTheModel:
         labeled = corpus.load_labeled(files["labeled"])
         stem = PreprocessConfig(stem=True)
         texts = [preprocess(text, stem) for text in labeled.texts]
-        tfidf = features.fit_tfidf(texts, features.TfidfConfig(n_min=2, n_max=4))
-        ridge = regress.fit_ridge(features.transform(tfidf, texts), labeled.scores)
+        tfidf = fit_tfidf(texts, features.TfidfConfig(n_min=2, n_max=4))
+        ridge = regress.fit_ridge(transform(tfidf, texts), labeled.scores)
         _, comments = corpus.load_comments(files["comments"])
         assert got == pipeline.Pipeline(stem, tfidf, ridge).score(comments).tolist()
         unstemmed = pipeline.Pipeline(PreprocessConfig(), tfidf, ridge).score(comments)
@@ -596,9 +598,9 @@ def search_oracle(labeled, pairs_path, trials, seed, pp):
         max_features = caps[rng.integers(len(caps))]
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
         config = features.TfidfConfig(n_min=n_min, n_max=n_max, max_features=max_features)
-        tfidf = features.fit_tfidf(texts, config)
-        ridge = regress.fit_ridge(features.transform(tfidf, texts), y, alpha=alpha)
-        scores = [float(regress.predict(ridge, features.transform(
+        tfidf = fit_tfidf(texts, config)
+        ridge = regress.fit_ridge(transform(tfidf, texts), y, alpha=alpha)
+        scores = [float(regress.predict(ridge, transform(
             tfidf, [preprocess(text, pp)]))[0]) for text in pairs.texts]
         records.append({
             "trial": trial, "n_min": n_min, "n_max": n_max, "max_features": max_features,
@@ -609,16 +611,25 @@ def search_oracle(labeled, pairs_path, trials, seed, pp):
     return records
 
 
+def spy_on_vectorizing(monkeypatch):
+    """A list that gets the model of each later `features.transform_chunks`
+    or `features.idf_rows` call: the two ways a fitted model vectorizes
+    texts."""
+    calls = []
+    for name in ("transform_chunks", "idf_rows"):
+        real = getattr(features, name)
+        monkeypatch.setattr(features, name, lambda model, *rest, real=real:
+                            calls.append(model) or real(model, *rest))
+    return calls
+
+
 class TestSearchMatchesPerTrialFits:
     """Every search record equals fitting and scoring that trial on its own,
     although search splits and counts each text once and shares matrices
     between trials."""
 
     def search(self, capsys, monkeypatch, files, trials, seed, *flags):
-        calls = []
-        real = features.transform
-        monkeypatch.setattr(features, "transform",
-                            lambda model, texts: calls.append(model) or real(model, texts))
+        calls = spy_on_vectorizing(monkeypatch)
         code, out, err = run(capsys, "search", "--labeled", files["labeled"],
                              "--pairs", files["pairs"], "--trials", trials,
                              "--seed", seed, *flags)
@@ -722,6 +733,15 @@ GOLDEN_TRAIN = {
 }
 
 
+# each GOLDEN_TRAIN flag set as `pipeline.fit` arguments
+FIT_ARGS = {
+    "3-5": {},
+    "1-7-max500": {"tfidf": features.TfidfConfig(n_min=1, n_max=7, max_features=500)},
+    "min-df-2": {"tfidf": features.TfidfConfig(min_df=2)},
+    "stem": {"preprocess": PreprocessConfig(stem=True)},
+}
+
+
 # search --trials 8 --seed 3 on the golden files
 GOLDEN_SEARCH = "".join(line + "\n" for line in [
     '{"trial": 0, "n_min": 3, "n_max": 6, "max_features": 10000, '
@@ -766,23 +786,33 @@ class TestGoldenFits:
         pp = cli._preprocess_config(args)
         labeled = corpus.load_labeled(golden["labeled"])
         texts = [preprocess(text, pp) for text in labeled.texts]
-        tfidf = features.fit_tfidf(texts, features.TfidfConfig(
+        tfidf = fit_tfidf(texts, features.TfidfConfig(
             n_min=args.n_min, n_max=args.n_max, max_features=args.max_features,
             min_df=args.min_df))
-        X = features.transform(tfidf, texts)
+        X = transform(tfidf, texts)
         ridge = regress.fit_ridge(X, labeled.scores)
         pipeline.save_pipeline(pipeline.Pipeline(pp, tfidf, ridge), tmp_path / "ref.pipeline")
         assert data == (tmp_path / "ref.pipeline").read_bytes()
         objective = regress.ridge_objective(ridge, X, labeled.scores)
         assert out == f"training objective: {objective!r}\n"
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
+    def test_fit_is_train(self, golden, capsys, tmp_path, name):
+        data, out = self.train(capsys, tmp_path, golden, GOLDEN_TRAIN[name][0])
+        labeled = corpus.load_labeled(golden["labeled"])
+        model, objective = pipeline.fit(labeled.texts, labeled.scores, **FIT_ARGS[name])
+        pipeline.save_pipeline(model, tmp_path / "fit.pipeline")
+        assert data == (tmp_path / "fit.pipeline").read_bytes()
+        assert out == f"training objective: {objective!r}\n"
+
     def test_train_transforms_nothing(self, golden, capsys, tmp_path, monkeypatch):
-        calls = []
-        real = features.transform
-        monkeypatch.setattr(features, "transform",
-                            lambda model, texts: calls.append(model) or real(model, texts))
-        self.train(capsys, tmp_path, golden, ())
+        calls = spy_on_vectorizing(monkeypatch)
+        data, _ = self.train(capsys, tmp_path, golden, ())
         assert calls == []
+        # the spy sees the model score
+        (tmp_path / "m.pipeline").write_bytes(data)
+        pipeline.load_pipeline(tmp_path / "m.pipeline").score(["you idiot"])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
     def test_train_golden_bytes(self, golden, capsys, tmp_path, name):
@@ -1618,8 +1648,8 @@ def wide(tmp_path_factory):
 
 
 class TestBlasThreadsChangeNoByte:
-    """`train` and `explain` write the same bytes under one and two BLAS
-    threads, and `ensemble` under one and four."""
+    """`train`, `score`, `search` and `explain` write the same bytes under
+    one and two BLAS threads, and `ensemble` under one and four."""
 
     def test_train(self, wide, tmp_path):
         data = Path(f"{wide['model']}.pipeline").read_bytes()
@@ -1627,6 +1657,29 @@ class TestBlasThreadsChangeNoByte:
         out = run_blas_threads(2, tmp_path, "train", "--labeled", wide["labeled"],
                                "--out-prefix", tmp_path / "t2")
         assert (out, (tmp_path / "t2.pipeline").read_bytes()) == (wide["train_out"], data)
+
+    def test_score(self, wide, tmp_path):
+        outputs = [(run_blas_threads(threads, tmp_path, "score", "--model-prefix",
+                                     wide["model"], "--comments", wide["labeled"],
+                                     "--out", tmp_path / f"{threads}.csv"),
+                    (tmp_path / f"{threads}.csv").read_bytes())
+                   for threads in (1, 2)]
+        assert outputs[0][0] == "scored 1000 comments\n"
+        assert outputs[0] == outputs[1]
+
+    def test_search(self, wide, tmp_path):
+        # pairs of the labeled texts, the more toxic side the higher label
+        labeled = corpus.load_labeled(wide["labeled"])
+        rng = np.random.default_rng(3)
+        pairs = [tuple(labeled.texts[i] for i in sorted(
+            rng.choice(len(labeled), size=2, replace=False), key=labeled.scores.__getitem__))
+            for _ in range(200)]
+        pairs_path = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"], pairs)
+        outputs = [run_blas_threads(threads, tmp_path, "search", "--labeled", wide["labeled"],
+                                    "--pairs", pairs_path, "--trials", "3", "--seed", "7")
+                   for threads in (1, 2)]
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
     def test_explain(self, wide, tmp_path):
         for key, n_words in (("text", 44), ("long_text", 300)):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from sevrank import corpus, ensemble
 from sevrank.corpus import Pairs
-from sevrank.optim import check_gradient
+
+from reference import check_gradient
 
 
 def loop_ranks(column):

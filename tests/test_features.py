@@ -18,13 +18,13 @@ from sevrank.features import (
     _grams_per_word,
     _split_words,
     _WordTable,
-    fit_tfidf,
     row_sums,
-    transform,
 )
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import RidgeModel
-from sevrank.textproc import PreprocessConfig, char_wb_ngrams
+from sevrank.textproc import PreprocessConfig
+
+from reference import char_wb_ngrams, fit_tfidf, transform
 
 
 def word_columns(model):
@@ -251,7 +251,7 @@ class TestGramTable:
     @given(WORDS, NESTED_RANGES)
     def test_range_selects_the_grams_of_a_narrower_split(self, word, ranges):
         lo, a, b, hi = ranges
-        table = GramTable.split([word], lo, hi)
+        table = GramTable.split([word], lo, hi, prep=list)
         inside = table.in_range(a, b)
         # one document, so a gram's corpus count is its count in the word
         got = {table.grams[g]: int(table.total[g]) for g in np.flatnonzero(inside).tolist()}
@@ -266,7 +266,7 @@ class TestGramTable:
             len(char_wb_ngrams(w, a, b)) for w in words]
 
     def test_a_above_the_padded_length_keeps_the_whole_word(self):
-        table = GramTable.split(["ab cdefgh"], 2, 9)
+        table = GramTable.split(["ab cdefgh"], 2, 9, prep=list)
         inside = table.in_range(5, 9)
         assert sorted(table.grams[g] for g in np.flatnonzero(inside)) == sorted(
             char_wb_ngrams("ab cdefgh", 5, 9))
@@ -284,7 +284,7 @@ class TestGramTable:
     def test_fits_each_range_like_fit_tfidf(self, config):
         corpus = TestFitMatchesPerDocumentCounts.MIXED
         more = ["unseen words", "the cat", "😀 zz"]
-        table = GramTable.split(corpus, 1, 6, more)
+        table = GramTable.split(corpus, 1, 6, more, prep=list)
         model = table.model(config, table.select(config))
         vocabulary, idf = reference_fit(corpus, config)
         assert model.vocabulary == vocabulary
@@ -311,7 +311,7 @@ class TestGramTable:
                   for _ in range(2 * CHUNK_ROWS + 9)]
         # words that no corpus document holds: their grams get no count
         more = ["zebra quux", "", "qq😀q zebra"]
-        table = GramTable.split(corpus, 1, 4, more)
+        table = GramTable.split(corpus, 1, 4, more, prep=list)
         per_doc = [Counter(char_wb_ngrams(doc, 1, 4)) for doc in corpus]
         grams = set(char_wb_ngrams(" ".join(corpus + more), 1, 4))
         assert table.grams == sorted(grams)
@@ -327,7 +327,7 @@ class TestGramTable:
         corpus = [" ".join(rng.choice(pool, size=rng.integers(0, 12)))
                   for _ in range(2 * CHUNK_ROWS + 3)]
         more = corpus[:CHUNK_ROWS + 1] + ["brand new", ""]
-        table = GramTable.split(corpus, 1, 6, more)
+        table = GramTable.split(corpus, 1, 6, more, prep=list)
         for config in (TfidfConfig(n_min=2, n_max=5, max_features=60),
                        TfidfConfig(n_min=3, n_max=3, min_df=4), TfidfConfig(n_min=1, n_max=6)):
             kept = table.select(config)
@@ -348,7 +348,7 @@ class TestGramTable:
         monkeypatch.setattr(features, "BLOCK_ENTRIES", 1024)
         tracemalloc.start()
         try:
-            table = GramTable.split(corpus, 3, 5)
+            table = GramTable.split(corpus, 3, 5, prep=list)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -357,12 +357,12 @@ class TestGramTable:
         assert peak - held < X.data.nbytes / 2
         # the sums over slices are the sums over all entries at once
         monkeypatch.setattr(features, "BLOCK_ENTRIES", 1 << 30)
-        whole = GramTable.split(corpus, 3, 5)
+        whole = GramTable.split(corpus, 3, 5, prep=list)
         assert table.total.tobytes() == whole.total.tobytes()
         assert table.df.tobytes() == whole.df.tobytes()
 
     def test_documents_without_words(self):
-        table = GramTable.split(["", " ", "\n"], 1, 3, [""])
+        table = GramTable.split(["", " ", "\n"], 1, 3, [""], prep=list)
         assert table.grams == [] and len(table.total) == 0 and len(table.df) == 0
         kept = table.select(TfidfConfig(n_min=1, n_max=3))
         assert table.matrix(kept).shape == (3, 0)
@@ -371,7 +371,7 @@ class TestGramTable:
         assert model.dim == 0 and transform(model, ["ab"]).shape == (1, 0)
 
     def test_range_outside_the_table_rejected(self):
-        table = GramTable.split(["ab"], 2, 4)
+        table = GramTable.split(["ab"], 2, 4, prep=list)
         with pytest.raises(ValueError, match="not inside"):
             table.in_range(1, 4)
         with pytest.raises(ValueError, match="not inside"):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevrank.optim import GRAD_TOL, check_gradient, lbfgs_minimize
+from sevrank.optim import GRAD_TOL, lbfgs_minimize
+
+from reference import check_gradient
 
 
 def rosenbrock(x):

@@ -1,13 +1,19 @@
+import csv
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevrank import features, textproc
-from sevrank.features import CHUNK_ROWS, TfidfConfig, TfidfModel, fit_tfidf, transform
+import sevrank
+from sevrank import cli, features, textproc
+from sevrank.features import CHUNK_ROWS, TfidfConfig, TfidfModel
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import fit_ridge, predict
-from sevrank.textproc import PreprocessConfig, char_wb_ngrams, preprocess
+from sevrank.textproc import PreprocessConfig, preprocess
+
+from reference import char_wb_ngrams, fit_tfidf, transform
 
 TEXTS = ["you absolute clown", "thanks for the helpful notes", "it's über dumb",
          "kind words", "clowning around again"]
@@ -158,8 +164,8 @@ class TestScoreMasks:
         assert preprocess("http://x.co/clown") == ""
         assert preprocess("They'll") == "they will"
         assert "clownery" not in model.tfidf.word_table()[0]
-        assert features.idf_rows(model.tfidf, ["☃☃"]).nnz == 0
-        assert features.idf_rows(model.tfidf, ["clownery"]).nnz > 0
+        assert features.idf_rows(model.tfidf, ["☃☃"], list).nnz == 0
+        assert features.idf_rows(model.tfidf, ["clownery"], list).nnz > 0
 
     @pytest.mark.parametrize("tokens", [["you", "clown"], ["☃☃"], ["http://x.co"]])
     def test_a_mask_with_no_gram_scores_the_intercept(self, tokens):
@@ -274,3 +280,52 @@ class TestBatchScoresAsAlone:
         tokens = ["clown", "They'll", "clown", "http://x.co", "Σ", "clown"]
         load_pipeline(saved_model).score_masks(tokens, every_mask(len(tokens)))
         assert sorted(tokens_seen) == sorted(set(tokens))
+
+
+class TestOneStrIsRefused:
+    """A bare str is one text, not a batch of its characters."""
+
+    def test_score(self):
+        with pytest.raises(TypeError, match="not one str"):
+            MODELS[False].score("you idiot")
+
+    def test_score_masks(self):
+        with pytest.raises(TypeError, match="not one str"):
+            MODELS[False].score_masks("you idiot", np.ones((2, 9), dtype=np.int8))
+
+
+def literal_blocks(doc):
+    """The code of each `::` literal block of a docstring, dedented."""
+    blocks = []
+    for part in doc.split("::\n\n")[1:]:
+        lines = []
+        for line in part.splitlines():
+            if line and not line.startswith("    "):
+                break
+            lines.append(line)
+        blocks.append(textwrap.dedent("\n".join(lines)))
+    return blocks
+
+
+class TestQuickStart:
+    def test_the_package_docstring_runs(self, tmp_path, monkeypatch, capsys):
+        with (tmp_path / "labeled.csv").open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["comment_id", "text", "score"])
+            writer.writerows((f"q{i}", text, repr(y)) for i, (text, y) in enumerate(zip(TEXTS, Y)))
+        monkeypatch.chdir(tmp_path)
+        blocks = literal_blocks(sevrank.__doc__)
+        assert len(blocks) == 2
+        namespace = {}
+        exec(blocks[0], namespace)
+        model, objective = namespace["model"], namespace["objective"]
+        assert isinstance(model, Pipeline) and objective > 0.0
+        assert namespace["scores"].shape == (2,)
+        exec(blocks[1], namespace)
+        assert namespace["scores"].tolist() == model.score(["you idiot"]).tolist()
+        # the quick start's fit is `sevrank train`'s (scoring adds the
+        # scored words to a model's table, so the files differ there)
+        assert cli.main(["train", "--labeled", "labeled.csv", "--out-prefix", "trained"]) == 0
+        assert capsys.readouterr().out == f"training objective: {objective!r}\n"
+        trained = load_pipeline(tmp_path / "trained.pipeline")
+        assert trained.score(TEXTS).tobytes() == model.score(TEXTS).tobytes()

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from sevrank import textproc
 from sevrank.textproc import (
     PreprocessConfig,
-    char_wb_ngrams,
     porter_stem,
     preprocess,
 )
+
+from reference import char_wb_ngrams
 
 
 def preprocess_whole_text(text):
