@@ -30,7 +30,6 @@ explanation depends on the BLAS thread count.
 
 from __future__ import annotations
 
-import html
 import json
 import math
 from typing import Callable, NamedTuple, Sequence
@@ -254,6 +253,8 @@ def explanation_json(explanation: Explanation) -> str:
 def explanation_html(explanation: Explanation) -> str:
     """Snippet with per-word background intensity proportional to |weight|;
     each importance colours the token at its index."""
+    import html  # only --html-out needs it; kept off every other explain call
+
     weight_of = dict(explanation.importances)
     peak = max((abs(w) for w in weight_of.values()), default=0.0)
     spans = []

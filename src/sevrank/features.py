@@ -15,7 +15,9 @@ count here against this definition as plain loops (`char_wb_ngrams` in
 `tests/reference.py`).
 
 A word table holds, for every word seen, a run of int32 ids: gram ids in a
-`GramTable`, in-vocabulary columns in a `TfidfModel`.  Every batch, fit or
+`GramTable`, in-vocabulary columns in a `TfidfModel`.  The ids stay int32
+in the table, in `_count` and in the `.pipeline` file; only a `CsrBatch`
+holds its columns as `np.intp` (see there).  Every batch, fit or
 scored, is counted in three steps: the walk (`_WordTable.walk`) gives each
 word the table lacks the next row, one `add` gives those new words their
 runs, and the count (`_count`, per CHUNK_ROWS documents) counts each
@@ -29,10 +31,13 @@ the text the words of its tokens' forms.  Preprocessing acts on each
 token on its own, so these are the words of the preprocessed text.  The
 identity step `list` walks texts that are already preprocessed.
 
-One vectorized kernel (`_split_words`) splits all of a batch's new words
+One vectorized kernel (`_split_spans`) splits all of a batch's new words
 in one call.  It packs each gram's characters into integer keys whose
 sort order is the grams' lexicographic order, so gram ids come out
-already in that order and only the distinct grams become strings.
+already in that order, each distinct gram a (start, length) span over
+the words' joined text.  Scoring looks every new gram up, so
+`_split_words` makes each distinct gram a string; a fit makes strings
+only of the grams its model keeps.
 
 A fit does its text work once, as arrays.  `GramTable.split` keeps each
 document's (gram id, count) runs from its one count, and
@@ -60,7 +65,7 @@ a time, after one walk and one split of the whole batch, so that
 
 from __future__ import annotations
 
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -97,6 +102,11 @@ class CsrBatch:
     at the same positions of data.  Within a row the column indices are
     strictly increasing and no stored value is zero; construction checks
     this, and the shape, with whole-array operations.
+
+    The column indices are `np.intp`, the index type of numpy's fancy
+    indexing and of `np.bincount`: a product over the entries gathers and
+    bins with them as they are, and makes no cast the size of the batch.
+    Construction casts other integer indices to it.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -104,7 +114,7 @@ class CsrBatch:
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                  shape: tuple[int, int]) -> None:
         self.indptr = indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = indices = np.asarray(indices, dtype=np.int32)
+        self.indices = indices = np.asarray(indices, dtype=np.intp)
         self.data = data = np.asarray(data, dtype=np.float64)
         self.shape = shape
         n_rows, dim = self.shape
@@ -265,15 +275,18 @@ class TfidfModel:
     it with every training word, a loaded model reads it from its file, and
     every scored batch (`idf_rows`, `transform_chunks`) adds each new word
     it meets, so a word is split into grams once per model, however many
-    batches it appears in.  The table grows with the distinct words seen.
+    batches it appears in.  The table grows with the distinct words seen;
+    its first rows are the words the fit or the file gave it, and only
+    those are saved (`word_table(fitted=True)`).
     """
 
-    __slots__ = ("vocabulary", "idf", "config", "_table")
+    __slots__ = ("vocabulary", "idf", "config", "_table", "_n_fitted")
 
     def __init__(self, vocabulary: dict[str, int], idf: np.ndarray,
                  config: TfidfConfig) -> None:
         self.vocabulary, self.idf, self.config = vocabulary, idf, config
         self._table = _WordTable()
+        self._n_fitted = 0  # rows of the table that came from the fit or the file
 
     @property
     def dim(self) -> int:
@@ -294,13 +307,17 @@ class TfidfModel:
         if model.n_words != len(counts):
             raise ValueError("words must be distinct")
         model._table.add(counts, columns)
+        model._n_fitted = model.n_words
         return model
 
-    def word_table(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """(words in row order, columns per word, all columns) of the table;
-        `with_words` builds the model back from them."""
+    def word_table(self, fitted: bool = False) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(words in row order, columns per word, all columns) of the table,
+        or with `fitted` of its rows from the fit or the file alone, which
+        no scoring changes; `with_words` builds the model back from them."""
+        n = self._n_fitted if fitted else self.n_words
         offsets, columns = self._table.used()
-        return list(self._table.rows), np.diff(offsets), columns
+        return list(islice(self._table.rows, n)), np.diff(offsets[: n + 1]), \
+            columns[: offsets[n]]
 
 
 class GramTable:
@@ -315,12 +332,18 @@ class GramTable:
     same reason a gram's count in a document, and its document frequency,
     are the same in every range that holds it.
 
-    The split splits every distinct word in one `_split_words` call; its
+    The split splits every distinct word in one `_split_spans` call; its
     word table holds each word's gram ids, numbered in lexicographic gram
     order, so choosing and ordering a vocabulary are array operations on
     ids.  It counts each document once and keeps the counts, so `matrix`
     builds any fit's rows without walking the text again; `drop_counts`
     frees them once the last matrix is built.
+
+    Each gram is kept as a (start, length) span over the split's joined
+    text, not as a string: `model` makes strings of the grams it keeps
+    and nothing else does, so `search`, which builds matrices and no
+    model, makes no gram string.  `grams` makes every gram's string on
+    each access.
 
     The documents of `more_texts` are split and counted too, but their
     counts add nothing to `total` or `df`: a model fitted from the table
@@ -328,16 +351,18 @@ class GramTable:
     rows.
     """
 
-    __slots__ = ("n_min", "n_max", "n_docs", "_table", "grams", "length", "whole", "total",
-                 "df", "_doc_offsets", "_doc_ids", "_doc_counts")
+    __slots__ = ("n_min", "n_max", "n_docs", "_table", "_text", "_start", "length", "whole",
+                 "total", "df", "_doc_offsets", "_doc_ids", "_doc_counts")
 
     def __init__(self, n_min: int, n_max: int, n_docs: int, table: _WordTable,
-                 grams: list[str], length: np.ndarray, whole: np.ndarray,
+                 text: str, start: np.ndarray, length: np.ndarray, whole: np.ndarray,
                  total: np.ndarray, df: np.ndarray, doc_offsets: np.ndarray,
                  doc_ids: np.ndarray, doc_counts: np.ndarray) -> None:
         self.n_min, self.n_max, self.n_docs = n_min, n_max, n_docs
         self._table = table    # each word's gram ids, in char-wb emission order
-        self.grams = grams     # the gram of each id; ids ascend lexicographically
+        # the gram of id g is text[start[g] : start[g] + length[g]]; ids
+        # ascend lexicographically
+        self._text, self._start = text, start
         self.length = length   # characters per gram
         self.whole = whole     # gram is a whole padded word
         self.total = total     # count per gram over the corpus, float64
@@ -367,7 +392,7 @@ class GramTable:
         documents.
 
         Beside what the table keeps, the split holds only bounded
-        temporaries: `_split_words`'s per-window arrays, which grow with
+        temporaries: `_split_spans`' per-window arrays, which grow with
         the distinct words, one chunk's `_count`, and the sums of `total`
         and `df` over BLOCK_ENTRIES entries at a time.  The documents'
         counts are written once (`_WordTable.count`), never copied.
@@ -380,25 +405,31 @@ class GramTable:
             raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
         table = _WordTable()
         new, chunks = table.walk([*corpus, *more_texts], prep)
-        grams, length, whole, per_word, ids = _split_words(new, n_min, n_max)
+        text, start, length, whole, per_word, ids = _split_spans(new, n_min, n_max)
         table.add(per_word, ids)
         del ids
-        nnz, doc_ids, doc_counts = table.count(chunks, len(grams))
+        n_grams = len(length)
+        nnz, doc_ids, doc_counts = table.count(chunks, n_grams)
         doc_offsets = np.concatenate(([0], np.cumsum(nnz)))
         # summed BLOCK_ENTRIES entries at a time, so no entry-sized cast
         # is made; integer sums below 2**53, so exact in any order
-        total, df = np.zeros(len(grams)), np.zeros(len(grams), dtype=np.int64)
+        total, df = np.zeros(n_grams), np.zeros(n_grams, dtype=np.int64)
         end = int(doc_offsets[len(corpus)])
-        for start in range(0, end, BLOCK_ENTRIES):
-            block = slice(start, min(start + BLOCK_ENTRIES, end))
+        for first in range(0, end, BLOCK_ENTRIES):
+            block = slice(first, min(first + BLOCK_ENTRIES, end))
             total += np.bincount(doc_ids[block], weights=doc_counts[block],
-                                 minlength=len(grams))
-            df += np.bincount(doc_ids[block], minlength=len(grams))
+                                 minlength=n_grams)
+            df += np.bincount(doc_ids[block], minlength=n_grams)
         return cls(
-            n_min=n_min, n_max=n_max, n_docs=len(corpus), table=table, grams=grams,
-            length=length, whole=whole, total=total, df=df,
+            n_min=n_min, n_max=n_max, n_docs=len(corpus), table=table, text=text,
+            start=start, length=length, whole=whole, total=total, df=df,
             doc_offsets=doc_offsets, doc_ids=doc_ids, doc_counts=doc_counts,
         )
+
+    @property
+    def grams(self) -> list[str]:
+        """The gram of each id, made from the spans on each access."""
+        return _gram_strings(self._text, self._start, self.length)
 
     def in_range(self, n_min: int, n_max: int) -> np.ndarray:
         """Which grams the char-wb split emits over [n_min, n_max], per id.
@@ -434,37 +465,46 @@ class GramTable:
         return np.sort(np.concatenate((above, tied[: n_keep - len(above)])))
 
     def model(self, config: TfidfConfig, kept: np.ndarray) -> TfidfModel:
-        """The model of the grams `kept`, knowing every table word's columns."""
-        grams = self.grams
+        """The model of the grams `kept`, knowing every table word's columns;
+        the kept grams are the only ones made strings."""
+        grams = _gram_strings(self._text, self._start[kept], self.length[kept])
         # every word's in-vocabulary columns, in gram order, for scoring
         offsets, ids = self._table.used()
-        return TfidfModel.with_words({grams[g]: i for i, g in enumerate(kept.tolist())},
+        return TfidfModel.with_words(dict(zip(grams, range(len(grams)))),
                                      self._idf(kept), config, self._table.rows,
                                      *_kept(self._columns(kept)[ids], offsets))
 
     def matrix(self, kept: np.ndarray, more: bool = False) -> CsrBatch:
         """The rows of the corpus documents (of `more_texts` if `more`)
         under the model of the grams `kept`: the same rows, bit for bit,
-        as `transform_chunks` gives those documents under that model."""
+        as `transform_chunks` gives those documents under that model; the
+        columns are written as intp directly (see `CsrBatch`)."""
         first, last = (self.n_docs, len(self._doc_offsets) - 1) if more else (0, self.n_docs)
         column, idf = self._columns(kept), self._idf(kept)
-        chunks = []  # (entry offsets, which entries are kept, entries) per CHUNK_ROWS docs
-        for start in range(first, last, CHUNK_ROWS):
-            offsets = self._doc_offsets[start : min(start + CHUNK_ROWS, last) + 1]
-            entries = slice(offsets[0], offsets[-1])
-            chunks.append((offsets - offsets[0], column[self._doc_ids[entries]] >= 0, entries))
+        # the count entries' offsets of each CHUNK_ROWS documents
+        chunks = [self._doc_offsets[start : min(start + CHUNK_ROWS, last) + 1]
+                  for start in range(first, last, CHUNK_ROWS)]
+
+        def columns(offsets: np.ndarray) -> np.ndarray:
+            """Each count entry's column in the chunk, -1 if not kept."""
+            return column[self._doc_ids[offsets[0] : offsets[-1]]]
+
         # the rows' lengths first, so the rows are written in place and no
-        # second copy of the matrix is ever held
+        # second copy of the matrix is ever held; a chunk's columns are
+        # found again when its rows are written, not kept between the passes
         nnz = np.concatenate([np.zeros(0, dtype=np.int64),
-                              *(_in_groups(found, offsets) for offsets, found, _ in chunks)])
+                              *(_in_groups(columns(offsets) >= 0, offsets - offsets[0])
+                                for offsets in chunks)])
         indptr = np.concatenate(([0], np.cumsum(nnz)))
-        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices = np.empty(indptr[-1], dtype=np.intp)
         data = np.empty(indptr[-1])
-        for row, (_, found, entries) in zip(range(0, len(nnz), CHUNK_ROWS), chunks):
+        for row, offsets in zip(range(0, len(nnz), CHUNK_ROWS), chunks):
             rows = slice(indptr[row], indptr[min(row + CHUNK_ROWS, len(nnz))])
-            indices[rows] = column[self._doc_ids[entries][found]]
+            entries = columns(offsets)
+            found = entries >= 0
+            indices[rows] = entries[found]
             data[rows] = idf[indices[rows]]
-            data[rows] *= self._doc_counts[entries][found]
+            data[rows] *= self._doc_counts[offsets[0] : offsets[-1]][found]
             _normalize(nnz[row : row + CHUNK_ROWS], data[rows])
         return CsrBatch(indptr=indptr, indices=indices, data=data,
                         shape=(len(nnz), len(kept)))
@@ -483,7 +523,7 @@ class GramTable:
 
     def _columns(self, kept: np.ndarray) -> np.ndarray:
         """Column of each gram id under the model of `kept`; -1 if not kept."""
-        column = np.full(len(self.grams), -1, dtype=np.int32)
+        column = np.full(len(self.length), -1, dtype=np.int32)
         column[kept] = np.arange(len(kept))
         return column
 
@@ -608,7 +648,7 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
     pad spaces, emit: padded - n + 1 windows for each n in
     [n_min, min(n_max, padded - 1)], then the whole padded word once when
     n_max reaches it."""
-    cap = int(padded.max(initial=0)) + 1  # see _split_words
+    cap = int(padded.max(initial=0)) + 1  # see _split_spans
     n_min, n_max = min(n_min, cap), min(n_max, cap)
     k = np.maximum(np.minimum(n_max, padded - 1) - n_min + 1, 0)
     return k * (padded + 1 - n_min) - k * (k - 1) // 2 + (padded <= n_max)
@@ -617,18 +657,35 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
 def _split_words(
     words: list[str], n_min: int, n_max: int
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_split_spans` with each distinct gram made a string: (the distinct
+    grams in lexicographic order, each one's length, whether it is a whole
+    padded word, grams per word, and the id of every gram in char-wb
+    emission order, as int32)."""
+    text, start, length, whole, per_word, ids = _split_spans(words, n_min, n_max)
+    return _gram_strings(text, start, length), length, whole, per_word, ids
+
+
+def _gram_strings(text: str, start: np.ndarray, length: np.ndarray) -> list[str]:
+    """The gram of each (start, length) span over `text`."""
+    return [text[a : a + b] for a, b in zip(start.tolist(), length.tolist())]
+
+
+def _split_spans(
+    words: list[str], n_min: int, n_max: int
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split every word into its char-wb grams over [n_min, n_max] in one
     array pass.
 
-    Returns (the distinct grams in lexicographic order, each one's length,
-    whether it is a whole padded word, grams per word, and the id of every
-    gram in char-wb emission order, as int32).  Each gram is a
-    window (start, length) over the padded words' code points; its
-    characters, coded as their rank in the alphabet plus one (0 past the
-    gram's end), are packed into int64 keys that sort as the grams do.
-    Only the distinct grams become strings.  The per-window positions
-    and lengths are int32 wherever that holds them, and every per-window
-    array is freed as soon as it is used.
+    Returns (the padded words' joined text, the start in it and the
+    length of each distinct gram, in lexicographic gram order, whether
+    each is a whole padded word, grams per word, and the id of every gram
+    in char-wb emission order, as int32).  Each gram is a window (start,
+    length) over the padded words' code points; its characters, coded as
+    their rank in the alphabet plus one (0 past the gram's end), are
+    packed into int64 keys that sort as the grams do.  No gram becomes a
+    string here (`_gram_strings`).  The per-window positions and lengths
+    are int32 wherever that holds them, and every per-window array is
+    freed as soon as it is used.
     """
     padded = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
     # no window outgrows its padded word: capping changes no gram, fits int64
@@ -636,8 +693,8 @@ def _split_words(
     n_min, n_max = min(n_min, cap), min(n_max, cap)
     per_word = _grams_per_word(padded, n_min, n_max)
     if not words:
-        return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), per_word, \
-            np.zeros(0, dtype=np.int32)
+        return "", np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), \
+            np.zeros(0, dtype=bool), per_word, np.zeros(0, dtype=np.int32)
     # one segment per (word, window length n), then one for the whole word
     n = np.arange(n_min, min(n_max, int(padded.max()) - 1) + 1)
     fits = n < padded[:, None]
@@ -691,5 +748,4 @@ def _split_words(
     del sorted_ids
     firsts = order[new_gram]
     del order, new_gram
-    grams = [text[a : a + b] for a, b in zip(start[firsts].tolist(), length[firsts].tolist())]
-    return grams, length[firsts].astype(np.int64), whole[firsts], per_word, ids
+    return text, start[firsts], length[firsts].astype(np.int64), whole[firsts], per_word, ids

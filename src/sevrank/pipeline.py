@@ -25,7 +25,10 @@ The word table (see `features.TfidfModel`) holds every distinct
 preprocessed training word with the columns of its in-vocabulary grams,
 so scoring splits only the words the model never saw.  It grows with the
 number of distinct words in the training corpus: on the 1000-document
-benchmark model the file grows from 483 KB to 978 KB.
+benchmark model the file grows from 483 KB to 978 KB.  Scoring adds the
+words it meets to the model in memory, but the file holds only the words
+the fit or the file gave it, so a model saves the same bytes before and
+after it scores.
 
 `load_pipeline` checks every part; a defect raises ValueError naming the
 file.  A v1 file, which has no word table, is refused with a request to
@@ -183,7 +186,7 @@ def _gram(rows: features.CsrBatch) -> np.ndarray:
 def save_pipeline(model: Pipeline, path: str | Path) -> None:
     vocabulary = model.tfidf.vocabulary
     blob = "\n".join(sorted(vocabulary, key=vocabulary.__getitem__)).encode("utf-8")
-    words, counts, columns = model.tfidf.word_table()
+    words, counts, columns = model.tfidf.word_table(fitted=True)
     words_blob = "\n".join(words).encode("utf-8")
     manifest = {"preprocess": model.preprocess._asdict(), "tfidf": model.tfidf.config._asdict(),
                 "alpha": float(model.ridge.alpha), "intercept": float(model.ridge.intercept),

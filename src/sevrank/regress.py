@@ -13,8 +13,12 @@ materialized.  A product walks X in blocks of whole rows holding at most
 `features.BLOCK_ENTRIES` stored entries (a longer row is a block alone):
 per block, X p is one `features.row_sums` of the block's entries times
 p, and X^T (X p) one `np.bincount` of them, added into one vector of the
-model's dimension.  So the fit holds X, a few vectors of its dimension
-or row count, and temporaries of one block, never a copy the size of X.
+model's dimension.  X's columns are intp (`features.CsrBatch`), the type
+that gathers and `np.bincount` index with, so a block is views of X's
+arrays and a product allocates per block only its gather (X p) or its
+weights (X^T u), and casts no index.  So the fit holds X, a few vectors
+of its dimension or row count, and temporaries of one block, never a
+copy the size of X.
 
 Every sum, from a row's score to CG's inner products, is in a fixed
 order: row sums and inner products are `features.row_sums`, and the
@@ -160,7 +164,7 @@ def ridge_objective(model: RidgeModel, X: CsrBatch, y: Sequence[float]) -> float
 def _row_blocks(X: CsrBatch) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
     """(rows, entries per row, columns, values) of consecutive blocks of
     X's rows, each holding at most features.BLOCK_ENTRIES entries or one
-    longer row; the arrays are views of X's."""
+    longer row; the arrays are views of X's, the columns intp."""
     indptr, limit, n = X.indptr, features.BLOCK_ENTRIES, X.shape[0]
     nnz = np.diff(indptr)
     blocks, first = [], 0

@@ -667,6 +667,20 @@ class TestSearchMatchesPerTrialFits:
         records, n_transforms = self.search(capsys, monkeypatch, files, 6, 5)
         self.check(records, oracle, n_transforms)
 
+    def test_makes_no_gram_string(self, files, capsys, monkeypatch, tmp_path):
+        # search builds matrices and no model, so no gram becomes a string
+        oracle = search_oracle(files["labeled"], files["pairs"], 4, 2, PreprocessConfig())
+        made, real = [], features._gram_strings
+        monkeypatch.setattr(features, "_gram_strings",
+                            lambda *span: made.extend(real(*span)) or real(*span))
+        records, n_transforms = self.search(capsys, monkeypatch, files, 4, 2)
+        self.check(records, oracle, n_transforms)
+        assert made == []
+        # the spy sees the strings that train's model makes
+        code, _, err = run(capsys, "train", "--labeled", files["labeled"],
+                           "--out-prefix", tmp_path / "m")
+        assert (code, err) == (0, "") and made
+
     def test_stem(self, files, capsys, monkeypatch):
         records, n_transforms = self.search(capsys, monkeypatch, files, 4, 7, "--stem")
         oracle = search_oracle(files["labeled"], files["pairs"], 4, 7,
@@ -1444,8 +1458,8 @@ SRC = Path(sevrank.__file__).resolve().parents[1]
 
 def run_fresh(tmp_path, *argv):
     """Run `python -m sevrank.cli ARGV` in a new interpreter; return its
-    stdout lines and the sevrank, numpy and dataclasses modules it had
-    loaded."""
+    stdout lines and the sevrank, numpy, dataclasses and html modules it
+    had loaded."""
     program = (
         "import runpy, sys\n"
         "try:\n"
@@ -1453,7 +1467,7 @@ def run_fresh(tmp_path, *argv):
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('numpy', 'sevrank', 'dataclasses')))\n"
+        "             if m.split('.')[0] in ('numpy', 'sevrank', 'dataclasses', 'html')))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
@@ -1509,6 +1523,12 @@ class TestColdStart:
         assert json.loads(out[-1])["tokens"] == ["you", "idiot"]
         assert sevrank_modules(modules) == sorted([*SCORING, "explain"])
         assert "dataclasses" not in modules
+        # only --html-out needs html
+        assert "html" not in modules
+        _, modules = run_fresh(tmp_path, "explain", "--model-prefix", files["model"],
+                               "--text", "you idiot", "--num-samples", "20",
+                               "--html-out", tmp_path / "e.html")
+        assert "html" in modules
 
     def test_ensemble_loads_no_feature_or_ridge_module(self, tmp_path):
         pairs = write_csv(tmp_path / "pairs.csv", ["less_toxic", "more_toxic"],

@@ -361,6 +361,32 @@ class TestGramTable:
         assert table.total.tobytes() == whole.total.tobytes()
         assert table.df.tobytes() == whole.df.tobytes()
 
+    def test_grams_become_strings_only_in_model(self, monkeypatch):
+        # a gram is a span of the split's text: the split and its matrices
+        # make no string of one, and a model makes one per gram it keeps
+        made, real = [], features._gram_strings
+
+        def spy(text, start, length):
+            grams = real(text, start, length)
+            made.extend(grams)
+            return grams
+
+        monkeypatch.setattr(features, "_gram_strings", spy)
+        corpus = ["the cat sat", "a café naïve 😀", "it's the mat", "cat cat x\ud800y"]
+        table = GramTable.split(corpus, 1, 5, ["brand new"], prep=list)
+        config = TfidfConfig(n_min=2, n_max=4, max_features=20)
+        kept = table.select(config)
+        table.matrix(kept)
+        table.matrix(kept, more=True)
+        table.drop_counts()
+        assert made == []
+        model = table.model(config, kept)
+        got = list(made)
+        assert got == list(model.vocabulary)
+        grams = table.grams
+        assert got == [grams[g] for g in kept.tolist()] and len(got) == 20 < len(grams)
+        assert model.vocabulary == fit_tfidf(corpus, config).vocabulary
+
     def test_documents_without_words(self):
         table = GramTable.split(["", " ", "\n"], 1, 3, [""], prep=list)
         assert table.grams == [] and len(table.total) == 0 and len(table.df) == 0
@@ -581,7 +607,7 @@ class TestBatchTransform:
 
     def test_rows_sorted_without_stored_zeros(self, model):
         batch = transform(model, ["the cat sat", "", "mat the", "aaaa bb aaa"])
-        assert batch.indices.dtype == np.int32
+        assert batch.indices.dtype == np.intp
         assert batch.nnz == len(batch.data) == batch.indptr[-1]
         for i in range(batch.shape[0]):
             indices, values = row(batch, i)
@@ -701,6 +727,20 @@ class TestRowSums:
 
 
 class TestCsrBatch:
+    def test_every_producer_gives_intp_columns(self):
+        corpus = ["the cat sat", "mat the", "café 😀 a"]
+        config = TfidfConfig(n_min=2, n_max=4)
+        table = GramTable.split(corpus, 2, 4, ["the dog"], prep=list)
+        kept = table.select(config)
+        model = table.model(config, kept)
+        batches = [table.matrix(kept), table.matrix(kept, more=True),
+                   *features.transform_chunks(model, ["the cat", "zebra", ""], list),
+                   features.idf_rows(model, ["the", "café"], list),
+                   CsrBatch(indptr=[0, 1], indices=np.array([2], dtype=np.int32),
+                            data=[1.0], shape=(1, 3))]
+        assert all(batch.indices.dtype == np.intp for batch in batches)
+        assert all(batch.nnz > 0 for batch in batches)
+
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
             CsrBatch(indptr=[0, 2], indices=[3, 1], data=[1.0, 2.0], shape=(1, 5))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevrank
-from sevrank import cli, features, textproc
+from sevrank import cli, features, pipeline, textproc
 from sevrank.features import CHUNK_ROWS, TfidfConfig, TfidfModel
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import fit_ridge, predict
@@ -105,6 +105,28 @@ class TestSavedWordTable:
         with_table = loaded.score(queries)
         without = Pipeline(pp, emptied, loaded.ridge).score(queries)
         assert with_table.tobytes() == without.tobytes()
+
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_scoring_does_not_change_the_saved_bytes(self, tmp_path, stem):
+        # scoring adds the words it meets to the table in memory; the file
+        # holds the fit's words alone, whether saved before or after
+        model, _ = pipeline.fit(TEXTS, Y, preprocess=PreprocessConfig(stem=stem),
+                                tfidf=TfidfConfig(n_min=2, n_max=4))
+        save_pipeline(model, tmp_path / "fit.pipeline")
+        fit_bytes = (tmp_path / "fit.pipeline").read_bytes()
+        n_words = model.tfidf.n_words
+        texts = ["zebras galloping clownishly", "you absolute clown", "über ☃☃ motoring"]
+        scores = model.score(texts)
+        model.score_masks(["ponies", "clowned"], np.ones((1, 2)))
+        assert model.tfidf.n_words > n_words
+        save_pipeline(model, tmp_path / "scored.pipeline")
+        assert (tmp_path / "scored.pipeline").read_bytes() == fit_bytes
+        # a loaded model scores the same bits and, scored, saves the same bytes
+        loaded = load_pipeline(tmp_path / "fit.pipeline")
+        assert loaded.score(texts[::-1]).tobytes() == scores[::-1].tobytes()
+        assert loaded.tfidf.n_words > n_words
+        save_pipeline(loaded, tmp_path / "loaded.pipeline")
+        assert (tmp_path / "loaded.pipeline").read_bytes() == fit_bytes
 
 
 # Pipeline.score_masks agrees with Pipeline.score on the joined variants

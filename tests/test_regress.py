@@ -215,6 +215,17 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < X.data.nbytes / 2
 
+    def test_columns_are_intp_views_of_x(self, monkeypatch):
+        # no product copies or casts X's columns: a block's are X's own
+        _, X, _ = random_rows(25, 200, 50, 0.3)
+        assert X.indices.dtype == np.intp
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", 256)
+        blocks = _row_blocks(X)
+        assert len(blocks) > 5
+        for _, _, cols, vals in blocks:
+            assert cols.dtype == np.intp
+            assert np.shares_memory(cols, X.indices) and np.shares_memory(vals, X.data)
+
     def test_many_blocks_agree_with_one(self, monkeypatch):
         _, X, y = random_rows(22, 300, 60, 0.3)
         one = fit_ridge(X, y, alpha=0.1)
