@@ -35,9 +35,9 @@ One vectorized kernel (`_split_spans`) splits all of a batch's new words
 in one call.  It packs each gram's characters into integer keys whose
 sort order is the grams' lexicographic order, so gram ids come out
 already in that order, each distinct gram a (start, length) span over
-the words' joined text.  Scoring looks every new gram up, so
-`_split_words` makes each distinct gram a string; a fit makes strings
-only of the grams its model keeps.
+the words' joined text.  Scoring looks every new gram up, so it makes
+each distinct gram a string (`_gram_strings`); a fit makes strings only
+of the grams its model keeps.
 
 A fit does its text work once, as arrays.  `GramTable.split` keeps each
 document's (gram id, count) runs from its one count, and
@@ -277,7 +277,7 @@ class TfidfModel:
     it meets, so a word is split into grams once per model, however many
     batches it appears in.  The table grows with the distinct words seen;
     its first rows are the words the fit or the file gave it, and only
-    those are saved (`word_table(fitted=True)`).
+    those are saved (`word_table`).
     """
 
     __slots__ = ("vocabulary", "idf", "config", "_table", "_n_fitted")
@@ -310,11 +310,11 @@ class TfidfModel:
         model._n_fitted = model.n_words
         return model
 
-    def word_table(self, fitted: bool = False) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """(words in row order, columns per word, all columns) of the table,
-        or with `fitted` of its rows from the fit or the file alone, which
-        no scoring changes; `with_words` builds the model back from them."""
-        n = self._n_fitted if fitted else self.n_words
+    def word_table(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(words in row order, columns per word, all columns) of the
+        table's rows from the fit or the file, which no scoring changes;
+        `with_words` builds the model back from them."""
+        n = self._n_fitted
         offsets, columns = self._table.used()
         return list(islice(self._table.rows, n)), np.diff(offsets[: n + 1]), \
             columns[: offsets[n]]
@@ -563,18 +563,18 @@ def _add_words(model: TfidfModel, texts: Sequence[str],
     """Walk `texts` (see `_WordTable.walk`) and give the words the model
     has not seen their columns; return the walk's chunks.
 
-    The new words are split in one `_split_words` call, their distinct
-    grams looked up in the vocabulary, and each word's columns added to
-    the model's word table.
+    The new words are split in one `_split_spans` call, their distinct
+    grams made strings and looked up in the vocabulary, and each word's
+    columns added to the model's word table.
     """
     if isinstance(texts, str):
         raise TypeError("a batch is a sequence of texts, not one str")
     vocabulary, config, table = model.vocabulary, model.config, model._table
     new, chunks = table.walk(texts, prep)
     if new:
-        grams, _, _, per_word, ids = _split_words(new, config.n_min, config.n_max)
-        column = np.fromiter(map(vocabulary.get, grams, repeat(-1)), dtype=np.int64,
-                             count=len(grams))
+        text, start, length, _, per_word, ids = _split_spans(new, config.n_min, config.n_max)
+        column = np.fromiter(map(vocabulary.get, _gram_strings(text, start, length),
+                                 repeat(-1)), dtype=np.int64, count=len(length))
         table.add(*_kept(column[ids], np.concatenate(([0], np.cumsum(per_word)))))
     return chunks
 
@@ -652,17 +652,6 @@ def _grams_per_word(padded: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
     n_min, n_max = min(n_min, cap), min(n_max, cap)
     k = np.maximum(np.minimum(n_max, padded - 1) - n_min + 1, 0)
     return k * (padded + 1 - n_min) - k * (k - 1) // 2 + (padded <= n_max)
-
-
-def _split_words(
-    words: list[str], n_min: int, n_max: int
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_split_spans` with each distinct gram made a string: (the distinct
-    grams in lexicographic order, each one's length, whether it is a whole
-    padded word, grams per word, and the id of every gram in char-wb
-    emission order, as int32)."""
-    text, start, length, whole, per_word, ids = _split_spans(words, n_min, n_max)
-    return _gram_strings(text, start, length), length, whole, per_word, ids
 
 
 def _gram_strings(text: str, start: np.ndarray, length: np.ndarray) -> list[str]:

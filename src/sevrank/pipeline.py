@@ -41,7 +41,7 @@ preprocessing, in one pass over the batch's distinct texts:
   (`textproc.preprocess_tokens`), which is exact because preprocessing
   acts on each token on its own;
 - the model's word table is walked once for all texts, and the words it
-  has never seen are split in one `features._split_words` call;
+  has never seen are split in one `features._split_spans` call;
 - the rows are counted, normalized and predicted `features.CHUNK_ROWS`
   texts at a time (`features.transform_chunks`), so its memory is
   bounded by one chunk's entries, not the batch's.
@@ -186,7 +186,7 @@ def _gram(rows: features.CsrBatch) -> np.ndarray:
 def save_pipeline(model: Pipeline, path: str | Path) -> None:
     vocabulary = model.tfidf.vocabulary
     blob = "\n".join(sorted(vocabulary, key=vocabulary.__getitem__)).encode("utf-8")
-    words, counts, columns = model.tfidf.word_table(fitted=True)
+    words, counts, columns = model.tfidf.word_table()
     words_blob = "\n".join(words).encode("utf-8")
     manifest = {"preprocess": model.preprocess._asdict(), "tfidf": model.tfidf.config._asdict(),
                 "alpha": float(model.ridge.alpha), "intercept": float(model.ridge.intercept),

@@ -6,7 +6,10 @@ analytic gradients must agree with.  `fit_tfidf` and `transform` fit and
 vectorize texts that are already preprocessed, built from the program's
 own steps with the identity step `list` in place of preprocessing: the
 vocabulary, idf, word table and rows are those of the raw-text path on
-the preprocessed texts, bit for bit.
+the preprocessed texts, bit for bit.  `split_words`, `whole_word_table`
+and `word_columns` show the split kernel's grams as strings and a
+model's whole in-memory word table, scored words included, which the
+program itself never needs.
 """
 
 import numpy as np
@@ -66,6 +69,29 @@ def transform(model: TfidfModel, texts) -> CsrBatch:
                                             *(batch.indices for batch in batches)]),
                     data=np.concatenate([np.zeros(0), *(batch.data for batch in batches)]),
                     shape=(len(nnz), model.dim))
+
+
+def split_words(words: list[str], n_min: int, n_max: int):
+    """`features._split_spans` with each distinct gram made a string: (the
+    distinct grams in lexicographic order, each one's length, whether it
+    is a whole padded word, grams per word, and the id of every gram in
+    char-wb emission order)."""
+    text, start, length, whole, per_word, ids = features._split_spans(words, n_min, n_max)
+    return features._gram_strings(text, start, length), length, whole, per_word, ids
+
+
+def whole_word_table(model: TfidfModel):
+    """(words in row order, columns per word, all columns) of the model's
+    whole in-memory word table, the words it has scored included."""
+    offsets, columns = model._table.used()
+    return list(model._table.rows), np.diff(offsets), columns
+
+
+def word_columns(model: TfidfModel) -> dict:
+    """word -> columns of the model's whole word table, as a dict of arrays."""
+    words, counts, columns = whole_word_table(model)
+    cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return {w: columns[a:b] for w, a, b in zip(words, cuts, cuts[1:])}
 
 
 def check_gradient(f: Objective, x: np.ndarray, h: float = 1e-6) -> float:

@@ -16,7 +16,6 @@ from sevrank.features import (
     TfidfModel,
     _count,
     _grams_per_word,
-    _split_words,
     _WordTable,
     row_sums,
 )
@@ -24,14 +23,14 @@ from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import RidgeModel
 from sevrank.textproc import PreprocessConfig
 
-from reference import char_wb_ngrams, fit_tfidf, transform
-
-
-def word_columns(model):
-    """word -> columns of the model's word table, as a dict of arrays."""
-    words, counts, columns = model.word_table()
-    cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return {w: columns[a:b] for w, a, b in zip(words, cuts, cuts[1:])}
+from reference import (
+    char_wb_ngrams,
+    fit_tfidf,
+    split_words,
+    transform,
+    whole_word_table,
+    word_columns,
+)
 
 
 def brute_force_tfidf(corpus, config):
@@ -422,7 +421,7 @@ class TestSplitWords:
     @given(st.lists(KERNEL_WORDS, max_size=8), RANGES)
     def test_ids_are_the_ranks_of_the_emitted_grams(self, words, ranges):
         n_min, n_max = ranges
-        grams, length, whole, per_word, ids = _split_words(words, n_min, n_max)
+        grams, length, whole, per_word, ids = split_words(words, n_min, n_max)
         emitted = char_wb_ngrams(" ".join(words), n_min, n_max)
         assert grams == sorted(set(emitted))
         rank = {gram: i for i, gram in enumerate(grams)}
@@ -438,27 +437,27 @@ class TestSplitWords:
         alphabet = [chr(c) for c in range(0x4E00, 0x4E00 + 5000)]
         words = ["".join(rng.choice(alphabet, size=rng.integers(1, 15))) for _ in range(300)]
         words += [w[:-1] + "a" for w in words[:50]] + [w[:4] for w in words[:50]]
-        grams, _, _, _, ids = _split_words(words, 1, 12)
+        grams, _, _, _, ids = split_words(words, 1, 12)
         emitted = char_wb_ngrams(" ".join(words), 1, 12)
         assert grams == sorted(set(emitted))
         assert [grams[i] for i in ids.tolist()] == emitted
 
     def test_no_words(self):
-        grams, length, whole, per_word, ids = _split_words([], 2, 5)
+        grams, length, whole, per_word, ids = split_words([], 2, 5)
         assert grams == []
         assert [len(length), len(whole), len(per_word), len(ids)] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("n_min,n_max", [(2, 2**70), (2**63, 2**64), (7, 2**63), (5, 7)])
     def test_ranges_past_int64(self, n_min, n_max):
         words = ["ab", "\U0001F600xyz", "a"]
-        grams, _, _, per_word, ids = _split_words(words, n_min, n_max)
+        grams, _, _, per_word, ids = split_words(words, n_min, n_max)
         assert [grams[i] for i in ids.tolist()] == char_wb_ngrams(" ".join(words), n_min, n_max)
         want = [len(char_wb_ngrams(w, n_min, n_max)) for w in words]
         assert per_word.tolist() == want
         assert _grams_per_word(np.array([4, 6, 3]), n_min, n_max).tolist() == want
 
     def test_n_min_above_every_padded_length(self):
-        grams, _, whole, per_word, ids = _split_words(["ab", "\U0001F600"], 9, 12)
+        grams, _, whole, per_word, ids = split_words(["ab", "\U0001F600"], 9, 12)
         assert grams == [" ab ", " \U0001F600 "]
         assert whole.all() and per_word.tolist() == [1, 1] and ids.tolist() == [0, 1]
 
@@ -578,11 +577,13 @@ class TestBatchTransform:
         # a batch over three chunks splits all its new words in one call
         calls = []
 
+        real = features._split_spans
+
         def counting(words, n_min, n_max):
             calls.append(list(words))
-            return _split_words(words, n_min, n_max)
+            return real(words, n_min, n_max)
 
-        monkeypatch.setattr(features, "_split_words", counting)
+        monkeypatch.setattr(features, "_split_spans", counting)
         texts = [f"the w{i % 70} cat" for i in range(2 * CHUNK_ROWS + 5)]
         self.assert_rows_exact(model, texts)
         assert calls == [[f"w{i}" for i in range(70)]]
@@ -593,7 +594,7 @@ class TestBatchTransform:
         texts = ["zebra the"] + ["cat"] * CHUNK_ROWS + ["the zebra zebra"]
         n_words = model.n_words
         self.assert_rows_exact(model, texts)
-        assert model.n_words == n_words + 1 and model.word_table()[0].count("zebra") == 1
+        assert model.n_words == n_words + 1 and whole_word_table(model)[0].count("zebra") == 1
         assert word_columns(model)["zebra"].tolist() == [
             model.vocabulary[g] for g in char_wb_ngrams("zebra", 2, 4) if g in model.vocabulary]
 

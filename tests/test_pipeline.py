@@ -13,7 +13,7 @@ from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import fit_ridge, predict
 from sevrank.textproc import PreprocessConfig, preprocess
 
-from reference import char_wb_ngrams, fit_tfidf, transform
+from reference import char_wb_ngrams, fit_tfidf, transform, whole_word_table
 
 TEXTS = ["you absolute clown", "thanks for the helpful notes", "it's über dumb",
          "kind words", "clowning around again"]
@@ -185,7 +185,7 @@ class TestScoreMasks:
         model = fitted()  # scoring adds unseen words to a model's table
         assert preprocess("http://x.co/clown") == ""
         assert preprocess("They'll") == "they will"
-        assert "clownery" not in model.tfidf.word_table()[0]
+        assert "clownery" not in whole_word_table(model.tfidf)[0]
         assert features.idf_rows(model.tfidf, ["☃☃"], list).nnz == 0
         assert features.idf_rows(model.tfidf, ["clownery"], list).nnz > 0
 
@@ -270,7 +270,7 @@ class TestBatchScoresAsAlone:
         texts = batch_texts(n, seed=n + 1)
         texts[n // 2] += " zebrafish"  # a word the model never saw
         split_calls, tokens_seen = [], []
-        real_split, real_tokens = features._split_words, textproc.preprocess_tokens
+        real_split, real_tokens = features._split_spans, textproc.preprocess_tokens
 
         def counting_split(words, n_min, n_max):
             split_calls.append(list(words))
@@ -280,7 +280,7 @@ class TestBatchScoresAsAlone:
             tokens_seen.extend(tokens)
             return real_tokens(tokens, config)
 
-        monkeypatch.setattr(features, "_split_words", counting_split)
+        monkeypatch.setattr(features, "_split_spans", counting_split)
         monkeypatch.setattr(textproc, "preprocess_tokens", counting_tokens)
         model = load_pipeline(saved_model)
         model.score(texts)
