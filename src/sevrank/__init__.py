@@ -41,7 +41,8 @@ _EXPORTS = {
     "ensemble": ("EnsembleWeights", "ScoreMatrix", "blend", "fit_weights"),
     "evaluate": ("EvalReport", "pairwise_accuracy", "rank_errors"),
     "explain": ("ExplainConfig", "Explanation", "lime_explain"),
-    "features": ("CsrBatch", "GramTable", "TfidfConfig", "TfidfModel"),
+    "features": ("CsrBatch", "TfidfConfig", "TfidfModel"),
+    "fitting": ("GramTable",),
     "optim": ("OptimResult", "lbfgs_minimize"),
     "pipeline": ("Pipeline", "load_pipeline", "save_pipeline"),
     "regress": ("CgReport", "RidgeModel", "fit_ridge", "predict"),

@@ -3,10 +3,8 @@
 Every command is deterministic given its flags (and --seed, for search
 and explain); rerunning with identical inputs produces byte-identical
 outputs, whatever the BLAS thread count.  Every command that scores text
-with a saved model goes through `pipeline.Pipeline.score`, which scores
-a whole batch in one pass (each distinct token preprocessed once, the
-words the model never saw split in one call), except `explain`, whose
-word-drop variants the model scores as keep masks
+with a saved model goes through `pipeline.Pipeline.score`, except
+`explain`, whose word-drop variants the model scores as keep masks
 (`pipeline.Pipeline.score_masks`).  Exit codes: 0 on success, 1 on
 runtime failure, 2 on usage errors.  A ridge fit whose conjugate
 gradient, or a blend fit whose L-BFGS, stops before its tolerance prints
@@ -15,30 +13,17 @@ one `warning:` line on stderr.
 `train` is `pipeline.fit` of the labeled file, with its flags as
 `fit`'s arguments, then `pipeline.save_pipeline`: it saves the
 preprocessing switches with the model in one `<prefix>.pipeline` file,
-which `score`, `evaluate` and `explain` use.  The file also holds the
-columns of every training word, so scoring splits into grams only the
-words the model never saw.  `fit` walks the raw texts once and builds
-its matrix from that walk's count (see `pipeline`).
-
-`search` shares work across its trials.  It draws every trial's
-hyperparameters up front.  One `features.GramTable` then preprocesses
-each distinct token of the training and pair texts once, splits every
-word once, over the union of the drawn n-gram ranges, and counts each
-text once; each trial only selects its vocabulary from the table.
-Trials whose (n-gram range, kept grams) are equal share one training
-matrix and one matrix of the distinct pair texts, both built from the
-table's count (`features.GramTable.matrix`), so `search` vectorizes no
-text a second time.  The ridge solve, the predictions and the pairwise
-accuracy run once per trial, on the same float64 values as fitting each
-trial alone with `pipeline.fit` and scoring the pair texts with the
-fitted model, so the records are the same bytes.
+which `score`, `evaluate` and `explain` use.  `search` prints the record
+of each trial `fitting.search` draws and fits, all from one split of the
+texts, then the best of them.
 
 Commands import on use.  This module loads only the standard library and
 the numpy-free modules (`corpus`, `evaluate`, `textproc`); a command or
 helper that needs numpy imports it, with `features`, `regress`,
-`pipeline`, `ensemble`, `explain` or `optim`, where it runs.  So
-`transform` and `evaluate --scores` never import numpy, and each process
-pays only for the modules its command runs.
+`pipeline`, `fitting`, `ensemble`, `explain` or `optim`, where it runs.
+So `transform` and `evaluate --scores` never import numpy, only `train`
+and `search` load the fit code (`fitting`), and each process pays only
+for the modules its command runs.
 
 `entry`, which the `sevrank` script and `python -m sevrank.cli` run, turns
 the cyclic garbage collector off and freezes every object before the
@@ -55,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import functools
 import gc
 import json
 import math
@@ -66,10 +50,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from . import corpus, evaluate
 # `preprocess` is bound here, unused, so that a tracer patching it in this
 # module (bench/spans.py) finds it
-from .textproc import PreprocessConfig, preprocess, preprocess_tokens  # noqa: F401
+from .textproc import PreprocessConfig, preprocess  # noqa: F401
 
 if TYPE_CHECKING:
-    from . import features, optim, regress
+    from . import optim, regress
 
 _KIND_LOADERS = {
     "ruddit": corpus.load_ruddit,
@@ -78,9 +62,6 @@ _KIND_LOADERS = {
     "davidson": corpus.load_davidson,
     "founta": corpus.load_founta,
 }
-
-_SEARCH_NGRAM_RANGES = ((2, 4), (3, 5), (3, 6))
-_SEARCH_MAX_FEATURES = (10000, 30000, 50000)
 
 
 def write_scores_csv(path: str | Path, ids: Sequence[str], scores: Sequence[float]) -> None:
@@ -264,72 +245,37 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     from . import ensemble
 
     matrix = ensemble.load_score_matrix(args.matrix)
-    pairs = _judgment_pairs(args.pairs)
+    side_ids = corpus.load_pair_ids(args.pairs)
+    if not side_ids:
+        raise ValueError(f"{args.pairs}: no pairs")
     normalized = ensemble.normalize_scores(matrix, args.mode)
-    rows = ensemble.pair_rows(matrix, pairs)
+    rows = ensemble.pair_rows(matrix, side_ids)
     weights = ensemble.fit_weights(
-        matrix, pairs, mode=args.mode, temperature=args.temperature,
+        matrix, side_ids, mode=args.mode, temperature=args.temperature,
         max_iter=args.max_iter, normalized=normalized, rows=rows,
     )
     _warn_unconverged(weights.solver, "ensemble")
     blended = ensemble.blend(matrix, weights, normalized=normalized)
     ensemble.save_weights(weights, args.out_weights)
     write_scores_csv(args.out_blend, matrix.comment_ids, blended.tolist())
-    report = evaluate.pairwise_accuracy(pairs.ids, blended[rows].tolist())
+    report = evaluate.pairwise_accuracy(side_ids, blended[rows].tolist())
     print(evaluate.report_json(report))
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from . import features, regress
+    from . import fitting
 
     labeled = corpus.load_labeled(args.labeled)
     if not labeled:
         raise ValueError(f"{args.labeled}: no training examples")
     pairs = _judgment_pairs(args.pairs)
-    pp = _preprocess_config(args)
-    y = labeled.scores
-    slot = {t: i for i, t in enumerate(dict.fromkeys(pairs.texts))}
-    side_slots = np.fromiter(map(slot.__getitem__, pairs.texts), dtype=np.int64,
-                             count=len(pairs.texts))
-    rng = np.random.default_rng(args.seed)
-    trials = []
-    for _ in range(args.trials):
-        n_min, n_max = _SEARCH_NGRAM_RANGES[rng.integers(len(_SEARCH_NGRAM_RANGES))]
-        max_features = _SEARCH_MAX_FEATURES[rng.integers(len(_SEARCH_MAX_FEATURES))]
-        alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
-        trials.append((features.TfidfConfig(n_min=n_min, n_max=n_max,
-                                             max_features=max_features), alpha))
-    # Every distinct token is preprocessed once and every word split once,
-    # over all drawn ranges.  Trials whose vocabularies are equal share one
-    # training matrix and one matrix of the distinct pair texts, kept until
-    # the last trial that uses them.
-    table = features.GramTable.split(labeled.texts, min(c.n_min for c, _ in trials),
-                                     max(c.n_max for c, _ in trials), list(slot),
-                                     prep=functools.partial(preprocess_tokens, config=pp))
-    key_of = {config: (config.n_min, config.n_max, table.select(config).tobytes())
-              for config, _ in trials}
-    last_use = {key_of[config]: trial for trial, (config, _) in enumerate(trials)}
-    matrices: dict[tuple[int, int, bytes], tuple[features.CsrBatch, ...]] = {}
     best = None
-    for trial, (config, alpha) in enumerate(trials):
-        key = key_of[config]
-        if key not in matrices:
-            kept = np.frombuffer(key[2], dtype=np.int64)
-            matrices[key] = (table.matrix(kept), table.matrix(kept, more=True))
-        X, X_pairs = matrices[key] if last_use[key] > trial else matrices.pop(key)
-        ridge = regress.fit_ridge(X, y, alpha=alpha, tol=1e-8, max_iter=1000)
-        _warn_unconverged(ridge.solver, f"search trial {trial}")
-        side_scores = regress.predict(ridge, X_pairs)[side_slots].tolist()
-        accuracy = evaluate.pairwise_accuracy(pairs.ids, side_scores).accuracy
-        record = {
-            "trial": trial, "n_min": config.n_min, "n_max": config.n_max,
-            "max_features": config.max_features, "alpha": alpha, "accuracy": accuracy,
-        }
+    for record, solver in fitting.search(labeled.texts, labeled.scores, pairs,
+                                         _preprocess_config(args), args.trials, args.seed):
+        _warn_unconverged(solver, f"search trial {record['trial']}")
         print(json.dumps(record))
-        if best is None or accuracy > best["accuracy"]:
+        if best is None or record["accuracy"] > best["accuracy"]:
             best = record
     print(json.dumps({"best": best}))
     return 0

@@ -5,12 +5,13 @@ or externally produced columns).  Because pairwise ranking accuracy is a
 step function, weights are fitted by minimizing a smooth stand-in: the
 mean logistic loss ln(1 + exp(-margin/tau)) over annotated pairs, where
 the margin is the weighted score difference between the more- and
-less-toxic side.  Pairs name their sides by matrix row id, in the flat
-side order of `corpus.Pairs` (side 2i less toxic, side 2i + 1 more
-toxic).  Columns are normalized first since raw model outputs live on
-incomparable scales; the normalized values and the blend are plain float64
-arrays, row i belonging to the matrix's comment_ids[i].  Reported quality
-always uses the exact accuracy metric, never the surrogate.
+less-toxic side.  The pairs are given by their side ids, which are
+matrix row ids, in the flat side order of `corpus.Pairs` (side 2i less
+toxic, side 2i + 1 more toxic), as `corpus.load_pair_ids` reads them.
+Columns are normalized first since raw model outputs live on incomparable
+scales; the normalized values and the blend are plain float64 arrays, row
+i belonging to the matrix's comment_ids[i].  Reported quality always uses
+the exact accuracy metric, never the surrogate.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Pairs, csv_columns, number, read_csv, unique_ids
+from .corpus import csv_columns, number, read_csv, unique_ids
 from .evaluate import NORMALIZATION_MODES
 from .optim import OptimResult, lbfgs_minimize
 
 __all__ = [
-    "NORMALIZATION_MODES",
     "ScoreMatrix",
     "EnsembleWeights",
     "normalize_scores",
     "pair_rows",
-    "surrogate_loss",
     "fit_weights",
     "blend",
     "load_score_matrix",
@@ -133,13 +132,13 @@ def normalize_scores(matrix: ScoreMatrix, mode: str) -> np.ndarray:
     return values
 
 
-def pair_rows(matrix: ScoreMatrix, pairs: Pairs) -> np.ndarray:
+def pair_rows(matrix: ScoreMatrix, side_ids: Sequence[str]) -> np.ndarray:
     """The matrix row of every pair side, in side order, as int64; the
     first side id (in side order) with no row is named."""
     row_of = {cid: i for i, cid in enumerate(matrix.comment_ids)}
     try:
-        return np.fromiter(map(row_of.__getitem__, pairs.ids), dtype=np.int64,
-                           count=len(pairs.ids))
+        return np.fromiter(map(row_of.__getitem__, side_ids), dtype=np.int64,
+                           count=len(side_ids))
     except KeyError as exc:
         raise ValueError(f"id {exc.args[0]!r} not present in the score matrix") from None
 
@@ -183,29 +182,9 @@ def _loss_from_diffs(
     return loss, grad
 
 
-def surrogate_loss(
-    weights: Sequence[float],
-    matrix: ScoreMatrix,
-    pairs: Pairs,
-    temperature: float,
-) -> tuple[float, np.ndarray]:
-    """Mean logistic margin loss and its analytic gradient.
-
-    For each pair the margin is w . (s_more - s_less); the loss is
-    ln(1 + exp(-margin/temperature)) averaged over pairs, computed in a
-    form stable for large |margin|/temperature.
-    """
-    _check_temperature(temperature)
-    w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(matrix.model_names):
-        raise ValueError("one weight per model required")
-    return _loss_from_diffs(
-        w, _pair_diffs(matrix, matrix.values, pair_rows(matrix, pairs)), temperature)
-
-
 def fit_weights(
     matrix: ScoreMatrix,
-    pairs: Pairs,
+    side_ids: Sequence[str],
     mode: str = "minmax",
     temperature: float = 0.1,
     max_iter: int = 200,
@@ -213,24 +192,24 @@ def fit_weights(
     normalized: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> EnsembleWeights:
-    """Fit blend weights on annotated pairs.
+    """Fit blend weights on the annotated pairs whose sides are `side_ids`.
 
     Normalizes the matrix per mode, starts from uniform weights
     1/n_models, and minimizes the surrogate loss in at most max_iter L-BFGS
     steps; the fitted loss never exceeds the loss at initialization.
     A caller that also needs `normalize_scores(matrix, mode)` or
-    `pair_rows(matrix, pairs)` passes them as `normalized` and `rows`, so
+    `pair_rows(matrix, side_ids)` passes them as `normalized` and `rows`, so
     that each is computed once.
     """
     _check_temperature(temperature)
     if len(matrix.model_names) < 1:
         raise ValueError("need at least one model column")
-    if len(pairs) < 1:
-        raise ValueError("need at least one judgment pair")
+    if len(side_ids) < 2 or len(side_ids) % 2:
+        raise ValueError(f"need whole judgment pairs, at least one: got {len(side_ids)} sides")
     if normalized is None:
         normalized = normalize_scores(matrix, mode)
     if rows is None:
-        rows = pair_rows(matrix, pairs)
+        rows = pair_rows(matrix, side_ids)
     diffs = _pair_diffs(matrix, normalized, rows)
     x0 = np.full(len(matrix.model_names), 1.0 / len(matrix.model_names))
     result = lbfgs_minimize(

@@ -1,65 +1,41 @@
-"""Char-wb TF-IDF features: fit a vocabulary, map text batches to CSR rows.
+"""Char-wb TF-IDF features: the fitted vectorizer (`TfidfModel`), its CSR
+rows (`CsrBatch`), and the word tables and kernels that fitting
+(`fitting`) and scoring share.
 
 The vectorizer counts within-word character n-grams, weights raw counts by
-smoothed inverse document frequency, and L2-normalizes each row.  Fitting
-is fully deterministic: vocabulary selection breaks count ties
-lexicographically and column indices follow lexicographic gram order, so
-the model is independent of corpus order.
+smoothed inverse document frequency, and L2-normalizes each row; its
+columns follow lexicographic gram order.  The char-wb grams of a text
+over [n_min, n_max]: for each whitespace-separated word, padded with one
+space each side, and n from n_min up, every n-character window in order,
+until n reaches the padded length: then the whole padded word, once.  No
+gram crosses a word, so a document's gram counts are its words' summed.
+The tests check every count here against this definition as plain loops
+(`char_wb_ngrams` in `tests/reference.py`).
 
-The char-wb grams of a text over [n_min, n_max]: for each whitespace-
-separated word, padded with one space each side, and n from n_min up,
-every n-character window in order, until n reaches the padded length:
-then the whole padded word, once.  No gram crosses a word, so a
-document's gram counts are its words' summed.  The tests check every
-count here against this definition as plain loops (`char_wb_ngrams` in
-`tests/reference.py`).
-
-A word table holds, for every word seen, a run of int32 ids: gram ids in a
-`GramTable`, in-vocabulary columns in a `TfidfModel`.  The ids stay int32
-in the table, in `_count` and in the `.pipeline` file; only a `CsrBatch`
-holds its columns as `np.intp` (see there).  Every batch, fit or
-scored, is counted in three steps: the walk (`_WordTable.walk`) gives each
-word the table lacks the next row, one `add` gives those new words their
-runs, and the count (`_count`, per CHUNK_ROWS documents) counts each
-document's distinct ids.  The count sorts keys doc * width + id, as int32
-wherever the chunk's rows times the width stay below 2**31, as int64
-otherwise.
-
-A walk takes raw texts and a `Prep`, the per-token preprocessing: it
-preprocesses each distinct whitespace token of the batch once and gives
-the text the words of its tokens' forms.  Preprocessing acts on each
-token on its own, so these are the words of the preprocessed text.  The
-identity step `list` walks texts that are already preprocessed.
-
-One vectorized kernel (`_split_spans`) splits all of a batch's new words
-in one call.  It packs each gram's characters into integer keys whose
-sort order is the grams' lexicographic order, so gram ids come out
-already in that order, each distinct gram a (start, length) span over
-the words' joined text.  Scoring looks every new gram up, so it makes
-each distinct gram a string (`_gram_strings`); a fit makes strings only
-of the grams its model keeps.
-
-A fit does its text work once, as arrays.  `GramTable.split` keeps each
-document's (gram id, count) runs from its one count, and
-`GramTable.matrix` builds the training rows from them: `pipeline.fit`
-and `search` never vectorize their own texts a second time.  A split's
-temporaries are bounded by the distinct words, one chunk of documents
-and `BLOCK_ENTRIES` entries, never by the whole count.  A table can
-split over a wider n-gram range than one fit needs and then serve every
-range inside it, which is how `search` fits all its trials from one
-split.
+A word table (`_WordTable`) holds, for every word seen, a run of int32
+ids: gram ids in a `fitting.GramTable`, in-vocabulary columns in a
+`TfidfModel`; only a `CsrBatch` holds its columns as `np.intp`.  Every
+batch, fit or scored, is counted in three steps: the walk gives each word
+the table lacks the next row, preprocessing each distinct whitespace
+token of the batch once (a `Prep`; the identity step `list` walks texts
+that are already preprocessed), one `add` gives those new words their
+runs, and `_count` counts each document's distinct ids, CHUNK_ROWS
+documents at a time, in int32 keys wherever they fit.  One vectorized
+kernel (`_split_spans`) splits all of a batch's new words in one call:
+each distinct gram is a (start, length) span over the words' joined
+text, and gram ids come out in lexicographic gram order.  Scoring makes
+each new distinct gram a string to look it up (`_gram_strings`); a fit
+makes strings only of the grams its model keeps.
 
 A fitted model knows every word of its corpus, and the `.pipeline` file
 saves its word table with it, so scoring splits only words the model
-has never seen, once per model, and looks their distinct grams up in
-the vocabulary.  The vocabulary, the idf weights and each row's values
-are the same float64 numbers, bit for bit, as counting each document's
-char-wb grams on its own.
-
-`idf_rows` is that count of a whole batch, scaled by idf and not yet
-normalized; `pipeline.Pipeline.score_masks` combines the rows of single
-tokens.  `transform_chunks` gives the normalized rows CHUNK_ROWS texts at
-a time, after one walk and one split of the whole batch, so that
+has never seen, once per model.  The vocabulary, the idf weights and
+each row's values are the same float64 numbers, bit for bit, as counting
+each document's char-wb grams on its own.  `idf_rows` is that count of a
+whole batch, scaled by idf and not yet normalized, which
+`pipeline.Pipeline.score_masks` combines for single tokens;
+`transform_chunks` gives the normalized rows CHUNK_ROWS texts at a time,
+after one walk and one split of the whole batch, so that
 `pipeline.Pipeline.score` holds one chunk's rows at a time.
 """
 
@@ -74,14 +50,13 @@ __all__ = [
     "BLOCK_ENTRIES",
     "CHUNK_ROWS",
     "CsrBatch",
-    "GramTable",
     "TfidfConfig",
     "TfidfModel",
 ]
 
 # Documents counted together in one array pass of a walk's count
-# (`GramTable.split`, `idf_rows`, `transform_chunks`) or of
-# `GramTable.matrix`; bounds the size of the per-chunk gram arrays,
+# (`fitting.GramTable.split`, `idf_rows`, `transform_chunks`) or of
+# `fitting.GramTable.matrix`; bounds the size of the per-chunk gram arrays,
 # whatever the corpus or batch size.
 CHUNK_ROWS = 64
 
@@ -90,7 +65,7 @@ CHUNK_ROWS = 64
 Prep = Callable[[list[str]], Sequence[str]]
 
 # Stored entries that one step of a pass over a whole matrix or count
-# handles at once (`GramTable.split`'s sums, `regress.fit_ridge`'s
+# handles at once (`fitting.GramTable.split`'s sums, `regress.fit_ridge`'s
 # products): the pass's temporaries are this size, not the matrix's.
 BLOCK_ENTRIES = 1 << 17
 
@@ -142,13 +117,6 @@ class CsrBatch:
     @property
     def nnz(self) -> int:
         return len(self.indices)
-
-    def to_dense(self) -> np.ndarray:
-        n_rows, dim = self.shape
-        dense = np.zeros((n_rows, dim))
-        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
-        return dense
 
 
 class TfidfConfig(NamedTuple):
@@ -269,9 +237,9 @@ def _room(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
 class TfidfModel:
     """Fitted vectorizer: gram -> column index, per-column idf weights.
 
-    The model's word table, laid out as a `GramTable`'s, holds for every
-    word it knows the columns of the word's in-vocabulary grams, in
-    char-wb emission order with repeats.  A fit (`GramTable.model`) fills
+    The model's word table, laid out as a `fitting.GramTable`'s, holds for
+    every word it knows the columns of the word's in-vocabulary grams, in
+    char-wb emission order with repeats.  A fit (`fitting.GramTable.model`) fills
     it with every training word, a loaded model reads it from its file, and
     every scored batch (`idf_rows`, `transform_chunks`) adds each new word
     it meets, so a word is split into grams once per model, however many
@@ -318,214 +286,6 @@ class TfidfModel:
         offsets, columns = self._table.used()
         return list(islice(self._table.rows, n)), np.diff(offsets[: n + 1]), \
             columns[: offsets[n]]
-
-
-class GramTable:
-    """Every distinct word of a corpus split once into char-wb grams, and
-    every gram counted over the corpus.
-
-    `split` splits each word over one n-gram range [n_min, n_max].  A fit
-    for any range inside it needs no second split: a char-wb gram never
-    crosses a word, so the grams of a narrower range are the entries of
-    the wider one whose gram has a length in that range, plus the whole
-    padded word when the range reaches its length (`in_range`).  For the
-    same reason a gram's count in a document, and its document frequency,
-    are the same in every range that holds it.
-
-    The split splits every distinct word in one `_split_spans` call; its
-    word table holds each word's gram ids, numbered in lexicographic gram
-    order, so choosing and ordering a vocabulary are array operations on
-    ids.  It counts each document once and keeps the counts, so `matrix`
-    builds any fit's rows without walking the text again; `drop_counts`
-    frees them once the last matrix is built.
-
-    Each gram is kept as a (start, length) span over the split's joined
-    text, not as a string: `model` makes strings of the grams it keeps
-    and nothing else does, so `search`, which builds matrices and no
-    model, makes no gram string.  `grams` makes every gram's string on
-    each access.
-
-    The documents of `more_texts` are split and counted too, but their
-    counts add nothing to `total` or `df`: a model fitted from the table
-    knows their words' columns, and `matrix(kept, more=True)` gives their
-    rows.
-    """
-
-    __slots__ = ("n_min", "n_max", "n_docs", "_table", "_text", "_start", "length", "whole",
-                 "total", "df", "_doc_offsets", "_doc_ids", "_doc_counts")
-
-    def __init__(self, n_min: int, n_max: int, n_docs: int, table: _WordTable,
-                 text: str, start: np.ndarray, length: np.ndarray, whole: np.ndarray,
-                 total: np.ndarray, df: np.ndarray, doc_offsets: np.ndarray,
-                 doc_ids: np.ndarray, doc_counts: np.ndarray) -> None:
-        self.n_min, self.n_max, self.n_docs = n_min, n_max, n_docs
-        self._table = table    # each word's gram ids, in char-wb emission order
-        # the gram of id g is text[start[g] : start[g] + length[g]]; ids
-        # ascend lexicographically
-        self._text, self._start = text, start
-        self.length = length   # characters per gram
-        self.whole = whole     # gram is a whole padded word
-        self.total = total     # count per gram over the corpus, float64
-        self.df = df           # corpus documents holding each gram
-        # document d, the corpus's then more_texts', holds gram doc_ids[j]
-        # doc_counts[j] times, j in [doc_offsets[d], doc_offsets[d + 1]), ids
-        # ascending; one array each, so that freeing the table frees them whole
-        self._doc_offsets = doc_offsets  # int64
-        self._doc_ids = doc_ids          # int32
-        self._doc_counts = doc_counts    # int32
-
-    @classmethod
-    def split(
-        cls,
-        corpus: Sequence[str],
-        n_min: int,
-        n_max: int,
-        more_texts: Sequence[str] = (),
-        *,
-        prep: Prep,
-    ) -> GramTable:
-        """Split the words of `corpus` and `more_texts`, count over `corpus`.
-
-        The documents are raw, and their words those of their tokens'
-        forms under `prep`, each distinct token preprocessed once
-        (`_WordTable.walk`): the table is the one of the preprocessed
-        documents.
-
-        Beside what the table keeps, the split holds only bounded
-        temporaries: `_split_spans`' per-window arrays, which grow with
-        the distinct words, one chunk's `_count`, and the sums of `total`
-        and `df` over BLOCK_ENTRIES entries at a time.  The documents'
-        counts are written once (`_WordTable.count`), never copied.
-        """
-        if isinstance(corpus, str):
-            raise TypeError("a corpus is a sequence of documents, not one str")
-        if len(corpus) == 0:
-            raise ValueError("cannot fit tf-idf on an empty corpus")
-        if not 1 <= n_min <= n_max:
-            raise ValueError(f"invalid n-gram range ({n_min}, {n_max})")
-        table = _WordTable()
-        new, chunks = table.walk([*corpus, *more_texts], prep)
-        text, start, length, whole, per_word, ids = _split_spans(new, n_min, n_max)
-        table.add(per_word, ids)
-        del ids
-        n_grams = len(length)
-        nnz, doc_ids, doc_counts = table.count(chunks, n_grams)
-        doc_offsets = np.concatenate(([0], np.cumsum(nnz)))
-        # summed BLOCK_ENTRIES entries at a time, so no entry-sized cast
-        # is made; integer sums below 2**53, so exact in any order
-        total, df = np.zeros(n_grams), np.zeros(n_grams, dtype=np.int64)
-        end = int(doc_offsets[len(corpus)])
-        for first in range(0, end, BLOCK_ENTRIES):
-            block = slice(first, min(first + BLOCK_ENTRIES, end))
-            total += np.bincount(doc_ids[block], weights=doc_counts[block],
-                                 minlength=n_grams)
-            df += np.bincount(doc_ids[block], minlength=n_grams)
-        return cls(
-            n_min=n_min, n_max=n_max, n_docs=len(corpus), table=table, text=text,
-            start=start, length=length, whole=whole, total=total, df=df,
-            doc_offsets=doc_offsets, doc_ids=doc_ids, doc_counts=doc_counts,
-        )
-
-    @property
-    def grams(self) -> list[str]:
-        """The gram of each id, made from the spans on each access."""
-        return _gram_strings(self._text, self._start, self.length)
-
-    def in_range(self, n_min: int, n_max: int) -> np.ndarray:
-        """Which grams the char-wb split emits over [n_min, n_max], per id.
-
-        A window is emitted when its length is in the range; a whole
-        padded word (L characters) when n_max >= L, also when n_min > L.
-        """
-        if not self.n_min <= n_min <= n_max <= self.n_max:
-            raise ValueError(f"n-gram range ({n_min}, {n_max}) is not inside the "
-                             f"table's ({self.n_min}, {self.n_max})")
-        return (self.length <= n_max) & ((self.length >= n_min) | self.whole)
-
-    def select(self, config: TfidfConfig) -> np.ndarray:
-        """Ids of the grams a fit under `config` keeps, ascending: of those
-        with document frequency >= min_df, the max_features with the
-        highest total count, a tie going to the smaller gram."""
-        # a gram of more_texts alone has df 0 and is never a candidate
-        candidates = np.flatnonzero(
-            self.in_range(config.n_min, config.n_max)
-            & (self.df >= max(config.min_df, 1))
-        )
-        # as many as candidates[:max_features] holds, max_features < 0 included
-        n_keep = len(range(len(candidates))[: config.max_features])
-        if n_keep == len(candidates):
-            return candidates
-        if n_keep == 0:
-            return candidates[:0]
-        # the n_keep highest totals; a tie at the cut goes to the smallest grams
-        counts = self.total[candidates]
-        cut = -np.partition(-counts, n_keep - 1)[n_keep - 1]
-        above = candidates[counts > cut]
-        tied = candidates[counts == cut]
-        return np.sort(np.concatenate((above, tied[: n_keep - len(above)])))
-
-    def model(self, config: TfidfConfig, kept: np.ndarray) -> TfidfModel:
-        """The model of the grams `kept`, knowing every table word's columns;
-        the kept grams are the only ones made strings."""
-        grams = _gram_strings(self._text, self._start[kept], self.length[kept])
-        # every word's in-vocabulary columns, in gram order, for scoring
-        offsets, ids = self._table.used()
-        return TfidfModel.with_words(dict(zip(grams, range(len(grams)))),
-                                     self._idf(kept), config, self._table.rows,
-                                     *_kept(self._columns(kept)[ids], offsets))
-
-    def matrix(self, kept: np.ndarray, more: bool = False) -> CsrBatch:
-        """The rows of the corpus documents (of `more_texts` if `more`)
-        under the model of the grams `kept`: the same rows, bit for bit,
-        as `transform_chunks` gives those documents under that model; the
-        columns are written as intp directly (see `CsrBatch`)."""
-        first, last = (self.n_docs, len(self._doc_offsets) - 1) if more else (0, self.n_docs)
-        column, idf = self._columns(kept), self._idf(kept)
-        # the count entries' offsets of each CHUNK_ROWS documents
-        chunks = [self._doc_offsets[start : min(start + CHUNK_ROWS, last) + 1]
-                  for start in range(first, last, CHUNK_ROWS)]
-
-        def columns(offsets: np.ndarray) -> np.ndarray:
-            """Each count entry's column in the chunk, -1 if not kept."""
-            return column[self._doc_ids[offsets[0] : offsets[-1]]]
-
-        # the rows' lengths first, so the rows are written in place and no
-        # second copy of the matrix is ever held; a chunk's columns are
-        # found again when its rows are written, not kept between the passes
-        nnz = np.concatenate([np.zeros(0, dtype=np.int64),
-                              *(_in_groups(columns(offsets) >= 0, offsets - offsets[0])
-                                for offsets in chunks)])
-        indptr = np.concatenate(([0], np.cumsum(nnz)))
-        indices = np.empty(indptr[-1], dtype=np.intp)
-        data = np.empty(indptr[-1])
-        for row, offsets in zip(range(0, len(nnz), CHUNK_ROWS), chunks):
-            rows = slice(indptr[row], indptr[min(row + CHUNK_ROWS, len(nnz))])
-            entries = columns(offsets)
-            found = entries >= 0
-            indices[rows] = entries[found]
-            data[rows] = idf[indices[rows]]
-            data[rows] *= self._doc_counts[offsets[0] : offsets[-1]][found]
-            _normalize(nnz[row : row + CHUNK_ROWS], data[rows])
-        return CsrBatch(indptr=indptr, indices=indices, data=data,
-                        shape=(len(nnz), len(kept)))
-
-    def drop_counts(self) -> None:
-        """Free the documents' counts, once every `matrix` needed is built;
-        `matrix` cannot be called after, `select` and `model` still can."""
-        self._doc_offsets = self._doc_ids = self._doc_counts = None
-
-    def _idf(self, kept: np.ndarray) -> np.ndarray:
-        """ln((1 + N) / (1 + df)) + 1 of each gram `kept`, N the corpus size;
-        one scalar log per distinct df."""
-        dfs, which = np.unique(self.df[kept], return_inverse=True)
-        return np.array([np.log((1.0 + self.n_docs) / (1.0 + d)) + 1.0
-                         for d in dfs.tolist()])[which]
-
-    def _columns(self, kept: np.ndarray) -> np.ndarray:
-        """Column of each gram id under the model of `kept`; -1 if not kept."""
-        column = np.full(len(self.length), -1, dtype=np.int32)
-        column[kept] = np.arange(len(kept))
-        return column
 
 
 def transform_chunks(model: TfidfModel, texts: Sequence[str],

@@ -63,12 +63,7 @@ def _search_direction(
     return q
 
 
-def lbfgs_minimize(
-    f: Objective,
-    x0: np.ndarray,
-    max_iter: int = 200,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
-) -> OptimResult:
+def lbfgs_minimize(f: Objective, x0: np.ndarray, max_iter: int = 200) -> OptimResult:
     """Minimize f from x0; f maps a vector to (value, gradient).
 
     Returns once the gradient max-norm falls to GRAD_TOL or max_iter
@@ -77,8 +72,8 @@ def lbfgs_minimize(
     converged=False.  Non-finite objective values or gradients abort
     with the iteration index at which they were produced.  The sequence
     of accepted objective values is nonincreasing, and identical inputs
-    reproduce identical iterates.  `callback(iteration, x, f)` fires
-    after each accepted step.
+    reproduce identical iterates: a run with max_iter=k ends at the k-th
+    accepted iterate of every run that accepts k steps.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     fx, grad = _evaluate(f, x, 0)
@@ -122,5 +117,3 @@ def lbfgs_minimize(
             gamma = sy / float(y @ y)
         x, fx, grad = x_new, f_new, grad_new
         iteration += 1
-        if callback is not None:
-            callback(iteration, x, fx)

@@ -2,9 +2,11 @@ r"""The severity model: `fit` fits it, one `<prefix>.pipeline` file saves
 it, and it scores as it did when fit.
 
 `fit` is the one fit path; `sevrank train` is `fit`, then `save_pipeline`.
-It builds its matrix from its split's own count, frees that count before
-it builds the vectorizer and the split before the solve, so its peak
-memory is the matrix plus bounded temporaries.
+Its steps live in `fitting`, which `fit` imports when it runs, so loading
+and scoring a model load no fit code.  It builds its matrix from its
+split's own count, frees that count before it builds the vectorizer and
+the split before the solve, so its peak memory is the matrix plus
+bounded temporaries.
 
 The file holds the preprocessing switches, the TF-IDF vocabulary and idf,
 the ridge weights, and the model's word table:
@@ -77,7 +79,6 @@ other product is an einsum: no sum goes through a threaded BLAS call.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from pathlib import Path
@@ -149,16 +150,14 @@ def fit(texts: Sequence[str], scores: Sequence[float],
     """The pipeline fitted on raw `texts` and their severity `scores`, and
     its training objective; the arguments are `sevrank train`'s flags.
 
-    The steps: `features.GramTable.split` (each distinct token preprocessed
-    once), `select`, `matrix`, `drop_counts`, `model`, `regress.fit_ridge`
-    and `regress.ridge_objective`.  The solver's report is `ridge.solver`.
+    The steps: `fitting.matrices` (the split, each distinct token
+    preprocessed once, `select` and `matrix`, the split's counts freed),
+    `GramTable.model`, `regress.fit_ridge` and `regress.ridge_objective`.
+    The solver's report is `ridge.solver`.
     """
-    table = features.GramTable.split(
-        texts, tfidf.n_min, tfidf.n_max,
-        prep=functools.partial(textproc.preprocess_tokens, config=preprocess))
-    kept = table.select(tfidf)
-    X = table.matrix(kept)
-    table.drop_counts()
+    from . import fitting
+
+    [(table, kept, X, _)] = fitting.matrices(texts, preprocess, [tfidf])
     vectorizer = table.model(tfidf, kept)
     del table
     ridge = regress.fit_ridge(X, scores, alpha=alpha, tol=tol, max_iter=max_iter)
@@ -206,7 +205,8 @@ def load_pipeline(path: str | Path) -> Pipeline:
     def fail(message: str) -> ValueError:
         return ValueError(f"{path}: {message}")
 
-    if raw.split(b"\n", 1)[0] == b"sevrank-pipeline-v1":
+    # the first line, with or without its newline, is the v1 magic
+    if raw[: len(_MAGIC)].rstrip(b"\n") == b"sevrank-pipeline-v1":
         raise fail("a sevrank-pipeline-v1 file holds no word table; "
                    "retrain the model to write a sevrank-pipeline-v2 file")
     if not raw.startswith(_MAGIC):
@@ -236,12 +236,12 @@ def load_pipeline(path: str | Path) -> Pipeline:
     sizes = (dim, grams_bytes, words_bytes, n_words, n_columns)
     if not all(type(n) is int and n >= 0 for n in sizes):
         raise fail(f"{', '.join(_KEYS[4:])} must be integers >= 0")
-    payload = raw[end + 1 :]
+    payload = memoryview(raw)[end + 1 :]  # read in place, never copied whole
     size = grams_bytes + 16 * dim + words_bytes + 4 * (n_words + n_columns)
     if len(payload) != size:
         raise fail(f"payload is {len(payload)} bytes, not {size}")
     try:
-        text = payload[:grams_bytes].decode("utf-8")
+        text = str(payload[:grams_bytes], "utf-8")
     except UnicodeDecodeError:
         raise fail("grams are not UTF-8") from None
     grams = text.split("\n") if text else []
@@ -257,7 +257,7 @@ def load_pipeline(path: str | Path) -> Pipeline:
         raise fail("intercept, idf and weights must be finite numbers")
     start = grams_bytes + 16 * dim
     try:
-        text = payload[start : start + words_bytes].decode("utf-8")
+        text = str(payload[start : start + words_bytes], "utf-8")
     except UnicodeDecodeError:
         raise fail("words are not UTF-8") from None
     # a table of non-empty words without whitespace, joined by \n, is

@@ -6,16 +6,19 @@ analytic gradients must agree with.  `fit_tfidf` and `transform` fit and
 vectorize texts that are already preprocessed, built from the program's
 own steps with the identity step `list` in place of preprocessing: the
 vocabulary, idf, word table and rows are those of the raw-text path on
-the preprocessed texts, bit for bit.  `split_words`, `whole_word_table`
-and `word_columns` show the split kernel's grams as strings and a
-model's whole in-memory word table, scored words included, which the
-program itself never needs.
+the preprocessed texts, bit for bit.  `split_words`, `table_grams`,
+`whole_word_table`, `word_columns` and `to_dense` show the split
+kernel's and a gram table's grams as strings, a model's whole in-memory
+word table, scored words included, and rows as a dense array, which the
+program itself never needs.  `surrogate_loss` is the blend's fit
+objective on a matrix as it is, for checking its gradient.
 """
 
 import numpy as np
 
-from sevrank import features
+from sevrank import ensemble, features
 from sevrank.features import CsrBatch, TfidfConfig, TfidfModel
+from sevrank.fitting import GramTable
 from sevrank.optim import Objective, _evaluate
 
 
@@ -54,7 +57,7 @@ def fit_tfidf(corpus, config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     idf(g) = ln((1 + N) / (1 + df(g))) + 1 with N the corpus size.
     The returned model knows the columns of every word of the corpus.
     """
-    table = features.GramTable.split(corpus, config.n_min, config.n_max, prep=list)
+    table = GramTable.split(corpus, config.n_min, config.n_max, prep=list)
     return table.model(config, table.select(config))
 
 
@@ -78,6 +81,20 @@ def split_words(words: list[str], n_min: int, n_max: int):
     char-wb emission order)."""
     text, start, length, whole, per_word, ids = features._split_spans(words, n_min, n_max)
     return features._gram_strings(text, start, length), length, whole, per_word, ids
+
+
+def table_grams(table: GramTable) -> list[str]:
+    """The gram of each id of a gram table, made from its spans."""
+    return features._gram_strings(table._text, table._start, table.length)
+
+
+def to_dense(batch: CsrBatch) -> np.ndarray:
+    """The rows of a batch as a dense array of its shape."""
+    n_rows, dim = batch.shape
+    dense = np.zeros((n_rows, dim))
+    rows = np.repeat(np.arange(n_rows), np.diff(batch.indptr))
+    dense[rows, batch.indices] = batch.data
+    return dense
 
 
 def whole_word_table(model: TfidfModel):
@@ -114,3 +131,21 @@ def check_gradient(f: Objective, x: np.ndarray, h: float = 1e-6) -> float:
         err = abs(numeric - grad[i]) / max(1.0, abs(grad[i]))
         worst = max(worst, err)
     return worst
+
+
+def surrogate_loss(weights, matrix: ensemble.ScoreMatrix, side_ids, temperature: float):
+    """Mean logistic margin loss and its analytic gradient, on the pairs
+    whose sides are `side_ids` (in side order) and the matrix's values as
+    they are.
+
+    For each pair the margin is w . (s_more - s_less); the loss is
+    ln(1 + exp(-margin/temperature)) averaged over pairs, computed in a
+    form stable for large |margin|/temperature.
+    """
+    ensemble._check_temperature(temperature)
+    w = np.asarray(weights, dtype=np.float64)
+    if len(w) != len(matrix.model_names):
+        raise ValueError("one weight per model required")
+    rows = ensemble.pair_rows(matrix, side_ids)
+    return ensemble._loss_from_diffs(w, ensemble._pair_diffs(matrix, matrix.values, rows),
+                                     temperature)

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevrank
-from sevrank import (cli, corpus, ensemble, evaluate, explain, features, pipeline,
-                     regress, textproc)
+from sevrank import (cli, corpus, ensemble, evaluate, explain, features, fitting,
+                     pipeline, regress, textproc)
 from sevrank.textproc import PreprocessConfig, preprocess
 
 from reference import char_wb_ngrams, fit_tfidf, transform
@@ -593,7 +593,7 @@ def search_oracle(labeled, pairs_path, trials, seed, pp):
     rng = np.random.default_rng(seed)
     records = []
     for trial in range(trials):
-        ranges, caps = cli._SEARCH_NGRAM_RANGES, cli._SEARCH_MAX_FEATURES
+        ranges, caps = fitting._SEARCH_NGRAM_RANGES, fitting._SEARCH_MAX_FEATURES
         n_min, n_max = ranges[rng.integers(len(ranges))]
         max_features = caps[rng.integers(len(caps))]
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
@@ -654,7 +654,7 @@ class TestSearchMatchesPerTrialFits:
 
     def test_cap_below_the_candidates_with_a_tie_at_the_cut(self, files, capsys,
                                                             monkeypatch):
-        monkeypatch.setattr(cli, "_SEARCH_MAX_FEATURES", (7, 40, 10**6))
+        monkeypatch.setattr(fitting, "_SEARCH_MAX_FEATURES", (7, 40, 10**6))
         oracle = search_oracle(files["labeled"], files["pairs"], 6, 5, PreprocessConfig())
         ties = 0
         for r in oracle:
@@ -1483,6 +1483,8 @@ def run_fresh(tmp_path, *argv):
 NUMPY_FREE = ["sevrank", "sevrank.corpus", "sevrank.evaluate", "sevrank.textproc"]
 # the sevrank modules a command that scores with a saved model loads
 SCORING = ["corpus", "evaluate", "features", "pipeline", "regress", "textproc"]
+# the fit code, which only train and search load
+FITTING = "sevrank.fitting"
 
 
 def sevrank_modules(modules):
@@ -1515,6 +1517,32 @@ class TestColdStart:
                                  "--comments", files["comments"], "--out", tmp_path / "s.csv")
         assert out == ["scored 15 comments"]
         assert sevrank_modules(modules) == SCORING
+        assert FITTING not in modules
+        assert "dataclasses" not in modules
+
+    def test_evaluate_model_loads_the_scoring_modules(self, files, tmp_path):
+        out, modules = run_fresh(tmp_path, "evaluate", "--model-prefix", files["model"],
+                                 "--pairs", files["pairs"], "--top-errors", "2",
+                                 "--errors-out", tmp_path / "e.csv")
+        assert json.loads(out[-1])["n_pairs"] == 30
+        assert sevrank_modules(modules) == SCORING
+        assert FITTING not in modules
+        assert "dataclasses" not in modules
+
+    def test_train_loads_the_fit_code(self, files, tmp_path):
+        out, modules = run_fresh(tmp_path, "train", "--labeled", files["labeled"],
+                                 "--out-prefix", tmp_path / "m")
+        assert out[-1].startswith("training objective: ")
+        # the contraction table is a package resource (`sevrank.data`)
+        assert sevrank_modules(modules) == sorted([*SCORING, "data", "fitting"])
+        assert "dataclasses" not in modules
+
+    def test_search_loads_the_fit_code_and_no_pipeline(self, files, tmp_path):
+        out, modules = run_fresh(tmp_path, "search", "--labeled", files["labeled"],
+                                 "--pairs", files["pairs"], "--trials", "2")
+        assert len(out) == 3 and "best" in json.loads(out[-1])
+        assert sevrank_modules(modules) == ["corpus", "data", "evaluate", "features",
+                                            "fitting", "regress", "textproc"]
         assert "dataclasses" not in modules
 
     def test_explain_loads_the_scoring_modules_and_explain(self, files, tmp_path):
@@ -1522,6 +1550,7 @@ class TestColdStart:
                                  "--text", "you idiot", "--num-samples", "20")
         assert json.loads(out[-1])["tokens"] == ["you", "idiot"]
         assert sevrank_modules(modules) == sorted([*SCORING, "explain"])
+        assert FITTING not in modules
         assert "dataclasses" not in modules
         # only --html-out needs html
         assert "html" not in modules

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevrank import corpus, ensemble
-from sevrank.corpus import Pairs
 
-from reference import check_gradient
+from reference import check_gradient, surrogate_loss
 
 
 def loop_ranks(column):
@@ -40,9 +39,9 @@ def matrix_of(values):
 
 
 def pairs_of(sides):
-    """Pairs over matrix ids, given as (less, more) tuples; texts are empty."""
-    ids = [cid for side in sides for cid in side]
-    return Pairs(ids=ids, texts=[""] * len(ids))
+    """The side ids, in side order, of pairs over matrix ids given as
+    (less, more) tuples."""
+    return [cid for side in sides for cid in side]
 
 
 class TestRanks:
@@ -142,19 +141,24 @@ class TestSurrogate:
         weights = rng.normal(size=k)
 
         def objective(w):
-            return ensemble.surrogate_loss(w, matrix, pairs, temperature)
+            return surrogate_loss(w, matrix, pairs, temperature)
 
         assert check_gradient(objective, weights) < 1e-6
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="'zz' not present"):
-            ensemble.surrogate_loss([1.0], matrix_of([0.1, 0.2]),
-                                    pairs_of([("c0", "zz")]), 0.1)
+            surrogate_loss([1.0], matrix_of([0.1, 0.2]), pairs_of([("c0", "zz")]), 0.1)
 
     def test_first_unknown_side_in_flat_order_is_named(self):
         pairs = pairs_of([("c0", "c1"), ("yy", "zz"), ("xx", "c0")])
         with pytest.raises(ValueError, match="'yy' not present"):
             ensemble.fit_weights(matrix_of([0.1, 0.2]), pairs)
+
+    @pytest.mark.parametrize("sides", [[], ["c0"], ["c0", "c1", "c0"]])
+    def test_side_ids_must_make_whole_pairs(self, sides):
+        with pytest.raises(ValueError, match=f"need whole judgment pairs, at least one: "
+                                             f"got {len(sides)} sides"):
+            ensemble.fit_weights(matrix_of([0.1, 0.2]), sides)
 
     def test_rows_are_the_sides_split_into_less_and_more(self):
         matrix = matrix_of([[0.1, 1.0], [0.2, 4.0], [0.3, 9.0]])
@@ -184,8 +188,8 @@ class TestFitAndBlend:
                                        max_iter=50)
         normalized = ensemble.ScoreMatrix(self.matrix.comment_ids, self.matrix.model_names,
                                           ensemble.normalize_scores(self.matrix, mode))
-        start, _ = ensemble.surrogate_loss([0.5, 0.5], normalized, self.pairs, 0.1)
-        fitted, _ = ensemble.surrogate_loss(weights.weights, normalized, self.pairs, 0.1)
+        start, _ = surrogate_loss([0.5, 0.5], normalized, self.pairs, 0.1)
+        fitted, _ = surrogate_loss(weights.weights, normalized, self.pairs, 0.1)
         assert fitted <= start
         assert weights.weights[0] > weights.weights[1]
 
@@ -249,7 +253,7 @@ class TestTemperature:
     @pytest.mark.parametrize("temperature", BAD)
     def test_surrogate_loss(self, temperature):
         with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
-            ensemble.surrogate_loss([1.0], self.matrix, self.pairs, temperature)
+            surrogate_loss([1.0], self.matrix, self.pairs, temperature)
 
     @pytest.mark.parametrize("temperature", BAD)
     def test_weights(self, temperature):

@@ -11,7 +11,6 @@ from sevrank import features
 from sevrank.features import (
     CHUNK_ROWS,
     CsrBatch,
-    GramTable,
     TfidfConfig,
     TfidfModel,
     _count,
@@ -19,6 +18,7 @@ from sevrank.features import (
     _WordTable,
     row_sums,
 )
+from sevrank.fitting import GramTable
 from sevrank.pipeline import Pipeline, load_pipeline, save_pipeline
 from sevrank.regress import RidgeModel
 from sevrank.textproc import PreprocessConfig
@@ -27,6 +27,8 @@ from reference import (
     char_wb_ngrams,
     fit_tfidf,
     split_words,
+    table_grams,
+    to_dense,
     transform,
     whole_word_table,
     word_columns,
@@ -253,7 +255,8 @@ class TestGramTable:
         table = GramTable.split([word], lo, hi, prep=list)
         inside = table.in_range(a, b)
         # one document, so a gram's corpus count is its count in the word
-        got = {table.grams[g]: int(table.total[g]) for g in np.flatnonzero(inside).tolist()}
+        grams = table_grams(table)
+        got = {grams[g]: int(table.total[g]) for g in np.flatnonzero(inside).tolist()}
         assert Counter(got) == Counter(char_wb_ngrams(word, a, b))
 
     @settings(max_examples=300, deadline=None)
@@ -267,9 +270,9 @@ class TestGramTable:
     def test_a_above_the_padded_length_keeps_the_whole_word(self):
         table = GramTable.split(["ab cdefgh"], 2, 9, prep=list)
         inside = table.in_range(5, 9)
-        assert sorted(table.grams[g] for g in np.flatnonzero(inside)) == sorted(
+        assert sorted(table_grams(table)[g] for g in np.flatnonzero(inside)) == sorted(
             char_wb_ngrams("ab cdefgh", 5, 9))
-        assert " ab " in [table.grams[g] for g in np.flatnonzero(inside)]
+        assert " ab " in [table_grams(table)[g] for g in np.flatnonzero(inside)]
 
     @pytest.mark.parametrize("config", [
         TfidfConfig(n_min=2, n_max=4),
@@ -313,12 +316,12 @@ class TestGramTable:
         table = GramTable.split(corpus, 1, 4, more, prep=list)
         per_doc = [Counter(char_wb_ngrams(doc, 1, 4)) for doc in corpus]
         grams = set(char_wb_ngrams(" ".join(corpus + more), 1, 4))
-        assert table.grams == sorted(grams)
-        for g, gram in enumerate(table.grams):
+        assert table_grams(table) == sorted(grams)
+        for g, gram in enumerate(table_grams(table)):
             assert table.total[g] == sum(c[gram] for c in per_doc), gram
             assert table.df[g] == sum(gram in c for c in per_doc), gram
-        assert table.df[table.grams.index("zebr")] == 0
-        assert table.total[table.grams.index("quux")] == 0.0
+        assert table.df[table_grams(table).index("zebr")] == 0
+        assert table.total[table_grams(table).index("quux")] == 0.0
 
     def test_matrix_of_more_than_one_chunk_equals_transform(self):
         rng = np.random.default_rng(5)
@@ -351,7 +354,7 @@ class TestGramTable:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        X = table.matrix(np.arange(len(table.grams)))
+        X = table.matrix(np.arange(len(table_grams(table))))
         assert X.nnz > 20 * 1024
         assert peak - held < X.data.nbytes / 2
         # the sums over slices are the sums over all entries at once
@@ -382,13 +385,13 @@ class TestGramTable:
         model = table.model(config, kept)
         got = list(made)
         assert got == list(model.vocabulary)
-        grams = table.grams
+        grams = table_grams(table)
         assert got == [grams[g] for g in kept.tolist()] and len(got) == 20 < len(grams)
         assert model.vocabulary == fit_tfidf(corpus, config).vocabulary
 
     def test_documents_without_words(self):
         table = GramTable.split(["", " ", "\n"], 1, 3, [""], prep=list)
-        assert table.grams == [] and len(table.total) == 0 and len(table.df) == 0
+        assert table_grams(table) == [] and len(table.total) == 0 and len(table.df) == 0
         kept = table.select(TfidfConfig(n_min=1, n_max=3))
         assert table.matrix(kept).shape == (3, 0)
         assert table.matrix(kept, more=True).shape == (1, 0)
@@ -478,7 +481,7 @@ class TestTransform:
     def test_counts_scale_values(self):
         # vocabulary of 2-grams with equal idf; "abab" has counts ab:2, ba:1
         model = fit_tfidf(["abab"], TfidfConfig(n_min=2, n_max=2))
-        vec = transform(model, ["abab"]).to_dense()[0]
+        vec = to_dense(transform(model, ["abab"]))[0]
         expected = np.zeros(len(model.vocabulary))
         expected[model.vocabulary["ab"]] = 2.0
         expected[model.vocabulary["ba"]] = 1.0
@@ -523,7 +526,7 @@ class TestTransform:
             vocab, idf, expected = brute_force_tfidf(docs, config)
             assert model.vocabulary == vocab
             np.testing.assert_allclose(model.idf, idf, atol=1e-12)
-            got = transform(model, docs).to_dense()
+            got = to_dense(transform(model, docs))
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -645,7 +648,7 @@ class TestBatchTransform:
                                 shape=batch.shape)
         csr.check_format(full_check=True)
         assert csr.has_canonical_format
-        np.testing.assert_array_equal(csr.toarray(), batch.to_dense())
+        np.testing.assert_array_equal(csr.toarray(), to_dense(batch))
 
 
 def count_reference(table, tokens, doc_len, width):
@@ -772,7 +775,7 @@ class TestCsrBatch:
         batch = CsrBatch(indptr=[0, 2, 2, 3], indices=[1, 3, 0],
                          data=[2.0, -1.0, 5.0], shape=(3, 4))
         np.testing.assert_array_equal(
-            batch.to_dense(),
+            to_dense(batch),
             [[0.0, 2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]],
         )
 

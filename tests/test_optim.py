@@ -43,9 +43,12 @@ class TestLbfgs:
         f, dim = OBJECTIVES[name]
         x0 = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=dim,
                                          max_size=dim)))
-        seen = [f(x0)[0]]
-        result = lbfgs_minimize(f, x0, max_iter=60,
-                                callback=lambda it, x, fx: seen.append(fx))
+        result = lbfgs_minimize(f, x0, max_iter=60)
+        # the accepted values, read by rerunning with fewer steps
+        reruns = [lbfgs_minimize(f, x0, max_iter=k) for k in range(result.iterations + 1)]
+        assert [r.iterations for r in reruns] == list(range(result.iterations + 1))
+        seen = [r.f_value for r in reruns]
+        assert seen[0] == f(x0)[0]
         assert all(b <= a for a, b in zip(seen, seen[1:]))
         assert len(seen) == result.iterations + 1
         assert result.f_value == seen[-1]
@@ -73,10 +76,9 @@ class TestLbfgs:
     def test_identical_inputs_give_identical_iterates(self):
         runs = []
         for _ in range(2):
-            xs = []
-            lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iter=30,
-                           callback=lambda it, x, fx: xs.append(x.tobytes()))
-            runs.append(xs)
+            # each accepted iterate, read by rerunning with fewer steps
+            runs.append([lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]),
+                                        max_iter=k).x.tobytes() for k in range(1, 31)])
         assert runs[0] == runs[1]
 
     def test_max_iter_stops_unconverged(self):

@@ -1,4 +1,5 @@
 import csv
+import re
 import textwrap
 
 import numpy as np
@@ -65,6 +66,28 @@ class TestRoundTrip:
         loaded = load_pipeline(tmp_path / "m.pipeline")
         assert loaded.tfidf.dim == 0 and len(loaded.ridge.weights) == 0
         assert loaded.ridge.intercept == 0.5
+
+    def test_v1_and_truncated_files_are_refused_by_name(self, tmp_path):
+        save_pipeline(fitted(), tmp_path / "m.pipeline")
+        raw = (tmp_path / "m.pipeline").read_bytes()
+        bad = tmp_path / "bad.pipeline"
+        # a v1 magic line, whole or alone, asks for a retrain
+        for v1 in (b"sevrank-pipeline-v1\n" + raw[len(b"sevrank-pipeline-v2\n"):],
+                   b"sevrank-pipeline-v1"):
+            bad.write_bytes(v1)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: a sevrank-"
+                                                 "pipeline-v1 file holds no word table"):
+                load_pipeline(bad)
+        # cut in the magic, the manifest, the grams, the numbers and the table
+        manifest_end = raw.index(b"\n", len(b"sevrank-pipeline-v2\n"))
+        for cut, message in ((10, "not a sevrank-pipeline-v2 file"),
+                             (manifest_end, "missing manifest line"),
+                             (manifest_end + 3, "payload is 2 bytes, not "),
+                             (len(raw) // 2, "payload is "),
+                             (len(raw) - 1, "payload is ")):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}"):
+                load_pipeline(bad)
 
 
 # documents of 0-6 words drawn from a small pool, so words repeat, with
