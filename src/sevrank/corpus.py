@@ -36,7 +36,6 @@ __all__ = [
     "JTC_WEIGHT_TOTAL",
     "load_comments",
     "load_pairs",
-    "load_pair_ids",
     "load_labeled",
     "save_labeled",
     "resolve_pairs_to_ids",
@@ -122,7 +121,6 @@ JTC_WEIGHT_TOTAL = sum(JTC_WEIGHTS.values())  # 44
 _JTC_FLAGS = ("toxic", "severe_toxic", "obscene", "threat", "insult", "identity_hate")
 _UNINTENDED_ATTRS = ("severe_toxicity", "obscene", "threat", "insult", "identity_attack")
 _DAVIDSON_COUNTS = ("hate_speech", "offensive_language", "neither")
-_PAIR_COLUMNS = ("less_toxic", "more_toxic")
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +348,12 @@ def load_pairs(path: str | Path) -> Pairs:
     number (header is row 1), so reloading the same file reproduces them
     exactly.
     """
-    columns, rows = read_csv(path, _PAIR_COLUMNS)
-    sides = [columns[name] for name in _PAIR_COLUMNS]
-    return Pairs(ids=_side_ids(len(rows)),
-                 texts=[fields[col] for fields in rows for col in sides])
-
-
-def load_pair_ids(path: str | Path) -> list[str]:
-    """The side ids `load_pairs` gives a pairs file, in side order.  Every
-    record is read and checked as there, but no text is kept."""
-    return _side_ids(len(read_csv(path, _PAIR_COLUMNS)[1]))
-
-
-def _side_ids(n_pairs: int) -> list[str]:
-    return [f"p{record}_{side}" for record in range(2, n_pairs + 2) for side in "lm"]
+    columns, rows = read_csv(path, ("less_toxic", "more_toxic"))
+    sides = (columns["less_toxic"], columns["more_toxic"])
+    return Pairs(
+        ids=[f"p{record}_{side}" for record in range(2, len(rows) + 2) for side in "lm"],
+        texts=[fields[col] for fields in rows for col in sides],
+    )
 
 
 def resolve_pairs_to_ids(pairs: Pairs, ids: Sequence[str], texts: Sequence[str]) -> Pairs:

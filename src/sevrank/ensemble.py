@@ -6,12 +6,12 @@ step function, weights are fitted by minimizing a smooth stand-in: the
 mean logistic loss ln(1 + exp(-margin/tau)) over annotated pairs, where
 the margin is the weighted score difference between the more- and
 less-toxic side.  The pairs are given by their side ids, which are
-matrix row ids, in the flat side order of `corpus.Pairs` (side 2i less
-toxic, side 2i + 1 more toxic), as `corpus.load_pair_ids` reads them.
-Columns are normalized first since raw model outputs live on incomparable
-scales; the normalized values and the blend are plain float64 arrays, row
-i belonging to the matrix's comment_ids[i].  Reported quality always uses
-the exact accuracy metric, never the surrogate.
+matrix row ids, as a `corpus.Pairs`' `ids` holds them (side 2i less
+toxic, side 2i + 1 more toxic).  Columns are normalized first since raw
+model outputs live on incomparable scales; the normalized values and the
+blend are plain float64 arrays, row i belonging to the matrix's
+comment_ids[i].  Reported quality always uses the exact accuracy metric,
+never the surrogate.
 """
 
 from __future__ import annotations
@@ -205,7 +205,8 @@ def fit_weights(
     if len(matrix.model_names) < 1:
         raise ValueError("need at least one model column")
     if len(side_ids) < 2 or len(side_ids) % 2:
-        raise ValueError(f"need whole judgment pairs, at least one: got {len(side_ids)} sides")
+        raise ValueError("side_ids must be the side ids of one or more whole pairs "
+                         f"(a corpus.Pairs' ids), not {len(side_ids)} items")
     if normalized is None:
         normalized = normalize_scores(matrix, mode)
     if rows is None:

@@ -12,17 +12,17 @@ vocabulary selection breaks count ties lexicographically and columns
 follow lexicographic gram order, so the model does not depend on the
 corpus order.
 
-`matrices` is the one split -> select -> matrix step.  `pipeline.fit`
-runs it for one config, then builds the vectorizer from the table and
-solves the ridge.  `search` draws every trial up front and runs it once
-for all of them: one table over the union of the drawn n-gram ranges,
-which also splits and counts the pair texts (they add nothing to the
-idf), from which each trial selects its vocabulary, and one training
-matrix and one matrix of the distinct pair texts per distinct (n-gram
-range, kept grams).  Each trial's ridge solve, predictions and pairwise accuracy run
-on the same float64 values as fitting it alone with `pipeline.fit` and
-scoring the pair texts with the fitted model, so its records are the
-same bytes.
+Both fits take their table from `split`, then `GramTable.select` and
+`GramTable.matrix`.  `pipeline.fit` does so for one config, then builds
+the vectorizer from the table and solves the ridge.  `search` draws every
+trial up front and splits once for all of them: one table over the union
+of the drawn n-gram ranges, which also splits and counts the pair texts
+(they add nothing to the idf), from which each trial selects its
+vocabulary, and one training matrix and one matrix of the distinct pair
+texts per distinct (n-gram range, kept grams).  Each trial's ridge
+solve, predictions and pairwise accuracy run on the same float64 values
+as fitting it alone with `pipeline.fit` and scoring the pair texts with
+the fitted model, so its records are the same bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import corpus, evaluate, features, regress, textproc
 
-__all__ = ["GramTable", "matrices", "search"]
+__all__ = ["GramTable", "split", "search"]
 
 # the choices of `search`'s n-gram range and max_features per trial
 _SEARCH_NGRAM_RANGES = ((2, 4), (3, 5), (3, 6))
@@ -245,34 +245,15 @@ class GramTable:
         return column
 
 
-def matrices(texts: Sequence[str], preprocess: textproc.PreprocessConfig,
-             configs: Sequence[features.TfidfConfig], more_texts: Sequence[str] = ()
-             ) -> Iterator[tuple[GramTable, np.ndarray, features.CsrBatch, features.CsrBatch]]:
-    """One split of the raw `texts` and `more_texts` over every range of
-    `configs`; then, per config in order, (the table, the ids of the grams
-    it keeps, the rows of `texts`, the rows of `more_texts`).
-
-    The table counts over `texts` only (see `GramTable`).  Configs whose
-    n-gram range and kept grams are equal share one pair of matrices, kept
-    until the last config that uses them.  The table's counts are freed
-    before the last config's matrices are given, so a model built from the
-    table after them (`GramTable.model`) is built without them.
-    """
-    table = GramTable.split(
+def split(texts: Sequence[str], preprocess: textproc.PreprocessConfig,
+          configs: Sequence[features.TfidfConfig], more_texts: Sequence[str] = ()
+          ) -> GramTable:
+    """The table of the raw `texts` and `more_texts`, each distinct token
+    preprocessed under `preprocess` once, split over every n-gram range of
+    `configs`; it counts over `texts` only (see `GramTable`)."""
+    return GramTable.split(
         texts, min(c.n_min for c in configs), max(c.n_max for c in configs), more_texts,
         prep=functools.partial(textproc.preprocess_tokens, config=preprocess))
-    key_of = {config: (config.n_min, config.n_max, table.select(config).tobytes())
-              for config in configs}
-    last_use = {key_of[config]: i for i, config in enumerate(configs)}
-    shared: dict[tuple[int, int, bytes], tuple] = {}
-    for i, config in enumerate(configs):
-        key = key_of[config]
-        if key not in shared:
-            kept = np.frombuffer(key[2], dtype=np.int64)
-            shared[key] = (kept, table.matrix(kept), table.matrix(kept, more=True))
-        if i == len(configs) - 1:
-            table.drop_counts()
-        yield (table, *(shared[key] if last_use[key] > i else shared.pop(key)))
 
 
 def search(texts: Sequence[str], scores: Sequence[float], pairs: corpus.Pairs,
@@ -293,10 +274,20 @@ def search(texts: Sequence[str], scores: Sequence[float], pairs: corpus.Pairs,
     slot = {t: i for i, t in enumerate(dict.fromkeys(pairs.texts))}
     side_slots = np.fromiter(map(slot.__getitem__, pairs.texts), dtype=np.int64,
                              count=len(pairs.texts))
-    steps = matrices(texts, preprocess, [config for config, _ in trials], list(slot))
+    table = split(texts, preprocess, [config for config, _ in trials], list(slot))
+    # trials whose n-gram range and kept grams are equal share one training
+    # matrix and one matrix of the distinct pair texts, kept until the last
+    # trial that uses them
+    key_of = {config: (config.n_min, config.n_max, table.select(config).tobytes())
+              for config, _ in trials}
+    last_use = {key_of[config]: trial for trial, (config, _) in enumerate(trials)}
+    shared: dict[tuple[int, int, bytes], tuple[features.CsrBatch, features.CsrBatch]] = {}
     for trial, (config, alpha) in enumerate(trials):
-        # next, not zip: zip's reused tuple would keep the last trial's matrices
-        _, _, X, X_pairs = next(steps)
+        key = key_of[config]
+        if key not in shared:
+            kept = np.frombuffer(key[2], dtype=np.int64)
+            shared[key] = (table.matrix(kept), table.matrix(kept, more=True))
+        X, X_pairs = shared[key] if last_use[key] > trial else shared.pop(key)
         ridge = regress.fit_ridge(X, scores, alpha=alpha, tol=1e-8, max_iter=1000)
         side_scores = regress.predict(ridge, X_pairs)[side_slots].tolist()
         accuracy = evaluate.pairwise_accuracy(pairs.ids, side_scores).accuracy

@@ -150,14 +150,17 @@ def fit(texts: Sequence[str], scores: Sequence[float],
     """The pipeline fitted on raw `texts` and their severity `scores`, and
     its training objective; the arguments are `sevrank train`'s flags.
 
-    The steps: `fitting.matrices` (the split, each distinct token
-    preprocessed once, `select` and `matrix`, the split's counts freed),
-    `GramTable.model`, `regress.fit_ridge` and `regress.ridge_objective`.
-    The solver's report is `ridge.solver`.
+    The steps: `fitting.split` (each distinct token preprocessed once),
+    `GramTable.select`, `matrix`, `drop_counts`, `model`,
+    `regress.fit_ridge` and `regress.ridge_objective`.  The solver's
+    report is `ridge.solver`.
     """
     from . import fitting
 
-    [(table, kept, X, _)] = fitting.matrices(texts, preprocess, [tfidf])
+    table = fitting.split(texts, preprocess, [tfidf])
+    kept = table.select(tfidf)
+    X = table.matrix(kept)
+    table.drop_counts()
     vectorizer = table.model(tfidf, kept)
     del table
     ridge = regress.fit_ridge(X, scores, alpha=alpha, tol=tol, max_iter=max_iter)

@@ -156,8 +156,9 @@ class TestSurrogate:
 
     @pytest.mark.parametrize("sides", [[], ["c0"], ["c0", "c1", "c0"]])
     def test_side_ids_must_make_whole_pairs(self, sides):
-        with pytest.raises(ValueError, match=f"need whole judgment pairs, at least one: "
-                                             f"got {len(sides)} sides"):
+        with pytest.raises(ValueError, match=rf"side_ids must be the side ids of one or "
+                                             rf"more whole pairs \(a corpus.Pairs' ids\), "
+                                             rf"not {len(sides)} items"):
             ensemble.fit_weights(matrix_of([0.1, 0.2]), sides)
 
     def test_rows_are_the_sides_split_into_less_and_more(self):
